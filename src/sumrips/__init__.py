@@ -24,7 +24,6 @@ from .kunneth import (
     ComparisonReport,
     DimensionComparison,
     bottleneck,
-    check_interleaving_bound,
     compare_product,
     kunneth_predict,
     predict_graded,
@@ -49,7 +48,6 @@ __all__ = [
     "SumripsError",
     "betti_curve",
     "bottleneck",
-    "check_interleaving_bound",
     "compare_product",
     "diameter",
     "filtration_inequality_check",

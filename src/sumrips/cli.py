@@ -30,10 +30,10 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--field", type=int, default=DEFAULT_FIELD,
                      help="coefficient field characteristic (prime, default 2)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (output is identical for any value)")
+                     help="accepted for compatibility; computation is single-threaded")
     sub.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP,
                      help=f"abort if a complex would exceed this many cells "
-                          f"(default {DEFAULT_CELL_CAP})")
+                          f"(default {DEFAULT_CELL_CAP}, about 4 GB)")
     sub.add_argument("--output", type=Path, default=None,
                      help="write the result here instead of stdout")
     sub.add_argument("--format", choices=("json", "table"), default=default_format,

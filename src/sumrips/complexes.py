@@ -11,22 +11,31 @@ Cells are globally ordered by (filtration, dimension, construction key), where
 the construction key is the ascending vertex tuple for Rips cells and the pair
 of factor ids for tensor cells.  Ids are positions in that order, so boundaries
 always point at strictly smaller ids and the order is reproducible bit for bit.
+
+Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
+key), so the global order is a stable merge by filtration, computed only on
+request (`global_ids`), as is the per-cell `cells` view.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import bmat, csc_matrix, identity, kron
 
 from .errors import CapExceeded, InputError, SumripsError
 from .metric import FiniteMetricSpace
 
-DEFAULT_CELL_CAP = 50_000_000
+# Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
+# maxdim 4 grows the resident set by about 760 B per cell (CPython 3.11, numpy
+# 2.4, x86-64); the build alone peaks at 232 B per cell under tracemalloc.
+BYTES_PER_CELL = 800
+# The default cap keeps a build and its reduction within about 4 GB.
+DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
 
 
 class ComplexError(SumripsError):
@@ -35,7 +44,7 @@ class ComplexError(SumripsError):
 
 @dataclass(frozen=True, slots=True)
 class Cell:
-    """One cell: dimension, entry time, signed boundary, construction data.
+    """One cell as rendered by `FilteredComplex.cells`.
 
     boundary holds (face id, integer coefficient) pairs in ascending id order.
     Exactly one of `vertices` (Rips: point indices, ascending) and `factors`
@@ -51,37 +60,84 @@ class Cell:
     factors: tuple[int, int] | None = None
 
 
-class FilteredComplex:
-    """Immutable cell list plus the truncation bookkeeping reduction relies on.
+class Dimension(NamedTuple):
+    """The cells of one dimension d, sorted by (filtration, construction key).
 
-    top_dim is the largest dimension the construction allowed; `complete` says
-    the untruncated object holds nothing above it.  Homology is trustworthy up
-    to `reliable_dim`: top_dim when complete, else top_dim - 1, because cycles
-    in the cut dimension can never be paired with the missing cofaces.
+    `boundary` maps them to dimension d - 1: a compressed sparse column matrix
+    with int8 coefficients and ascending face rows in each column.  Rips cells
+    carry `vertices` (one ascending row of point indices per cell), tensor
+    cells `factors` (global ids in the left and right factor complexes).
     """
 
-    __slots__ = ("cells", "top_dim", "complete")
+    filtration: np.ndarray
+    boundary: csc_matrix
+    vertices: np.ndarray | None = None
+    factors: np.ndarray | None = None
 
-    def __init__(self, cells: Sequence[Cell], top_dim: int, complete: bool) -> None:
-        object.__setattr__(self, "cells", tuple(cells))
-        object.__setattr__(self, "top_dim", int(top_dim))
-        object.__setattr__(self, "complete", bool(complete))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FilteredComplex is immutable")
+@dataclass(frozen=True, eq=False)
+class FilteredComplex:
+    """Per-dimension cell arrays plus the truncation bookkeeping reduction relies on.
+
+    top_dim, the last stored dimension, is the largest the construction allowed;
+    `complete` says the untruncated object holds nothing above it.  Homology is
+    trustworthy up to `reliable_dim`: top_dim when complete, else top_dim - 1,
+    because cycles in the cut dimension can never be paired with the missing
+    cofaces.  `source` is what construction keys refer to, read only for labels:
+    the point labels of a Rips complex, or the two factors of a tensor complex.
+    """
+
+    dims: tuple[Dimension, ...]
+    complete: bool
+    source: tuple | None = None
+
+    @property
+    def top_dim(self) -> int:
+        return len(self.dims) - 1
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return sum(len(dim.filtration) for dim in self.dims)
 
     @property
     def reliable_dim(self) -> int:
         return self.top_dim if self.complete else self.top_dim - 1
 
     def dim_counts(self) -> dict[int, int]:
-        return dict(sorted(Counter(c.dim for c in self.cells).items()))
+        return {d: len(dim.filtration) for d, dim in enumerate(self.dims) if len(dim.filtration)}
 
     def critical_values(self) -> tuple[float, ...]:
-        return tuple(sorted({c.filtration for c in self.cells}))
+        return tuple(np.unique(np.concatenate([dim.filtration for dim in self.dims])).tolist())
+
+    def global_ids(self) -> list[np.ndarray]:
+        """Per dimension, each cell's position in the global order."""
+        sizes = [len(dim.filtration) for dim in self.dims]
+        order = np.argsort(np.concatenate([dim.filtration for dim in self.dims]), kind="stable")
+        return np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+
+    def _labels(self, dim: Dimension) -> list[str]:
+        """Point labels joined by commas (Rips) or factor labels joined by '|'."""
+        if dim.vertices is not None:
+            return [",".join([self.source[v] for v in row]) for row in dim.vertices.tolist()]
+        if dim.factors is not None:
+            left, right = ([cell.label for cell in factor.cells] for factor in self.source)
+            return [f"{left[i]}|{right[j]}" for i, j in dim.factors.tolist()]
+        return [""] * len(dim.filtration)
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """Read-only `Cell` per global id, built on first access for tests and
+        debugging; the builders and the reduction never read it."""
+        ids = self.global_ids()
+        cells: list[Cell] = [None] * len(self)  # type: ignore[list-item]
+        for d, dim in enumerate(self.dims):
+            faces = ids[d - 1][dim.boundary.indices].tolist() if d else []
+            coeffs, ptr = dim.boundary.data.tolist(), dim.boundary.indptr.tolist()
+            keys = [[None] * len(dim.filtration) if a is None else list(map(tuple, a.tolist()))
+                    for a in (dim.vertices, dim.factors)]
+            for g, f, label, lo, hi, v, ij in zip(ids[d].tolist(), dim.filtration.tolist(),
+                                                  self._labels(dim), ptr, ptr[1:], *keys):
+                cells[g] = Cell(d, f, tuple(zip(faces[lo:hi], coeffs[lo:hi])), label, v, ij)
+        return tuple(cells)
 
     def validate(self) -> None:
         """Check ordering, face monotonicity, and boundary-squared = 0 over Z.
@@ -89,34 +145,27 @@ class FilteredComplex:
         Integer coefficients make the d^2 check field-independent.  Intended
         for tests and debugging; builders already guarantee these invariants.
         """
-        prev_key = (-math.inf, -1)
-        for j, cell in enumerate(self.cells):
-            key = (cell.filtration, cell.dim)
-            if key < prev_key:
-                raise ComplexError(f"cell {j} breaks the (filtration, dimension) order")
-            prev_key = key
-            if cell.dim > self.top_dim:
-                raise ComplexError(f"cell {j} has dim {cell.dim} above top_dim {self.top_dim}")
-            last_face = -1
-            for i, coeff in cell.boundary:
-                if coeff == 0:
-                    raise ComplexError(f"cell {j} has a zero boundary coefficient")
-                if not last_face < i < j:
-                    raise ComplexError(f"cell {j} boundary ids are not ascending and below {j}")
-                last_face = i
-                face = self.cells[i]
-                if face.dim != cell.dim - 1:
-                    raise ComplexError(f"cell {j} (dim {cell.dim}) has a face of dim {face.dim}")
-                if face.filtration > cell.filtration:
-                    raise ComplexError(
-                        f"face {i} enters at {face.filtration} after cell {j} at {cell.filtration}"
-                    )
-            square: dict[int, int] = defaultdict(int)
-            for i, coeff in cell.boundary:
-                for i2, coeff2 in self.cells[i].boundary:
-                    square[i2] += coeff * coeff2
-            if any(v != 0 for v in square.values()):
-                raise ComplexError(f"boundary of boundary of cell {j} is nonzero")
+        below = np.empty(0)
+        for d, (filt, boundary, *_) in enumerate(self.dims):
+            if np.any(filt[1:] < filt[:-1]):
+                raise ComplexError(f"dimension {d} breaks the filtration order")
+            if boundary.shape != (len(below), len(filt)):
+                raise ComplexError(f"dimension {d} boundary has shape {boundary.shape}")
+            if np.any(boundary.data == 0):
+                raise ComplexError(f"dimension {d} has a zero boundary coefficient")
+            cols = np.repeat(np.arange(len(filt)), np.diff(boundary.indptr))
+            faces = boundary.indices
+            if np.any((cols[1:] == cols[:-1]) & (faces[1:] <= faces[:-1])):
+                raise ComplexError(f"dimension {d} face rows are not ascending")
+            late = np.flatnonzero(below[faces] > filt[cols])
+            if late.size:
+                raise ComplexError(f"a face of dimension-{d} cell {cols[late[0]]} enters after it")
+            if d >= 2:
+                square = self.dims[d - 1].boundary.astype(np.int64) @ boundary.astype(np.int64)
+                if square.count_nonzero():
+                    raise ComplexError(f"boundary of boundary of dimension-{d} cell "
+                                       f"{square.nonzero()[1].min()} is nonzero")
+            below = filt
 
     def dump_lines(self) -> list[str]:
         """Debug format, one cell per line: id dim filtration boundary label."""
@@ -127,8 +176,24 @@ class FilteredComplex:
         return out
 
     def __repr__(self) -> str:
-        return (f"FilteredComplex(cells={len(self.cells)}, top_dim={self.top_dim}, "
+        return (f"FilteredComplex(cells={len(self)}, top_dim={self.top_dim}, "
                 f"complete={self.complete})")
+
+
+def _check_cap(what: str, needed: int, cell_cap: int) -> None:
+    if needed > cell_cap:
+        raise CapExceeded(f"{what} needs {needed} cells, about "
+                          f"{needed * BYTES_PER_CELL / 1e6:.1f} MB to build and reduce, "
+                          f"exceeding the cap {cell_cap}")
+
+
+def _subset_diameter(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per row of `points`, the max of dist over its pairs, diagonal included."""
+    out = np.zeros(len(points))
+    for p in range(points.shape[1]):
+        for q in range(p, points.shape[1]):
+            np.maximum(out, dist[points[:, p], points[:, q]], out=out)
+    return out
 
 
 def rips_cell_count(n_points: int, maxdim: int) -> int:
@@ -144,53 +209,67 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int,
     The filtration value of a subset is the max of d over all ordered pairs of
     its points, including d(v, v): the diagonal can delay a vertex.  Faces never
     enter after cofaces because the max is monotone under inclusion.
+
+    Subsets of each size are enumerated in lexicographic order and stably
+    sorted by filtration.  A face is found through its lexicographic rank, from
+    the combinatorial number system (Bauer, Ripser, arXiv:1908.02518, sec. 3):
+    the k-subset c_0 < ... < c_(k-1) of m points has rank
+    C(m, k) - 1 - sum_i C(m - 1 - c_i, k - i).
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
     m = len(space)
     top = min(maxdim, m - 1)
-    needed = rips_cell_count(m, maxdim)
-    if needed > cell_cap:
-        raise CapExceeded(f"Rips complex needs {needed} cells, exceeding the cap {cell_cap}")
+    _check_cap("Rips complex", rips_cell_count(m, maxdim), cell_cap)
 
-    dist = space.dist
-    raw: list[tuple[float, int, tuple[int, ...]]] = []
-    for size in range(1, top + 2):
-        combos = np.array(list(itertools.combinations(range(m), size)), dtype=np.intp)
-        filt = np.zeros(len(combos))
-        for p in range(size):
-            for q in range(p, size):
-                np.maximum(filt, dist[combos[:, p], combos[:, q]], out=filt)
-        dim = size - 1
-        for verts, f in zip(combos.tolist(), filt.tolist()):
-            raw.append((f, dim, tuple(verts)))
-    raw.sort()
-
-    id_of = {verts: j for j, (_, _, verts) in enumerate(raw)}
-    labels = space.labels
-    cells = []
-    for f, dim, verts in raw:
-        if dim == 0:
-            boundary: tuple[tuple[int, int], ...] = ()
-        else:
-            pairs = []
-            for pos in range(len(verts)):
-                face = verts[:pos] + verts[pos + 1:]
-                pairs.append((id_of[face], -1 if pos & 1 else 1))
-            pairs.sort()
-            boundary = tuple(pairs)
-        cells.append(Cell(dim, f, boundary, ",".join(labels[v] for v in verts), vertices=verts))
-    return FilteredComplex(cells, top, maxdim >= m - 1)
+    # Only columns k <= top + 1 are used, so every entry is at most a cell count.
+    binom = np.array([[math.comb(a, k) for k in range(top + 2)] for a in range(m + 1)],
+                     dtype=np.int64)
+    dims = []
+    subsets = np.arange(m)[:, None]
+    for d in range(top + 1):
+        if d:  # every extension of each subset by a larger point keeps the order
+            last = subsets[:, -1]
+            parent = np.repeat(np.arange(len(subsets)), m - 1 - last)
+            start = np.searchsorted(parent, parent)
+            subsets = np.column_stack([subsets[parent],
+                                       last[parent] + 1 + np.arange(len(parent)) - start])
+        filt = _subset_diameter(space.dist, subsets)
+        order = np.argsort(filt, kind="stable")
+        verts = subsets[order]
+        boundary = csc_matrix((0, len(verts)), dtype=np.int8)
+        if d:  # column pos of `rows` holds the face without vertex pos
+            rows = np.empty_like(verts)
+            for pos in range(d + 1):
+                face = np.delete(verts, pos, axis=1)
+                rank = binom[m, d] - 1 - binom[m - 1 - face, np.arange(d, 0, -1)].sum(axis=1)
+                rows[:, pos] = row_of_rank[rank]
+            signs = np.tile((-1) ** np.arange(d + 1), len(verts)).astype(np.int8)
+            boundary = csc_matrix((signs, rows.ravel(), np.arange(0, rows.size + 1, d + 1)),
+                                  shape=(len(row_of_rank), len(verts)))
+            boundary.sort_indices()
+        dims.append(Dimension(filt[order], boundary, vertices=verts))
+        row_of_rank = np.argsort(order)
+    return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
 
 
 def tensor_cell_count(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None) -> int:
-    by_x = Counter(c.dim for c in cx.cells)
-    by_y = Counter(c.dim for c in cy.cells)
+    by_x, by_y = cx.dim_counts(), cy.dim_counts()
     full = cx.top_dim + cy.top_dim
     top = full if maxdim is None else min(maxdim, full)
     return sum(nx * ny
                for dx, nx in by_x.items() if dx <= top
                for dy, ny in by_y.items() if dx + dy <= top)
+
+
+def _koszul_block(x: Dimension, y: Dimension, a: int, row: int) -> csc_matrix | None:
+    """Boundary block from cells s x t with dim s = a to those with dim s = row."""
+    if row == a - 1:
+        return kron(x.boundary, identity(len(y.filtration), dtype=np.int8), format="csc")
+    if row == a:
+        return (-1) ** a * kron(identity(len(x.filtration), dtype=np.int8), y.boundary,
+                                format="csc")
+    return None
 
 
 def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None = None,
@@ -212,35 +291,29 @@ def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None 
                 f"{name} factor is truncated at dim {factor.top_dim} < {top}; "
                 f"build it at least to dim {top} for a faithful product"
             )
-    needed = tensor_cell_count(cx, cy, maxdim)
-    if needed > cell_cap:
-        raise CapExceeded(f"tensor complex needs {needed} cells, exceeding the cap {cell_cap}")
+    _check_cap("tensor complex", tensor_cell_count(cx, cy, maxdim), cell_cap)
 
-    by_dim_y = defaultdict(list)
-    for j, b in enumerate(cy.cells):
-        by_dim_y[b.dim].append(j)
-    raw: list[tuple[float, int, tuple[int, int]]] = []
-    for i, a in enumerate(cx.cells):
-        room = top - a.dim
-        if room < 0:
-            continue
-        for dy in range(room + 1):
-            for j in by_dim_y.get(dy, ()):
-                b = cy.cells[j]
-                raw.append((a.filtration + b.filtration, a.dim + dy, (i, j)))
-    raw.sort()
-
-    id_of = {pair: j for j, (_, _, pair) in enumerate(raw)}
-    cells = []
-    for f, dim, (i, j) in raw:
-        a, b = cx.cells[i], cy.cells[j]
-        pairs = [(id_of[fi, j], coeff) for fi, coeff in a.boundary]
-        sign = -1 if a.dim & 1 else 1
-        pairs.extend((id_of[i, gj], sign * coeff) for gj, coeff in b.boundary)
-        pairs.sort()
-        cells.append(Cell(dim, f, tuple(pairs), f"{a.label}|{b.label}", factors=(i, j)))
+    gx, gy = cx.global_ids(), cy.global_ids()
+    dims: list[Dimension] = []
+    for n in range(top + 1):
+        # Unsorted, dimension n lists the pairs with dim s = a for each a, s-major.
+        parts = range(max(0, n - cy.top_dim), min(n, cx.top_dim) + 1)
+        pairs = [(cx.dims[a], cy.dims[n - a]) for a in parts]
+        filt = np.concatenate([np.add.outer(x.filtration, y.filtration).ravel()
+                               for x, y in pairs])
+        factors = np.concatenate([np.stack(np.meshgrid(gx[a], gy[n - a], indexing="ij"),
+                                           -1).reshape(-1, 2) for a in parts])
+        order = np.lexsort((factors[:, 1], factors[:, 0], filt))
+        boundary = csc_matrix((0, len(filt)), dtype=np.int8)
+        if n:
+            blocks = [[_koszul_block(x, y, a, row) for a, (x, y) in zip(parts, pairs)]
+                      for row in below]
+            boundary = bmat(blocks, format="csc")[below_order][:, order]
+            boundary.sort_indices()
+        dims.append(Dimension(filt[order], boundary, factors=factors[order]))
+        below, below_order = parts, order
     complete = cx.complete and cy.complete and top == full
-    return FilteredComplex(cells, top, complete)
+    return FilteredComplex(tuple(dims), complete, source=(cx, cy))
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,23 +338,25 @@ def verify_product_filtration(product: FilteredComplex, x: FiniteMetricSpace,
 
     Cells must carry product-space vertices (index = ix * len(y) + iy).  The
     factor filtrations are evaluated on the projected vertex sets, diagonal
-    included, so the bounds hold exactly in float arithmetic.
+    included, so the bounds hold exactly in float arithmetic.  The report
+    counts cells in the global order up to the first violation.
     """
-    dx, dy = x.dist, y.dist
-    ny = len(y)
-    checked = 0
-    for cell in product.cells:
-        if cell.vertices is None:
+    ny, first = len(y), []
+    for d, dim in enumerate(product.dims):
+        if dim.vertices is None:
             raise InputError("product complex cells lack vertex data")
-        xs = sorted({v // ny for v in cell.vertices})
-        ys = sorted({v % ny for v in cell.vertices})
-        lx = max(dx[p, q] for p in xs for q in xs)
-        ly = max(dy[p, q] for p in ys for q in ys)
-        checked += 1
-        if not max(lx, ly) <= cell.filtration <= lx + ly:
-            return FiltrationCheckReport(False, checked,
-                                         (cell.label, cell.filtration, max(lx, ly), lx + ly))
-    return FiltrationCheckReport(True, checked)
+        lx = _subset_diameter(x.dist, dim.vertices // ny)
+        ly = _subset_diameter(y.dist, dim.vertices % ny)
+        bad = np.flatnonzero((np.maximum(lx, ly) > dim.filtration) | (dim.filtration > lx + ly))
+        if bad.size:
+            k = bad[0]
+            first.append((int(product.global_ids()[d][k]), float(lx[k]), float(ly[k])))
+    if not first:
+        return FiltrationCheckReport(True, len(product))
+    gid, lx, ly = min(first)
+    cell = product.cells[gid]
+    return FiltrationCheckReport(False, gid + 1,
+                                 (cell.label, cell.filtration, max(lx, ly), lx + ly))
 
 
 def filtration_inequality_check(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,

@@ -229,13 +229,3 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
         ))
     return ComparisonReport(field=p, diameter_bound=bound, dims=tuple(entries))
 
-
-def check_interleaving_bound(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
-                             p: int = DEFAULT_FIELD,
-                             cell_cap: int = DEFAULT_CELL_CAP) -> ComparisonReport:
-    """Comparison report viewed through its bound entries.
-
-    The returned report's bounds_ok must be True on genuine metric inputs: the
-    predicted and computed modules are min(diam X, diam Y)-interleaved.
-    """
-    return compare_product(x, y, maxn, p=p, cell_cap=cell_cap)

@@ -3,9 +3,9 @@
 Columns are processed dimension by dimension, top down, so the clearing trick
 applies: the pivot rows found while reducing dimension d are exactly the cells
 of dimension d - 1 whose own columns would reduce to zero, and those columns
-are skipped outright.  Within a dimension the rows are reindexed locally, which
-keeps the F_2 fast path (columns as Python ints, addition = XOR, pivot = top
-bit) compact even in large complexes.
+are skipped outright.  Boundary rows are positions within the dimension below,
+which keeps the F_2 fast path (columns as Python ints, addition = XOR, pivot =
+top bit) compact even in large complexes.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -16,7 +16,7 @@ rule: a truncated complex cannot certify its cut dimension.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
 from .bars import INF, Bar, Barcode, GradedBarcode
 from .complexes import FilteredComplex
@@ -44,73 +44,69 @@ def _check_field(p: int) -> None:
         raise InputError(f"field characteristic must be a prime below 2^31, got {p!r}")
 
 
-def _reduction_pairs(cx: FilteredComplex, p: int) -> tuple[list[tuple[int, int]], bytearray]:
-    """Run the reduction; return (negative pairs as (row, column) ids, paired flags)."""
-    cells = cx.cells
-    ids_by_dim: dict[int, list[int]] = defaultdict(list)
-    for j, cell in enumerate(cells):
-        ids_by_dim[cell.dim].append(j)
+def _reduce_f2(owner: dict[int, int], rows: list[int]) -> int | None:
+    """Reduce one column, as a bitset, against the owners; return its pivot or None."""
+    col = 0
+    for i in rows:
+        col |= 1 << i
+    while col:
+        piv = col.bit_length() - 1
+        other = owner.get(piv)
+        if other is None:
+            owner[piv] = col
+            return piv
+        col ^= other
+    return None
 
-    paired = bytearray(len(cells))
-    cleared = bytearray(len(cells))
-    pairs: list[tuple[int, int]] = []
 
+def _reduce_fp(owner: dict[int, dict[int, int]], rows: list[int], values: list[int],
+               p: int) -> int | None:
+    """Reduce one column over F_p; owners are stored with pivot coefficient 1."""
+    col = dict(zip(rows, values))
+    while col:
+        piv = max(col)
+        other = owner.get(piv)
+        if other is None:
+            inv = pow(col[piv], p - 2, p)
+            owner[piv] = {r: (v * inv) % p for r, v in col.items()}
+            return piv
+        factor = col[piv]
+        for r, v in other.items():
+            nv = (col.get(r, 0) - factor * v) % p
+            if nv:
+                col[r] = nv
+            else:
+                col.pop(r, None)
+    return None
+
+
+def _reduction_pairs(cx: FilteredComplex,
+                     p: int) -> tuple[list[tuple[int, int, int]], list[bytearray]]:
+    """Run the reduction; return negative pairs as (d, row in d - 1, column in d)
+    and per-dimension paired flags.
+
+    A row is flagged when it becomes a pivot, before its own dimension is
+    reduced, so the flags of a dimension are also its cleared columns.
+    """
+    paired = [bytearray(len(dim.filtration)) for dim in cx.dims]
+    pairs: list[tuple[int, int, int]] = []
     for d in range(cx.top_dim, 0, -1):
-        rows = ids_by_dim.get(d - 1, [])
-        local = {gid: k for k, gid in enumerate(rows)}
-        if p == 2:
-            owner: dict[int, int] = {}
-            for j in ids_by_dim.get(d, []):
-                if cleared[j]:
-                    continue
-                col = 0
-                for i, c in cells[j].boundary:
-                    if c % 2:
-                        col |= 1 << local[i]
-                while col:
-                    piv = col.bit_length() - 1
-                    other = owner.get(piv)
-                    if other is None:
-                        break
-                    col ^= other
-                if col:
-                    piv = col.bit_length() - 1
-                    owner[piv] = col
-                    i = rows[piv]
-                    cleared[i] = 1
-                    paired[i] = paired[j] = 1
-                    pairs.append((i, j))
-        else:
-            # Owner columns are normalized to pivot coefficient 1 on insertion.
-            owner_p: dict[int, dict[int, int]] = {}
-            for j in ids_by_dim.get(d, []):
-                if cleared[j]:
-                    continue
-                col: dict[int, int] = {}
-                for i, c in cells[j].boundary:
-                    v = c % p
-                    if v:
-                        col[local[i]] = v
-                while col:
-                    piv = max(col)
-                    other = owner_p.get(piv)
-                    if other is None:
-                        break
-                    factor = col[piv]
-                    for r, v in other.items():
-                        nv = (col.get(r, 0) - factor * v) % p
-                        if nv:
-                            col[r] = nv
-                        else:
-                            col.pop(r, None)
-                if col:
-                    piv = max(col)
-                    inv = pow(col[piv], p - 2, p)
-                    owner_p[piv] = {r: (v * inv) % p for r, v in col.items()}
-                    i = rows[piv]
-                    cleared[i] = 1
-                    paired[i] = paired[j] = 1
-                    pairs.append((i, j))
+        column = cx.dims[d].boundary.astype(np.int64)
+        column.data %= p
+        column.eliminate_zeros()
+        indptr, rows, values = (a.tolist() for a in (column.indptr, column.indices, column.data))
+        done, below, owner = paired[d], paired[d - 1], {}
+        for j in range(len(done)):
+            if done[j]:
+                continue
+            lo, hi = indptr[j], indptr[j + 1]
+            if p == 2:
+                piv = _reduce_f2(owner, rows[lo:hi])
+            else:
+                piv = _reduce_fp(owner, rows[lo:hi], values[lo:hi], p)
+            if piv is not None:
+                below[piv] = done[j] = 1
+                pairs.append((d, piv, j))
     return pairs, paired
 
 
@@ -125,14 +121,13 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
 
     reliable = cx.reliable_dim
     bars_by_dim: dict[int, list[Bar]] = {n: [] for n in range(reliable + 1)}
-    cells = cx.cells
-    for i, j in pairs:
-        birth, death = cells[i].filtration, cells[j].filtration
+    filts = [dim.filtration.tolist() for dim in cx.dims]
+    for d, i, j in pairs:
+        birth, death = filts[d - 1][i], filts[d][j]
         if birth != death:
-            bars_by_dim[cells[i].dim].append(Bar(birth, death))
-    for j, flag in enumerate(paired):
-        if not flag and cells[j].dim <= reliable:
-            bars_by_dim[cells[j].dim].append(Bar(cells[j].filtration, INF))
+            bars_by_dim[d - 1].append(Bar(birth, death))
+    for n, bars in bars_by_dim.items():
+        bars.extend(Bar(f, INF) for f, flag in zip(filts[n], paired[n]) if not flag)
     return GradedBarcode({n: Barcode(bars) for n, bars in bars_by_dim.items()})
 
 

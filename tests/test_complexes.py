@@ -1,6 +1,5 @@
 """Complex constructors: Rips enumeration, tensor products, structural checks."""
 
-import dataclasses
 import math
 import random
 
@@ -19,6 +18,8 @@ from sumrips import (
     vietoris_rips,
 )
 from sumrips.complexes import (
+    BYTES_PER_CELL,
+    DEFAULT_CELL_CAP,
     ComplexError,
     rips_cell_count,
     tensor_cell_count,
@@ -92,24 +93,35 @@ def test_rips_cell_cap():
         vietoris_rips(INTERVAL, -1)
 
 
+def test_cap_message_estimates_bytes():
+    needed = rips_cell_count(16, 4)
+    mb = needed * BYTES_PER_CELL / 1e6
+    with pytest.raises(CapExceeded, match=rf"needs {needed} cells, about {mb:.1f} MB to build"):
+        vietoris_rips(hamming_cube(4), 4, cell_cap=100)
+    assert DEFAULT_CELL_CAP * BYTES_PER_CELL <= 4 * 10**9
+
+
+def _replaced(cx, d, **arrays):
+    """cx with some arrays of dimension d replaced (corrupted copies in tests)."""
+    dims = list(cx.dims)
+    dims[d] = dims[d]._replace(**arrays)
+    return FilteredComplex(tuple(dims), cx.complete, cx.source)
+
+
 def test_validate_catches_corruption():
     cx = vietoris_rips(hamming_cube(2), 2)
-    cells = list(cx.cells)
 
     # break d^2 = 0 by flipping one coefficient of a 2-cell
-    j = next(i for i, c in enumerate(cells) if c.dim == 2)
-    bad_boundary = tuple((i, -c) if k == 0 else (i, c)
-                         for k, (i, c) in enumerate(cells[j].boundary))
-    broken = cells.copy()
-    broken[j] = dataclasses.replace(cells[j], boundary=bad_boundary)
+    boundary = cx.dims[2].boundary.copy()
+    boundary.data[0] *= -1
     with pytest.raises(ComplexError, match="boundary of boundary"):
-        FilteredComplex(broken, cx.top_dim, cx.complete).validate()
+        _replaced(cx, 2, boundary=boundary).validate()
 
     # face entering after its coface
-    broken = cells.copy()
-    broken[0] = dataclasses.replace(cells[0], filtration=99.0)
+    filtration = cx.dims[0].filtration.copy()
+    filtration[0] = 99.0
     with pytest.raises(ComplexError):
-        FilteredComplex(broken, cx.top_dim, cx.complete).validate()
+        _replaced(cx, 0, filtration=filtration).validate()
 
 
 def test_tensor_unit_law():
@@ -176,11 +188,12 @@ def test_filtration_inequality_on_random_pairs():
 def test_filtration_inequality_detects_corruption():
     x = y = INTERVAL
     prod = vietoris_rips(product_sum(x, y), 2)
-    cells = list(prod.cells)
+    cells = prod.cells
     j = next(i for i, c in enumerate(cells) if c.dim == 1)
-    # push one edge above the upper bound l_X + l_Y = 2
-    cells[j] = dataclasses.replace(cells[j], filtration=9.0)
-    report = verify_product_filtration(FilteredComplex(cells, 2, False), x, y)
+    # push one edge (row 0 of dimension 1) above the upper bound l_X + l_Y = 2
+    filtration = prod.dims[1].filtration.copy()
+    filtration[0] = 9.0
+    report = verify_product_filtration(_replaced(prod, 1, filtration=filtration), x, y)
     assert not report.ok
     assert report.violation[0] == cells[j].label
     assert "violation" in str(report)
@@ -188,9 +201,9 @@ def test_filtration_inequality_detects_corruption():
     # and one vertex below the lower bound max(l_X, l_Y)
     diag = validate([[1.0]])
     prod2 = vietoris_rips(product_sum(diag, diag), 1)
-    cells2 = list(prod2.cells)
-    cells2[0] = dataclasses.replace(cells2[0], filtration=0.0)
-    report2 = verify_product_filtration(FilteredComplex(cells2, 1, False), diag, diag)
+    filtration2 = prod2.dims[0].filtration.copy()
+    filtration2[0] = 0.0
+    report2 = verify_product_filtration(_replaced(prod2, 0, filtration=filtration2), diag, diag)
     assert not report2.ok
 
 
@@ -201,3 +214,180 @@ def test_dump_lines_format():
         "1 0 0.0 - 1",
         "2 1 1.0 0:-1,1:1 0,1",
     ]
+
+
+# Full dumps recorded from the tuple-sorting builders that preceded the array
+# layout.  Each has ties in filtration inside a dimension, so a change in how
+# ties are broken reorders lines here.
+
+SQUARE_MAXDIM_3 = [
+    '0 0 0.0 - 00',
+    '1 0 0.0 - 01',
+    '2 0 0.0 - 10',
+    '3 0 0.0 - 11',
+    '4 1 1.0 0:-1,1:1 00,01',
+    '5 1 1.0 0:-1,2:1 00,10',
+    '6 1 1.0 1:-1,3:1 01,11',
+    '7 1 1.0 2:-1,3:1 10,11',
+    '8 1 2.0 0:-1,3:1 00,11',
+    '9 1 2.0 1:-1,2:1 01,10',
+    '10 2 2.0 4:1,5:-1,9:1 00,01,10',
+    '11 2 2.0 4:1,6:1,8:-1 00,01,11',
+    '12 2 2.0 5:1,7:1,8:-1 00,10,11',
+    '13 2 2.0 6:-1,7:1,9:1 01,10,11',
+    '14 3 2.0 10:-1,11:1,12:-1,13:1 00,01,10,11',
+]
+
+POSITIVE_DIAGONAL = [
+    '0 0 0.0 - 1',
+    '1 0 1.0 - 2',
+    '2 1 1.0 0:-1,1:1 1,2',
+    '3 0 2.0 - 0',
+    '4 1 2.0 0:1,3:-1 0,1',
+    '5 1 2.0 1:1,3:-1 0,2',
+    '6 2 2.0 2:1,4:1,5:-1 0,1,2',
+]
+
+FIRST_SMALL_PAIR_TENSOR = [
+    '0 0 0.0 - 0|0',
+    '1 0 0.0 - 0|1',
+    '2 0 0.0 - 0|2',
+    '3 0 0.0 - 0|3',
+    '4 0 0.0 - 1|0',
+    '5 0 0.0 - 1|1',
+    '6 0 0.0 - 1|2',
+    '7 0 0.0 - 1|3',
+    '8 0 0.0 - 2|0',
+    '9 0 0.0 - 2|1',
+    '10 0 0.0 - 2|2',
+    '11 0 0.0 - 2|3',
+    '12 0 0.0 - 3|0',
+    '13 0 0.0 - 3|1',
+    '14 0 0.0 - 3|2',
+    '15 0 0.0 - 3|3',
+    '16 1 0.0 0:-1,4:1 0,1|0',
+    '17 1 0.0 1:-1,5:1 0,1|1',
+    '18 1 0.0 2:-1,6:1 0,1|2',
+    '19 1 0.0 3:-1,7:1 0,1|3',
+    '20 1 0.0 4:-1,12:1 1,3|0',
+    '21 1 0.0 5:-1,13:1 1,3|1',
+    '22 1 0.0 6:-1,14:1 1,3|2',
+    '23 1 0.0 7:-1,15:1 1,3|3',
+    '24 1 1.0 0:-1,3:1 0|0,3',
+    '25 1 1.0 4:-1,7:1 1|0,3',
+    '26 1 1.0 8:-1,11:1 2|0,3',
+    '27 1 1.0 12:-1,15:1 3|0,3',
+    '28 2 1.0 16:1,19:-1,24:-1,25:1 0,1|0,3',
+    '29 2 1.0 20:1,23:-1,25:-1,27:1 1,3|0,3',
+    '30 1 3.0 0:-1,2:1 0|0,2',
+    '31 1 3.0 2:-1,3:1 0|2,3',
+    '32 1 3.0 4:-1,6:1 1|0,2',
+    '33 1 3.0 6:-1,7:1 1|2,3',
+    '34 1 3.0 8:-1,10:1 2|0,2',
+    '35 1 3.0 10:-1,11:1 2|2,3',
+    '36 1 3.0 12:-1,14:1 3|0,2',
+    '37 1 3.0 14:-1,15:1 3|2,3',
+    '38 1 3.0 8:-1,12:1 2,3|0',
+    '39 1 3.0 9:-1,13:1 2,3|1',
+    '40 1 3.0 10:-1,14:1 2,3|2',
+    '41 1 3.0 11:-1,15:1 2,3|3',
+    '42 2 3.0 24:-1,30:1,31:1 0|0,2,3',
+    '43 2 3.0 25:-1,32:1,33:1 1|0,2,3',
+    '44 2 3.0 26:-1,34:1,35:1 2|0,2,3',
+    '45 2 3.0 27:-1,36:1,37:1 3|0,2,3',
+    '46 2 3.0 16:1,18:-1,30:-1,32:1 0,1|0,2',
+    '47 2 3.0 18:1,19:-1,31:-1,33:1 0,1|2,3',
+    '48 2 3.0 20:1,22:-1,32:-1,36:1 1,3|0,2',
+    '49 2 3.0 22:1,23:-1,33:-1,37:1 1,3|2,3',
+    '50 1 4.0 0:-1,1:1 0|0,1',
+    '51 1 4.0 1:-1,3:1 0|1,3',
+    '52 1 4.0 4:-1,5:1 1|0,1',
+    '53 1 4.0 5:-1,7:1 1|1,3',
+    '54 1 4.0 8:-1,9:1 2|0,1',
+    '55 1 4.0 9:-1,11:1 2|1,3',
+    '56 1 4.0 12:-1,13:1 3|0,1',
+    '57 1 4.0 13:-1,15:1 3|1,3',
+    '58 1 4.0 0:-1,12:1 0,3|0',
+    '59 1 4.0 1:-1,13:1 0,3|1',
+    '60 1 4.0 2:-1,14:1 0,3|2',
+    '61 1 4.0 3:-1,15:1 0,3|3',
+    '62 2 4.0 24:-1,50:1,51:1 0|0,1,3',
+    '63 2 4.0 25:-1,52:1,53:1 1|0,1,3',
+    '64 2 4.0 26:-1,54:1,55:1 2|0,1,3',
+    '65 2 4.0 27:-1,56:1,57:1 3|0,1,3',
+    '66 2 4.0 16:1,17:-1,50:-1,52:1 0,1|0,1',
+    '67 2 4.0 17:1,19:-1,51:-1,53:1 0,1|1,3',
+    '68 2 4.0 20:1,21:-1,52:-1,56:1 1,3|0,1',
+    '69 2 4.0 21:1,23:-1,53:-1,57:1 1,3|1,3',
+    '70 2 4.0 26:-1,27:1,38:1,41:-1 2,3|0,3',
+    '71 2 4.0 16:1,20:1,58:-1 0,1,3|0',
+    '72 2 4.0 17:1,21:1,59:-1 0,1,3|1',
+    '73 2 4.0 18:1,22:1,60:-1 0,1,3|2',
+    '74 2 4.0 19:1,23:1,61:-1 0,1,3|3',
+    '75 1 5.0 1:-1,2:1 0|1,2',
+    '76 1 5.0 5:-1,6:1 1|1,2',
+    '77 1 5.0 9:-1,10:1 2|1,2',
+    '78 1 5.0 13:-1,14:1 3|1,2',
+    '79 1 5.0 4:-1,8:1 1,2|0',
+    '80 1 5.0 5:-1,9:1 1,2|1',
+    '81 1 5.0 6:-1,10:1 1,2|2',
+    '82 1 5.0 7:-1,11:1 1,2|3',
+    '83 2 5.0 30:-1,50:1,75:1 0|0,1,2',
+    '84 2 5.0 31:1,51:-1,75:1 0|1,2,3',
+    '85 2 5.0 32:-1,52:1,76:1 1|0,1,2',
+    '86 2 5.0 33:1,53:-1,76:1 1|1,2,3',
+    '87 2 5.0 34:-1,54:1,77:1 2|0,1,2',
+    '88 2 5.0 35:1,55:-1,77:1 2|1,2,3',
+    '89 2 5.0 36:-1,56:1,78:1 3|0,1,2',
+    '90 2 5.0 37:1,57:-1,78:1 3|1,2,3',
+    '91 2 5.0 17:1,18:-1,75:-1,76:1 0,1|1,2',
+    '92 2 5.0 21:1,22:-1,76:-1,78:1 1,3|1,2',
+    '93 2 5.0 24:-1,27:1,58:1,61:-1 0,3|0,3',
+    '94 2 5.0 20:-1,38:1,79:1 1,2,3|0',
+    '95 2 5.0 21:-1,39:1,80:1 1,2,3|1',
+    '96 2 5.0 22:-1,40:1,81:1 1,2,3|2',
+    '97 2 5.0 23:-1,41:1,82:1 1,2,3|3',
+    '98 2 6.0 34:-1,36:1,38:1,40:-1 2,3|0,2',
+    '99 2 6.0 35:-1,37:1,40:1,41:-1 2,3|2,3',
+    '100 2 6.0 25:-1,26:1,79:1,82:-1 1,2|0,3',
+    '101 2 7.0 38:1,39:-1,54:-1,56:1 2,3|0,1',
+    '102 2 7.0 39:1,41:-1,55:-1,57:1 2,3|1,3',
+    '103 2 7.0 30:-1,36:1,58:1,60:-1 0,3|0,2',
+    '104 2 7.0 31:-1,37:1,60:1,61:-1 0,3|2,3',
+    '105 1 8.0 0:-1,8:1 0,2|0',
+    '106 1 8.0 1:-1,9:1 0,2|1',
+    '107 1 8.0 2:-1,10:1 0,2|2',
+    '108 1 8.0 3:-1,11:1 0,2|3',
+    '109 2 8.0 39:1,40:-1,77:-1,78:1 2,3|1,2',
+    '110 2 8.0 50:-1,56:1,58:1,59:-1 0,3|0,1',
+    '111 2 8.0 51:-1,57:1,59:1,61:-1 0,3|1,3',
+    '112 2 8.0 32:-1,34:1,79:1,81:-1 1,2|0,2',
+    '113 2 8.0 33:-1,35:1,81:1,82:-1 1,2|2,3',
+    '114 2 8.0 16:1,79:1,105:-1 0,1,2|0',
+    '115 2 8.0 17:1,80:1,106:-1 0,1,2|1',
+    '116 2 8.0 18:1,81:1,107:-1 0,1,2|2',
+    '117 2 8.0 19:1,82:1,108:-1 0,1,2|3',
+    '118 2 8.0 38:1,58:-1,105:1 0,2,3|0',
+    '119 2 8.0 39:1,59:-1,106:1 0,2,3|1',
+    '120 2 8.0 40:1,60:-1,107:1 0,2,3|2',
+    '121 2 8.0 41:1,61:-1,108:1 0,2,3|3',
+    '122 2 9.0 59:1,60:-1,75:-1,78:1 0,3|1,2',
+    '123 2 9.0 52:-1,54:1,79:1,80:-1 1,2|0,1',
+    '124 2 9.0 53:-1,55:1,80:1,82:-1 1,2|1,3',
+    '125 2 9.0 24:-1,26:1,105:1,108:-1 0,2|0,3',
+    '126 2 10.0 76:-1,77:1,80:1,81:-1 1,2|1,2',
+    '127 2 11.0 30:-1,34:1,105:1,107:-1 0,2|0,2',
+    '128 2 11.0 31:-1,35:1,107:1,108:-1 0,2|2,3',
+    '129 2 12.0 50:-1,54:1,105:1,106:-1 0,2|0,1',
+    '130 2 12.0 51:-1,55:1,106:1,108:-1 0,2|1,3',
+    '131 2 13.0 75:-1,77:1,106:1,107:-1 0,2|1,2',
+]
+
+
+def test_golden_dumps_pin_tie_order():
+    assert vietoris_rips(hamming_cube(2), 3).dump_lines() == SQUARE_MAXDIM_3
+    diag = validate([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    assert vietoris_rips(diag, 2).dump_lines() == POSITIVE_DIAGONAL
+    x, y = corpus.small_pairs()[0]
+    prod = tensor_complex(vietoris_rips(x, 2), vietoris_rips(y, 2), 2)
+    assert prod.dump_lines() == FIRST_SMALL_PAIR_TENSOR

@@ -12,7 +12,6 @@ from sumrips import (
     Barcode,
     InputError,
     bottleneck,
-    check_interleaving_bound,
     compare_product,
     diameter,
     hamming_cube,
@@ -96,7 +95,7 @@ def test_compare_maxn_cap():
 
 
 def test_interleaving_bound_on_cube_pairs():
-    report = check_interleaving_bound(INTERVAL, SQUARE, 3)
+    report = compare_product(INTERVAL, SQUARE, 3)
     assert report.bounds_ok
     assert report.diameter_bound == min(diameter(INTERVAL), diameter(SQUARE))
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracle
@@ -90,6 +92,34 @@ def test_reduce_agrees_with_rank_nullity_oracle():
             for n in range(cx.reliable_dim + 1):
                 for t in cx.critical_values():
                     assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (cx, p, n, t)
+
+
+@st.composite
+def generalized_metrics(draw):
+    """Symmetric matrices on <= 6 points from a few shared values, so ties are
+    common: non-dyadic floats, zero off-diagonal entries (duplicate points) and
+    some positive diagonal entries."""
+    pool = [0.0] + draw(st.lists(
+        st.one_of(st.floats(0.01, 10.0), st.integers(1, 30).map(lambda k: k / 7)),
+        min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.sampled_from(pool))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.sampled_from(pool))
+    return validate(m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(generalized_metrics(), st.integers(0, 4))
+def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
+    cx = vietoris_rips(space, maxdim)
+    for p in (2, 3):
+        code = reduce(cx, p)
+        for n in range(cx.reliable_dim + 1):
+            for t in cx.critical_values():
+                assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (p, n, t)
 
 
 def test_betti_curve_examples():
