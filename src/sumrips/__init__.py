@@ -28,7 +28,14 @@ from .kunneth import (
     kunneth_predict,
     predict_graded,
 )
-from .metric import FiniteMetricSpace, diameter, hamming_cube, product_sum, validate
+from .metric import (
+    FiniteMetricSpace,
+    diameter,
+    enclosing_radius,
+    hamming_cube,
+    product_sum,
+    validate,
+)
 from .persistence import betti_curve, reduce
 
 __version__ = "0.1.0"
@@ -50,6 +57,7 @@ __all__ = [
     "bottleneck",
     "compare_product",
     "diameter",
+    "enclosing_radius",
     "filtration_inequality_check",
     "hamming_cube",
     "kunneth_predict",

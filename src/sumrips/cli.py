@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import io
 from .bars import INF, Barcode
-from .complexes import DEFAULT_CELL_CAP, vietoris_rips
+from .complexes import DEFAULT_CELL_CAP, rips_cell_count, vietoris_rips
 from .errors import CapExceeded, InputError, SumripsError
 from .kunneth import bottleneck, compare_product
 from .metric import hamming_cube
@@ -104,13 +104,17 @@ def _fmt(value: float) -> str:
 
 def cmd_vr(args: argparse.Namespace) -> tuple[str, int]:
     space = io.read_metric_csv(args.input)
-    cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap)
+    # The dump shows the whole complex; the barcode alone needs only the cells
+    # up to the enclosing radius.
+    cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap,
+                       at_radius=args.dump_complex is None)
     if args.dump_complex is not None:
         io.write_complex_dump(cx, args.dump_complex)
     code = reduce(cx, args.field)
     if args.format == "json":
         return io.dumps_document(io.barcode_document(code, args.field)), 0
-    lines = [f"{len(space)} points, {len(cx)} cells, maxdim {args.maxdim}, field {args.field}"]
+    cells = rips_cell_count(len(space), args.maxdim)
+    lines = [f"{len(space)} points, {cells} cells, maxdim {args.maxdim}, field {args.field}"]
     for n in code.dims():
         lines.append(f"PH_{n}: {_group_bars(code[n])}")
     return "\n".join(lines) + "\n", 0

@@ -28,11 +28,13 @@ import numpy as np
 from scipy.sparse import bmat, csc_matrix, identity, kron
 
 from .errors import CapExceeded, InputError, SumripsError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 760 B per cell (CPython 3.11, numpy
-# 2.4, x86-64); the build alone peaks at 232 B per cell under tracemalloc.
+# maxdim 4 grows the resident set by about 120 B per cell (CPython 3.11, numpy
+# 2.4, x86-64).  The figure below is the 760 B per cell that a homology
+# reduction with bitset columns took, kept so that the default cap admits no
+# complex it refused before.
 BYTES_PER_CELL = 800
 # The default cap keeps a build and its reduction within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
@@ -202,19 +204,76 @@ def rips_cell_count(n_points: int, maxdim: int) -> int:
     return sum(math.comb(n_points, s) for s in range(1, top + 2))
 
 
-def vietoris_rips(space: FiniteMetricSpace, maxdim: int,
-                  cell_cap: int = DEFAULT_CELL_CAP) -> FilteredComplex:
+def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
+            dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every extension of each subset by a larger point near all of its points,
+    with its filtration.  Listed in lexicographic order when the subsets are."""
+    grow = np.arange(len(dist)) > subsets[:, -1:]
+    for col in subsets.T:
+        grow &= near[col]
+    parent, new = np.nonzero(grow)
+    subsets, filt = subsets[parent], filt[parent]
+    # The diagonal comes last: np.maximum returns the later of two equal values,
+    # so a zero keeps the sign _subset_diameter gives it.
+    for col in (*subsets.T, new):
+        np.maximum(filt, dist[col, new], out=filt)
+    return np.column_stack([subsets, new.astype(subsets.dtype)]), filt
+
+
+def _rank_term(binom: np.ndarray, verts: np.ndarray, i: int, k: int) -> np.ndarray:
+    """C(m - 1 - c_i, k - i) for the point c_i at place i of each k-subset row."""
+    return binom[len(binom) - 2 - verts[:, i], k - i]
+
+
+def _rips_boundary(binom: np.ndarray, verts: np.ndarray, total: np.ndarray,
+                   rank: np.ndarray) -> csc_matrix:
+    """Boundary of the k-subset rows `verts` into the (k-1)-subsets of lexicographic
+    ranks `rank`; `total` is the sum of each row's rank terms."""
+    m, k = len(binom) - 1, verts.shape[1]
+    # Entries of cut faces stay -1: no kept subset has a cut face.
+    row_of_rank = np.full(binom[m, k - 1], -1, dtype=np.int32)
+    row_of_rank[rank] = np.arange(len(rank))
+    # Column pos of `rows` holds the face without vertex pos, in which the points
+    # before pos keep their place and those after it move one down.
+    rows = np.empty_like(verts)
+    before, after = 0, total
+    for pos in range(k):
+        after = after - _rank_term(binom, verts, pos, k)
+        rows[:, pos] = row_of_rank[binom[m, k - 1] - 1 - before - after]
+        before = before + _rank_term(binom, verts, pos, k - 1)
+    signs = np.tile(np.array([1, -1] * k, dtype=np.int8)[:k], len(verts))
+    boundary = csc_matrix((signs, rows.ravel(), np.arange(0, rows.size + 1, k, dtype=np.int32)),
+                          shape=(len(rank), len(verts)))
+    boundary.sort_indices()
+    return boundary
+
+
+def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT_CELL_CAP,
+                  *, at_radius: bool = False) -> FilteredComplex:
     """Flag complex of all subsets of size <= maxdim + 1.
 
     The filtration value of a subset is the max of d over all ordered pairs of
     its points, including d(v, v): the diagonal can delay a vertex.  Faces never
     enter after cofaces because the max is monotone under inclusion.
 
-    Subsets of each size are enumerated in lexicographic order and stably
-    sorted by filtration.  A face is found through its lexicographic rank, from
-    the combinatorial number system (Bauer, Ripser, arXiv:1908.02518, sec. 3):
-    the k-subset c_0 < ... < c_(k-1) of m points has rank
-    C(m, k) - 1 - sum_i C(m - 1 - c_i, k - i).
+    With `at_radius`, only subsets with filtration <= the enclosing radius R
+    (`metric.enclosing_radius`) are stored.  Above R the complex is a cone on
+    the point v attaining R: sigma + {v} has dimension at most one more than
+    sigma, so every degree below top_dim is acyclic from R on (degree 0 keeps
+    one class), and so is the top degree when the complex is complete.  Every
+    reliable degree therefore has the barcode of the uncut complex, and
+    `complete` and `reliable_dim` keep their meaning.  The cap pre-check still
+    counts the uncut complex.
+
+    Subsets of each size are enumerated in lexicographic order, each subset
+    extended only by the larger points within R of all of its points
+    (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), and
+    stably sorted by filtration.  A face is found through its lexicographic
+    rank, from the combinatorial number system (Bauer, Ripser,
+    arXiv:1908.02518, sec. 3): the k-subset c_0 < ... < c_(k-1) of m points
+    has rank C(m, k) - 1 - sum_i C(m - 1 - c_i, k - i).  A rank-indexed table
+    maps it to its row; a superset of a cut subset is cut too, so every face of
+    a kept subset has a row.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -225,31 +284,27 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int,
     # Only columns k <= top + 1 are used, so every entry is at most a cell count.
     binom = np.array([[math.comb(a, k) for k in range(top + 2)] for a in range(m + 1)],
                      dtype=np.int64)
-    dims = []
-    subsets = np.arange(m)[:, None]
+    radius = enclosing_radius(space) if at_radius else math.inf
+    dist, dims = space.dist, []
+    diag = np.diagonal(dist)
+    # near[u, v]: the edge uv and the point v both enter at or below the radius.
+    near = (dist <= radius) & (diag <= radius)
+    # Point indices and face rows are int32, like the CSC indices of a boundary.
+    subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
+    filt = diag[subsets[:, 0]]
+    # _extend and _rips_boundary free their temporaries on return: a build peaks
+    # at about twice what its complex retains (104 and 55 B per cell on a cut
+    # 30-point product at maxdim 4, under tracemalloc).
     for d in range(top + 1):
-        if d:  # every extension of each subset by a larger point keeps the order
-            last = subsets[:, -1]
-            parent = np.repeat(np.arange(len(subsets)), m - 1 - last)
-            start = np.searchsorted(parent, parent)
-            subsets = np.column_stack([subsets[parent],
-                                       last[parent] + 1 + np.arange(len(parent)) - start])
-        filt = _subset_diameter(space.dist, subsets)
+        if d:
+            subsets, filt = _extend(subsets, filt, near, dist)
         order = np.argsort(filt, kind="stable")
         verts = subsets[order]
-        boundary = csc_matrix((0, len(verts)), dtype=np.int8)
-        if d:  # column pos of `rows` holds the face without vertex pos
-            rows = np.empty_like(verts)
-            for pos in range(d + 1):
-                face = np.delete(verts, pos, axis=1)
-                rank = binom[m, d] - 1 - binom[m - 1 - face, np.arange(d, 0, -1)].sum(axis=1)
-                rows[:, pos] = row_of_rank[rank]
-            signs = np.tile((-1) ** np.arange(d + 1), len(verts)).astype(np.int8)
-            boundary = csc_matrix((signs, rows.ravel(), np.arange(0, rows.size + 1, d + 1)),
-                                  shape=(len(row_of_rank), len(verts)))
-            boundary.sort_indices()
+        total = sum(_rank_term(binom, verts, i, d + 1) for i in range(d + 1))
+        boundary = (_rips_boundary(binom, verts, total, rank) if d
+                    else csc_matrix((0, len(verts)), dtype=np.int8))
         dims.append(Dimension(filt[order], boundary, vertices=verts))
-        row_of_rank = np.argsort(order)
+        rank = binom[m, d + 1] - 1 - total
     return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
 
 

@@ -110,6 +110,19 @@ def diameter(space: FiniteMetricSpace) -> float:
     return float(space.dist.max())
 
 
+def enclosing_radius(space: FiniteMetricSpace) -> float:
+    """R = min over v of max over u of d(v, u), diagonal included.
+
+    Above R the Rips filtration is a cone: let v attain the minimum.  For
+    t >= R every simplex s alive at t has s + {v} alive at t, because each
+    d(u, v) and d(v, v) is at most R.  So the complex at t is acyclic apart
+    from one essential degree-0 bar, and no cell entering after R changes the
+    barcode (Bauer, Ripser, arXiv:1908.02518).  Taking the max over the whole
+    row makes this hold for generalized metrics too.
+    """
+    return float(space.dist.max(axis=1).min())
+
+
 def product_sum(x: FiniteMetricSpace, y: FiniteMetricSpace,
                 point_cap: int | None = DEFAULT_POINT_CAP) -> FiniteMetricSpace:
     """Product space X x Y under the sum metric d((x,y),(x',y')) = dx + dy.

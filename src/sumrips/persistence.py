@@ -1,11 +1,22 @@
-"""Persistent homology via boundary-matrix column reduction.
+"""Persistent homology via coboundary-matrix column reduction.
 
-Columns are processed dimension by dimension, top down, so the clearing trick
-applies: the pivot rows found while reducing dimension d are exactly the cells
-of dimension d - 1 whose own columns would reduce to zero, and those columns
-are skipped outright.  Boundary rows are positions within the dimension below,
-which keeps the F_2 fast path (columns as Python ints, addition = XOR, pivot =
-top bit) compact even in large complexes.
+Over a field, persistent cohomology has the same barcodes as persistent
+homology (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011), and on Rips complexes it takes far fewer column
+additions (Bauer, Ripser, arXiv:1908.02518).  The coboundary of a cell is its
+row of the boundary matrix into the dimension above.  Dimensions are processed
+bottom up and the cells of each from the latest to the earliest; the pivot of
+a column is its earliest remaining coface.  This reduces the anti-transpose of
+the boundary matrix, which pairs exactly the cells that reducing the boundary
+matrix pairs.  Clearing (Chen and Kerber, "Persistent homology computation
+with a twist", 2011): a cell that is the pivot of a coboundary in the
+dimension below has a coboundary that reduces to zero, and is skipped.
+
+Most columns need no addition at all, so a pivot's owner is kept as the index
+of its cell and its coboundary rebuilt from the boundary matrix only when it
+is added; only columns that were modified are stored, as {coface:
+coefficient} dicts scaled to pivot coefficient 1.  Memory beyond the complex
+therefore grows with the pivots, not with the boundary entries.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -15,6 +26,8 @@ rule: a truncated complex cannot certify its cut dimension.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -44,70 +57,65 @@ def _check_field(p: int) -> None:
         raise InputError(f"field characteristic must be a prime below 2^31, got {p!r}")
 
 
-def _reduce_f2(owner: dict[int, int], rows: list[int]) -> int | None:
-    """Reduce one column, as a bitset, against the owners; return its pivot or None."""
-    col = 0
-    for i in rows:
-        col |= 1 << i
-    while col:
-        piv = col.bit_length() - 1
-        other = owner.get(piv)
-        if other is None:
-            owner[piv] = col
-            return piv
-        col ^= other
-    return None
+def _monic(col: dict[int, int], piv: int, p: int) -> dict[int, int]:
+    """The column scaled so that its pivot coefficient is 1."""
+    inv = pow(col[piv], p - 2, p)
+    return {r: v * inv % p for r, v in col.items()}
 
 
-def _reduce_fp(owner: dict[int, dict[int, int]], rows: list[int], values: list[int],
-               p: int) -> int | None:
-    """Reduce one column over F_p; owners are stored with pivot coefficient 1."""
-    col = dict(zip(rows, values))
+def _reduce_column(owner: dict[int, int | dict[int, int]], col: dict[int, int], j: int,
+                   coboundary: Callable[[int], dict[int, int]], p: int) -> int | None:
+    """Reduce the coboundary of cell j against the owners; return its pivot or None.
+
+    An owner is the index of the cell whose coboundary it is, unmodified, or
+    the reduced column itself scaled to pivot coefficient 1.
+    """
+    modified = False
     while col:
-        piv = max(col)
+        piv = min(col)
         other = owner.get(piv)
         if other is None:
-            inv = pow(col[piv], p - 2, p)
-            owner[piv] = {r: (v * inv) % p for r, v in col.items()}
+            owner[piv] = _monic(col, piv, p) if modified else j
             return piv
-        factor = col[piv]
+        if isinstance(other, int):
+            other = _monic(coboundary(other), piv, p)
+        factor, modified = col[piv], True
         for r, v in other.items():
             nv = (col.get(r, 0) - factor * v) % p
             if nv:
                 col[r] = nv
             else:
-                col.pop(r, None)
+                del col[r]
     return None
 
 
-def _reduction_pairs(cx: FilteredComplex,
-                     p: int) -> tuple[list[tuple[int, int, int]], list[bytearray]]:
-    """Run the reduction; return negative pairs as (d, row in d - 1, column in d)
-    and per-dimension paired flags.
+def _reduction_pairs(cx: FilteredComplex, p: int) -> tuple[list[np.ndarray], list[bytearray]]:
+    """Run the reduction; return per dimension each cell's partner in the
+    dimension above (-1 for none) and the per-dimension paired flags.
 
-    A row is flagged when it becomes a pivot, before its own dimension is
+    A cell is flagged when it becomes a pivot, before its own dimension is
     reduced, so the flags of a dimension are also its cleared columns.
     """
     paired = [bytearray(len(dim.filtration)) for dim in cx.dims]
-    pairs: list[tuple[int, int, int]] = []
-    for d in range(cx.top_dim, 0, -1):
-        column = cx.dims[d].boundary.astype(np.int64)
-        column.data %= p
-        column.eliminate_zeros()
-        indptr, rows, values = (a.tolist() for a in (column.indptr, column.indices, column.data))
-        done, below, owner = paired[d], paired[d - 1], {}
-        for j in range(len(done)):
+    partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
+    for d in range(cx.top_dim):
+        by_row = cx.dims[d + 1].boundary.tocsr()
+        ptr, cofaces, coeffs = by_row.indptr.tolist(), by_row.indices, by_row.data
+
+        def coboundary(j: int) -> dict[int, int]:
+            lo, hi = ptr[j], ptr[j + 1]
+            return {c: v % p for c, v in zip(cofaces[lo:hi].tolist(), coeffs[lo:hi].tolist())
+                    if v % p}
+
+        done, above, owner = paired[d], paired[d + 1], {}
+        for j in range(len(done) - 1, -1, -1):
             if done[j]:
                 continue
-            lo, hi = indptr[j], indptr[j + 1]
-            if p == 2:
-                piv = _reduce_f2(owner, rows[lo:hi])
-            else:
-                piv = _reduce_fp(owner, rows[lo:hi], values[lo:hi], p)
+            piv = _reduce_column(owner, coboundary(j), j, coboundary, p)
             if piv is not None:
-                below[piv] = done[j] = 1
-                pairs.append((d, piv, j))
-    return pairs, paired
+                above[piv] = done[j] = 1
+                partner[d][j] = piv
+    return partner, paired
 
 
 def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
@@ -117,18 +125,23 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
     documents record which dimensions were actually computed.
     """
     _check_field(p)
-    pairs, paired = _reduction_pairs(cx, p)
+    partner, paired = _reduction_pairs(cx, p)
 
-    reliable = cx.reliable_dim
-    bars_by_dim: dict[int, list[Bar]] = {n: [] for n in range(reliable + 1)}
-    filts = [dim.filtration.tolist() for dim in cx.dims]
-    for d, i, j in pairs:
-        birth, death = filts[d - 1][i], filts[d][j]
-        if birth != death:
-            bars_by_dim[d - 1].append(Bar(birth, death))
-    for n, bars in bars_by_dim.items():
-        bars.extend(Bar(f, INF) for f, flag in zip(filts[n], paired[n]) if not flag)
-    return GradedBarcode({n: Barcode(bars) for n, bars in bars_by_dim.items()})
+    codes = {}
+    for n in range(cx.reliable_dim + 1):
+        filt = cx.dims[n].filtration
+        # Finite bars in the order of their death cells, then essential bars:
+        # Barcode's stable sort keeps that order among equal bars, so 0.0 and
+        # -0.0 births print in a fixed order.
+        born = np.flatnonzero(partner[n] >= 0)
+        born = born[np.argsort(partner[n][born])]
+        births = filt[born]
+        deaths = cx.dims[n + 1].filtration[partner[n][born]] if n < cx.top_dim else births
+        bars = [Bar(b, d) for b, d in zip(births.tolist(), deaths.tolist()) if b != d]
+        essential = filt[np.frombuffer(paired[n], dtype=np.uint8) == 0]
+        bars.extend(Bar(f, INF) for f in essential.tolist())
+        codes[n] = Barcode(bars)
+    return GradedBarcode(codes)
 
 
 def betti_curve(cx: FilteredComplex, p: int, n: int) -> tuple[tuple[float, int], ...]:

@@ -65,6 +65,37 @@ def betti_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:
     return n_cells - rank_n - rank_up
 
 
+def standard_barcode(cx: FilteredComplex, p: int) -> dict[int, Barcode]:
+    """Barcodes in degrees 0..reliable_dim by the standard algorithm: reduce
+    the dense boundary matrix of the whole complex, in global order, column by
+    column from left to right, with no clearing and no cohomology."""
+    cells = cx.cells
+    mat = np.zeros((len(cells), len(cells)), dtype=np.int64)
+    for j, cell in enumerate(cells):
+        for face, coeff in cell.boundary:
+            mat[face, j] = coeff % p
+    owner: dict[int, int] = {}
+    paired = set()
+    bars: dict[int, list[Bar]] = {n: [] for n in range(cx.reliable_dim + 1)}
+    for j in range(len(cells)):
+        col = mat[:, j]
+        while col.any():
+            low = int(np.flatnonzero(col)[-1])
+            if low not in owner:
+                owner[low] = j
+                paired.update((low, j))
+                birth, death = cells[low].filtration, cells[j].filtration
+                if birth != death and cells[low].dim in bars:
+                    bars[cells[low].dim].append(Bar(birth, death))
+                break
+            other = mat[:, owner[low]]
+            col[:] = (col - col[low] * pow(int(other[low]), p - 2, p) * other) % p
+    for j, cell in enumerate(cells):
+        if j not in paired and cell.dim in bars:
+            bars[cell.dim].append(Bar(cell.filtration, INF))
+    return {n: Barcode(b) for n, b in bars.items()}
+
+
 def _alive(bar: Bar, u: float) -> bool:
     return bar.birth <= u < bar.death
 

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import corpus
-from sumrips import Bar, Barcode, GradedBarcode, hamming_cube
+from sumrips import Bar, Barcode, GradedBarcode, hamming_cube, validate
 from sumrips.cli import main
+from sumrips.complexes import rips_cell_count
 from sumrips.io import write_barcode_json
 from sumrips.kunneth import ComparisonReport, DimensionComparison
 
@@ -55,6 +56,22 @@ def test_vr_output_file_and_dump(interval_csv, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert json.loads(out_file.read_text())["field"] == 2
     assert dump_file.read_text().splitlines()[0] == "0 0 0.0 - 0"
+
+
+def test_vr_reports_and_dumps_the_uncut_complex(tmp_path, capsys):
+    # a 4-point path: enclosing radius 2 is below the diameter 3
+    path_csv = tmp_path / "path.csv"
+    path_csv.write_text(corpus.space_to_csv(
+        validate([[abs(i - j) for j in range(4)] for i in range(4)])))
+    cells = rips_cell_count(4, 3)
+    assert main(["vr", "--input", str(path_csv), "--maxdim", "3", "--format", "table"]) == 0
+    table = capsys.readouterr().out
+    assert table.splitlines()[0] == f"4 points, {cells} cells, maxdim 3, field 2"
+    dump_file = tmp_path / "cells.txt"
+    assert main(["vr", "--input", str(path_csv), "--maxdim", "3", "--format", "table",
+                 "--dump-complex", str(dump_file)]) == 0
+    assert capsys.readouterr().out == table
+    assert len(dump_file.read_text().splitlines()) == cells
 
 
 def test_kunneth_table(interval_csv, square_csv, capsys):

@@ -10,9 +10,11 @@ from sumrips import (
     CapExceeded,
     FilteredComplex,
     InputError,
+    enclosing_radius,
     filtration_inequality_check,
     hamming_cube,
     product_sum,
+    reduce,
     tensor_complex,
     validate,
     vietoris_rips,
@@ -99,6 +101,41 @@ def test_cap_message_estimates_bytes():
     with pytest.raises(CapExceeded, match=rf"needs {needed} cells, about {mb:.1f} MB to build"):
         vietoris_rips(hamming_cube(4), 4, cell_cap=100)
     assert DEFAULT_CELL_CAP * BYTES_PER_CELL <= 4 * 10**9
+
+
+def test_at_radius_keeps_the_cells_up_to_the_enclosing_radius():
+    path = validate([[abs(i - j) for j in range(4)] for i in range(4)])
+    full, cut = vietoris_rips(path, 3), vietoris_rips(path, 3, at_radius=True)
+    radius = enclosing_radius(path)
+    assert [(c.dim, c.filtration, c.label) for c in cut.cells] == \
+        [(c.dim, c.filtration, c.label) for c in full.cells if c.filtration <= radius]
+    assert len(cut) < len(full) == rips_cell_count(4, 3)
+    assert (cut.top_dim, cut.complete, cut.reliable_dim) == \
+        (full.top_dim, full.complete, full.reliable_dim)
+    cut.validate()
+    # the cap pre-check counts the uncut complex
+    with pytest.raises(CapExceeded, match=f"needs {len(full)} cells"):
+        vietoris_rips(path, 3, cell_cap=len(cut), at_radius=True)
+
+
+def _assert_cut_matches_full(space, maxdim, p):
+    full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, at_radius=True)
+    cut.validate()
+    assert reduce(cut, p) == reduce(full, p), (space, maxdim, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_at_radius_barcodes_match_full_on_corpus(p):
+    for x, y in corpus.product_corpus():
+        for space in (x, y, product_sum(x, y)):
+            _assert_cut_matches_full(space, 3, p)
+
+
+@pytest.mark.slow
+def test_at_radius_barcodes_match_full_on_corpus_at_compare_depth():
+    """The depth compare_product builds at for maxn 3."""
+    for x, y in corpus.product_corpus():
+        _assert_cut_matches_full(product_sum(x, y), 4, 2)
 
 
 def _replaced(cx, d, **arrays):

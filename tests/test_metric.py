@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sumrips import CapExceeded, diameter, hamming_cube, product_sum, validate
+from sumrips import (CapExceeded, diameter, enclosing_radius, hamming_cube, product_sum,
+                     validate)
 from sumrips.metric import ValidationError
 
 
@@ -116,3 +117,29 @@ def test_diameter_includes_diagonal():
     x = validate([[0, 1], [1, 0]])
     y = validate([[0, 4], [4, 0]])
     assert diameter(product_sum(x, y)) == diameter(x) + diameter(y)
+
+
+def test_enclosing_radius_single_point():
+    assert enclosing_radius(validate([[0.0]])) == 0.0
+    assert enclosing_radius(validate([[2.5]])) == 2.5
+
+
+def test_enclosing_radius_duplicate_points():
+    assert enclosing_radius(validate([[0, 0], [0, 0]])) == 0.0
+    # 0 and 1 coincide; either one reaches the far point 2 within 3
+    assert enclosing_radius(validate([[0, 0, 3], [0, 0, 3], [3, 3, 0]])) == 3.0
+
+
+def test_enclosing_radius_is_at_most_diameter():
+    path = validate([[abs(i - j) for j in range(4)] for i in range(4)])
+    assert enclosing_radius(path) == 2.0 < diameter(path) == 3.0
+    assert enclosing_radius(hamming_cube(3)) == diameter(hamming_cube(3)) == 3.0
+
+
+def test_enclosing_radius_positive_diagonal_off_centre():
+    # centre 0 reaches everything within 1; point 2 enters only at 3 > R
+    space = validate([[0, 1, 1], [1, 0, 2], [1, 2, 3]])
+    assert enclosing_radius(space) == 1.0
+    # a late centre candidate counts its own diagonal
+    assert enclosing_radius(validate([[5, 1], [1, 0]])) == 1.0
+    assert enclosing_radius(validate([[5, 1], [1, 6]])) == 5.0

@@ -16,6 +16,7 @@ from sumrips import (
     InputError,
     betti_curve,
     hamming_cube,
+    product_sum,
     reduce,
     validate,
     vietoris_rips,
@@ -94,6 +95,32 @@ def test_reduce_agrees_with_rank_nullity_oracle():
                     assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (cx, p, n, t)
 
 
+def test_reduce_matches_standard_reduction():
+    """Coboundary reduction with clearing against the plain homology algorithm,
+    bar for bar, on Rips and tensor complexes and on Rips complexes cut at
+    their enclosing radius."""
+    complexes = corpus.random_complexes(count=15, seed=404)
+    for x, y in corpus.small_pairs()[:6]:
+        complexes += [vietoris_rips(y, 3, at_radius=True),
+                      vietoris_rips(product_sum(x, y), 2, at_radius=True)]
+    for cx in complexes:
+        for p in (2, 3, 5):
+            code = reduce(cx, p)
+            assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(cx, p), (cx, p)
+
+
+def test_signed_zero_births_keep_their_order():
+    """Equal bars whose births are 0.0 and -0.0 come out in the order of their
+    death cells, as the CLI's JSON and table output has always shown them."""
+    space = validate([[0.0, -0.0, 1.0, 0.5], [-0.0, 0.0, 1.0, 0.5],
+                      [1.0, 1.0, -0.0, 0.5], [0.5, 0.5, 0.5, 0.0]])
+    for maxdim in (1, 3):
+        for p in (2, 3):
+            code = reduce(vietoris_rips(space, maxdim), p)
+            assert [(repr(bar.birth), bar.death) for bar in code[0]] == \
+                [("0.0", 0.5), ("-0.0", 0.5), ("0.0", INF)]
+
+
 @st.composite
 def generalized_metrics(draw):
     """Symmetric matrices on <= 6 points from a few shared values, so ties are
@@ -115,8 +142,11 @@ def generalized_metrics(draw):
 @given(generalized_metrics(), st.integers(0, 4))
 def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
     cx = vietoris_rips(space, maxdim)
+    cut = vietoris_rips(space, maxdim, at_radius=True)
+    cut.validate()
     for p in (2, 3):
         code = reduce(cx, p)
+        assert reduce(cut, p) == code, p
         for n in range(cx.reliable_dim + 1):
             for t in cx.critical_values():
                 assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (p, n, t)
