@@ -93,8 +93,7 @@ class Barcode:
         for b in entries:
             if not isinstance(b, Bar):
                 raise TypeError(f"barcode entries must be Bar, got {type(b).__name__}")
-        object.__setattr__(self, "_bars",
-                           tuple(sorted(entries, key=lambda b: (b.birth, b.death))))
+        self._bars = tuple(sorted(entries, key=lambda b: (b.birth, b.death)))
 
     @property
     def bars(self) -> tuple[Bar, ...]:
@@ -183,7 +182,7 @@ class GradedBarcode:
             if n in store:
                 raise ValueError(f"dimension {n} given twice")
             store[n] = code
-        object.__setattr__(self, "_by_dim", dict(sorted(store.items())))
+        self._by_dim = dict(sorted(store.items()))
 
     def __getitem__(self, n: int) -> Barcode:
         return self._by_dim.get(n, _EMPTY)

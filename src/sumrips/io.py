@@ -83,7 +83,7 @@ def barcode_document(code: GradedBarcode, field: int) -> dict[str, Any]:
         "format": BARCODE_FORMAT,
         "field": field,
         "convention": CONVENTION,
-        "dims": {str(n): [_bar_json(b) for b in bars] for n, bars in code.items()},
+        "dims": {str(n): _barcode_pairs(bars) for n, bars in code.items()},
     }
 
 

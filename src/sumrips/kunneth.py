@@ -14,9 +14,12 @@ bottleneck value so the theorem stays machine-checked on real inputs.
 
 The bottleneck distance here is exact: the optimum is always one of finitely
 many candidate values (pairwise max-costs and half-persistences), found by
-binary search with a perfect-matching feasibility test on the diagonal
-augmented bipartite graph.  Essential bars may only match essential bars; a
-count mismatch makes the distance infinite.
+binary search.  A threshold is feasible when the bars within it of each other
+have one matching that covers every bar of A longer than twice the threshold
+and another that covers every such bar of B; by the Mendelsohn-Dulmage
+theorem (1958) the two then merge into one matching that covers both, and
+every bar it leaves out goes to the diagonal.  Essential bars may only match
+essential bars; a count mismatch makes the distance infinite.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .bars import INF, Barcode, GradedBarcode, tensor_barcodes, tor1_barcodes
 from .complexes import DEFAULT_CELL_CAP, vietoris_rips
 from .errors import InputError
 from .metric import FiniteMetricSpace, diameter, product_sum
-from .persistence import DEFAULT_FIELD, reduce
+from .persistence import DEFAULT_FIELD, _check_field, reduce
 
 VERDICT_EQUAL = "equal"
 VERDICT_DOMINATED = "dominated"
@@ -56,21 +59,10 @@ def predict_graded(bx: GradedBarcode, by: GradedBarcode, maxn: int) -> GradedBar
     return GradedBarcode({n: kunneth_predict(bx, by, n) for n in range(maxn + 1)})
 
 
-def _matching_feasible(costs: np.ndarray, half_a: np.ndarray, half_b: np.ndarray,
-                       delta: float) -> bool:
-    """Perfect matching test on the diagonal-augmented graph at threshold delta.
-
-    Left nodes: bars of A, then one diagonal slot per bar of B.  Right nodes:
-    bars of B, then one diagonal slot per bar of A.  Diagonal-to-diagonal edges
-    are always allowed, so feasibility means every long bar finds a real match.
-    """
-    m, n = costs.shape
-    ai, bj = np.nonzero(costs <= delta)
-    ia, jb = np.flatnonzero(half_a <= delta), np.flatnonzero(half_b <= delta)
-    rows = np.concatenate([ai, ia, m + jb, np.repeat(m + np.arange(n), m)])
-    cols = np.concatenate([bj, n + ia, jb, np.tile(n + np.arange(m), n)])
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(m + n, m + n))
-    match = maximum_bipartite_matching(graph, perm_type="column")
+def _covers(edges: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the bipartite graph of boolean matrix `edges` has a matching
+    that covers every row in the mask `rows`."""
+    match = maximum_bipartite_matching(csr_matrix(edges[rows]), perm_type="column")
     return bool((match != -1).all())
 
 
@@ -78,9 +70,12 @@ def bottleneck(a: Barcode, b: Barcode) -> float:
     """Exact bottleneck distance between two barcodes of the same degree.
 
     Finite bars may match each other (cost max of endpoint differences) or the
-    diagonal (cost persistence / 2).  Essential bars match essential bars by
-    sorted births, the optimal assignment for a max-metric on a line; a count
-    mismatch returns inf.
+    diagonal (cost persistence / 2).  A threshold delta is feasible when the
+    pairs of cost <= delta have two one-sided matchings, one covering every bar
+    of A with persistence / 2 > delta and one covering every such bar of B,
+    which Mendelsohn and Dulmage (1958) show merge into one.  Essential bars
+    match essential bars by sorted births, the optimal assignment for a
+    max-metric on a line; a count mismatch returns inf.
     """
     ess_a = sorted(bar.birth for bar in a.essentials())
     ess_b = sorted(bar.birth for bar in b.essentials())
@@ -109,7 +104,9 @@ def bottleneck(a: Barcode, b: Barcode) -> float:
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(costs, half_a, half_b, candidates[mid]):
+        delta = candidates[mid]
+        edges = costs <= delta
+        if _covers(edges, half_a > delta) and _covers(edges.T, half_b > delta):
             hi = mid
         else:
             lo = mid + 1
@@ -197,6 +194,7 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
         raise InputError(f"maxn must be >= 0, got {maxn}")
     if maxn_cap is not None and maxn > maxn_cap:
         raise InputError(f"maxn {maxn} exceeds the cap {maxn_cap}; pass a higher cap knowingly")
+    p = _check_field(p)
     bx, by, actual = (reduce(vietoris_rips(space, maxn + 1, cell_cap=cell_cap, at_radius=True), p)
                       for space in (x, y, product_sum(x, y)))
     bound = min(diameter(x), diameter(y))

@@ -12,11 +12,16 @@ matrix pairs.  Clearing (Chen and Kerber, "Persistent homology computation
 with a twist", 2011): a cell that is the pivot of a coboundary in the
 dimension below has a coboundary that reduces to zero, and is skipped.
 
-Most columns need no addition at all, so a pivot's owner is kept as the index
-of its cell and its coboundary rebuilt from the boundary matrix only when it
-is added; only columns that were modified are stored, as {coface:
-coefficient} dicts scaled to pivot coefficient 1.  Memory beyond the complex
-therefore grows with the pivots, not with the boundary entries.
+Between dimensions the reduction keeps one partner array per dimension: each
+cell's pivot in the dimension above, or -1.  Clearing reads the partners: the
+cells cleared in dimension d are those recorded in dimension d-1, and the
+essential cells are those with no partner either way.  Most columns need no
+addition at all, so a pivot's owner is kept as the index of its cell and its
+coboundary rebuilt from the boundary matrix only when it is added; only
+columns that were modified are stored, as {coface: coefficient} dicts.
+Owners are not rescaled: adding one multiplies it by col[pivot] / owner[pivot]
+mod p.  Memory beyond the complex therefore grows with the pivots, not with
+the boundary entries.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -27,7 +32,7 @@ rule: a truncated complex cannot certify its cut dimension.
 
 from __future__ import annotations
 
-from typing import Callable
+import operator
 
 import numpy as np
 
@@ -52,51 +57,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _check_field(p: int) -> None:
-    if not isinstance(p, int) or not 2 <= p < MAX_FIELD or not _is_prime(p):
+def _check_field(p: int) -> int:
+    """p as a Python int, if it is a prime below 2^31; numpy integers are accepted."""
+    try:
+        q = operator.index(p)
+    except TypeError:
+        q = None
+    if q is None or not 2 <= q < MAX_FIELD or not _is_prime(q):
         raise InputError(f"field characteristic must be a prime below 2^31, got {p!r}")
+    return q
 
 
-def _monic(col: dict[int, int], piv: int, p: int) -> dict[int, int]:
-    """The column scaled so that its pivot coefficient is 1."""
-    inv = pow(col[piv], p - 2, p)
-    return {r: v * inv % p for r, v in col.items()}
+def _cleared(partner: list[np.ndarray], d: int) -> np.ndarray:
+    """Mask of the cells of dimension d that are partners of dimension d-1."""
+    mask = np.zeros(len(partner[d]), dtype=bool)
+    if d:
+        below = partner[d - 1]
+        mask[below[below >= 0]] = True
+    return mask
 
 
-def _reduce_column(owner: dict[int, int | dict[int, int]], col: dict[int, int], j: int,
-                   coboundary: Callable[[int], dict[int, int]], p: int) -> int | None:
-    """Reduce the coboundary of cell j against the owners; return its pivot or None.
+def _reduction_pairs(cx: FilteredComplex, p: int) -> list[np.ndarray]:
+    """Run the reduction; return per dimension each cell's partner in the
+    dimension above, or -1 for none.
 
     An owner is the index of the cell whose coboundary it is, unmodified, or
-    the reduced column itself scaled to pivot coefficient 1.
+    the reduced column itself.
     """
-    modified = False
-    while col:
-        piv = min(col)
-        other = owner.get(piv)
-        if other is None:
-            owner[piv] = _monic(col, piv, p) if modified else j
-            return piv
-        if isinstance(other, int):
-            other = _monic(coboundary(other), piv, p)
-        factor, modified = col[piv], True
-        for r, v in other.items():
-            nv = (col.get(r, 0) - factor * v) % p
-            if nv:
-                col[r] = nv
-            else:
-                del col[r]
-    return None
-
-
-def _reduction_pairs(cx: FilteredComplex, p: int) -> tuple[list[np.ndarray], list[bytearray]]:
-    """Run the reduction; return per dimension each cell's partner in the
-    dimension above (-1 for none) and the per-dimension paired flags.
-
-    A cell is flagged when it becomes a pivot, before its own dimension is
-    reduced, so the flags of a dimension are also its cleared columns.
-    """
-    paired = [bytearray(len(dim.filtration)) for dim in cx.dims]
     partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
     for d in range(cx.top_dim):
         by_row = cx.dims[d + 1].boundary.tocsr()
@@ -107,15 +94,26 @@ def _reduction_pairs(cx: FilteredComplex, p: int) -> tuple[list[np.ndarray], lis
             return {c: v % p for c, v in zip(cofaces[lo:hi].tolist(), coeffs[lo:hi].tolist())
                     if v % p}
 
-        done, above, owner = paired[d], paired[d + 1], {}
-        for j in range(len(done) - 1, -1, -1):
-            if done[j]:
-                continue
-            piv = _reduce_column(owner, coboundary(j), j, coboundary, p)
-            if piv is not None:
-                above[piv] = done[j] = 1
-                partner[d][j] = piv
-    return partner, paired
+        owner: dict[int, int | dict[int, int]] = {}
+        for j in np.flatnonzero(~_cleared(partner, d))[::-1].tolist():
+            col, modified = coboundary(j), False
+            while col:
+                piv = min(col)
+                other = owner.get(piv)
+                if other is None:
+                    owner[piv] = col if modified else j
+                    partner[d][j] = piv
+                    break
+                if isinstance(other, int):
+                    other = coboundary(other)
+                factor, modified = col[piv] * pow(other[piv], p - 2, p) % p, True
+                for r, v in other.items():
+                    nv = (col.get(r, 0) - factor * v) % p
+                    if nv:
+                        col[r] = nv
+                    else:
+                        del col[r]
+    return partner
 
 
 def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
@@ -124,8 +122,7 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
     Every reliable dimension appears in the result, empty or not, so serialized
     documents record which dimensions were actually computed.
     """
-    _check_field(p)
-    partner, paired = _reduction_pairs(cx, p)
+    partner = _reduction_pairs(cx, _check_field(p))
 
     codes = {}
     for n in range(cx.reliable_dim + 1):
@@ -138,7 +135,7 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
         births = filt[born]
         deaths = cx.dims[n + 1].filtration[partner[n][born]] if n < cx.top_dim else births
         bars = [Bar(b, d) for b, d in zip(births.tolist(), deaths.tolist()) if b != d]
-        essential = filt[np.frombuffer(paired[n], dtype=np.uint8) == 0]
+        essential = filt[(partner[n] < 0) & ~_cleared(partner, n)]
         bars.extend(Bar(f, INF) for f in essential.tolist())
         codes[n] = Barcode(bars)
     return GradedBarcode(codes)

@@ -130,10 +130,11 @@ def test_bottleneck_prefers_diagonal_when_cheaper():
 
 def test_bottleneck_matches_bruteforce():
     rng = random.Random(515)
-    for _ in range(120):
-        a = corpus.random_barcode(rng, max_bars=3)
-        b = corpus.random_barcode(rng, max_bars=3)
-        assert bottleneck(a, b) == oracle.bottleneck_bruteforce(a, b), (a, b)
+    for max_bars in (3, 5):
+        for _ in range(120):
+            a = corpus.random_barcode(rng, max_bars=max_bars)
+            b = corpus.random_barcode(rng, max_bars=max_bars)
+            assert bottleneck(a, b) == oracle.bottleneck_bruteforce(a, b), (a, b)
 
 
 def test_bottleneck_is_a_pseudometric_on_samples():

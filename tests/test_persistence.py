@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,11 @@ import oracle
 from sumrips import (
     Bar,
     Barcode,
+    FilteredComplex,
     GradedBarcode,
     InputError,
     betti_curve,
+    compare_product,
     hamming_cube,
     product_sum,
     reduce,
@@ -65,16 +68,42 @@ def test_positive_diagonal_shifts_births():
 
 def test_field_characteristic_validation():
     cx = vietoris_rips(INTERVAL, 1)
-    for bad in (0, 1, 4, 6, 2**31, -3):
+    for bad in (0, 1, 4, 6, 2**31, -3, 3.0, True):
         with pytest.raises(InputError):
             reduce(cx, bad)
     reduce(cx, 2147483647)  # largest prime below 2^31 is accepted
+    assert reduce(cx, np.int64(3)) == reduce(cx, 3)
+    assert type(compare_product(INTERVAL, INTERVAL, 1, p=np.int64(3)).field) is int
 
 
 def test_field_independence_on_cube():
     cx = vietoris_rips(hamming_cube(3), 4)
     codes = [reduce(cx, p) for p in (2, 3, 5)]
     assert codes[0] == codes[1] == codes[2]
+
+
+def test_coefficients_vanishing_mod_p_change_no_bar():
+    """Boundary coefficients count only mod p: shifting every one by a multiple
+    of p, and storing an entry equal to p, leaves the barcode over F_p as it is."""
+    space = validate([[0, 1, 5, 4, 7], [1, 0, 2, 6, 8], [5, 2, 0, 3, 9],
+                      [4, 6, 3, 0, 10], [7, 8, 9, 10, 0]])
+    cx = vietoris_rips(space, 2)
+    rng = np.random.default_rng(7)
+    for p in (2, 3):
+        dims = [cx.dims[0]]
+        for dim in cx.dims[1:]:
+            boundary = dim.boundary.copy()
+            boundary.data += (p * rng.integers(-1, 3, len(boundary.data))).astype(np.int8)
+            dims.append(dim._replace(boundary=boundary))
+        # vertex 4, whose edges all enter at 7 or later, gets the entry p in
+        # edge (0, 3), which enters at 4: that edge must not kill vertex 4
+        boundary = dims[1].boundary.tolil()
+        boundary[4, 3] = p
+        dims[1] = dims[1]._replace(boundary=boundary.tocsc())
+        shifted = FilteredComplex(tuple(dims), cx.complete, cx.source)
+        code = reduce(shifted, p)
+        assert code == reduce(cx, p)
+        assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(shifted, p)
 
 
 def test_truncation_drops_cut_dimension():
