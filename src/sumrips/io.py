@@ -18,6 +18,7 @@ from .complexes import FilteredComplex
 from .errors import InputError
 from .kunneth import ComparisonReport
 from .metric import FiniteMetricSpace, validate
+from .persistence import _check_field
 
 BARCODE_FORMAT = "sumrips-barcode"
 CONVENTION = "half-open"
@@ -78,10 +79,13 @@ def _bar_json(bar: Bar) -> list[Any]:
 
 
 def barcode_document(code: GradedBarcode, field: int) -> dict[str, Any]:
-    """JSON-ready dict for a graded barcode; includes computed-but-empty dims."""
+    """JSON-ready dict for a graded barcode; includes computed-but-empty dims.
+
+    The field must be a prime below 2^31, as `reduce` requires.
+    """
     return {
         "format": BARCODE_FORMAT,
-        "field": field,
+        "field": _check_field(field),
         "convention": CONVENTION,
         "dims": {str(n): _barcode_pairs(bars) for n, bars in code.items()},
     }
@@ -114,9 +118,10 @@ def parse_barcode_document(doc: Any, where: str = "barcode document") -> tuple[G
     if doc.get("convention") != CONVENTION:
         raise FormatError(f"{where}: unknown interval convention {doc.get('convention')!r}; "
                           f"only {CONVENTION!r} is supported")
-    field = doc.get("field")
-    if isinstance(field, bool) or not isinstance(field, int) or field < 2:
-        raise FormatError(f"{where}: field characteristic must be an int >= 2, got {field!r}")
+    try:
+        field = _check_field(doc.get("field"))
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from None
     dims = doc.get("dims")
     if not isinstance(dims, dict):
         raise FormatError(f"{where}: missing dims object")

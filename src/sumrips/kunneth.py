@@ -75,8 +75,11 @@ def bottleneck(a: Barcode, b: Barcode) -> float:
     of A with persistence / 2 > delta and one covering every such bar of B,
     which Mendelsohn and Dulmage (1958) show merge into one.  Essential bars
     match essential bars by sorted births, the optimal assignment for a
-    max-metric on a line; a count mismatch returns inf.
+    max-metric on a line; a count mismatch returns inf.  Equal barcodes, the
+    usual case in a product comparison, return 0.0 without a search.
     """
+    if a == b:
+        return 0.0
     ess_a = sorted(bar.birth for bar in a.essentials())
     ess_b = sorted(bar.birth for bar in b.essentials())
     if len(ess_a) != len(ess_b):

@@ -12,16 +12,28 @@ matrix pairs.  Clearing (Chen and Kerber, "Persistent homology computation
 with a twist", 2011): a cell that is the pivot of a coboundary in the
 dimension below has a coboundary that reduces to zero, and is skipped.
 
+Apparent pairs (Ripser, section 3.5) are found first, for a whole dimension
+at once with array lookups: (j, c) is apparent when c is j's earliest coface,
+the first index of j's row, and j is c's latest face, the last index of c's
+column.  Entries that vanish mod p are dropped before either lookup.  The
+pairing of a fixed total order is unique, and the columns reduced before j
+combine coboundaries of cells later than j, none of which has c as a coface;
+so j's column would reach pivot c without an addition, and the pair is
+recorded without reducing it.  On the product corpus about 93 % of the pairs
+are apparent, and only the columns that are neither cleared nor apparent go
+through the column loop.
+
 Between dimensions the reduction keeps one partner array per dimension: each
 cell's pivot in the dimension above, or -1.  Clearing reads the partners: the
 cells cleared in dimension d are those recorded in dimension d-1, and the
-essential cells are those with no partner either way.  Most columns need no
-addition at all, so a pivot's owner is kept as the index of its cell and its
-coboundary rebuilt from the boundary matrix only when it is added; only
-columns that were modified are stored, as {coface: coefficient} dicts.
-Owners are not rescaled: adding one multiplies it by col[pivot] / owner[pivot]
-mod p.  Memory beyond the complex therefore grows with the pivots, not with
-the boundary entries.
+essential cells are those with no partner either way.  Within a dimension the
+owner of each pivot, the inverse of the partner array, is one int32 array
+indexed by coface; an unmodified owner's coboundary is rebuilt from the
+boundary matrix only when it is added.  Only columns that additions changed
+are stored, as {coface: coefficient} dicts.  Owners are not rescaled: adding
+one multiplies it by col[pivot] / owner[pivot] mod p.  Memory beyond the
+complex therefore grows with the cells, at four bytes per coface, and with
+the few modified columns, not with the boundary entries.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -77,52 +89,105 @@ def _cleared(partner: list[np.ndarray], d: int) -> np.ndarray:
     return mask
 
 
-def _reduction_pairs(cx: FilteredComplex, p: int) -> list[np.ndarray]:
-    """Run the reduction; return per dimension each cell's partner in the
-    dimension above, or -1 for none.
+def _live_boundary(boundary, p: int):
+    """The boundary matrix without the entries that vanish mod p."""
+    data = boundary.data
+    # Above the dtype's range no nonzero coefficient is a multiple of the prime
+    # p, and `data % p` would overflow.
+    live = data != 0 if p > np.iinfo(data.dtype).max else data % p != 0
+    if live.all():
+        return boundary
+    boundary = boundary.copy()
+    boundary.data[~live] = 0
+    boundary.eliminate_zeros()
+    return boundary
 
-    An owner is the index of the cell whose coboundary it is, unmodified, or
-    the reduced column itself.
+
+def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> list[np.ndarray]:
+    """Run the reduction; return per dimension each cell's partner in the
+    dimension above, or -1 for none.  Fill `stats`, if given, as `reduce` says.
+
+    `owner` maps each pivot to the cell whose column holds it; `modified` keeps
+    the reduced column only where additions changed it.
     """
     partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
     for d in range(cx.top_dim):
-        by_row = cx.dims[d + 1].boundary.tocsr()
-        ptr, cofaces, coeffs = by_row.indptr.tolist(), by_row.indices, by_row.data
+        by_col = _live_boundary(cx.dims[d + 1].boundary, p)
+        by_row = by_col.tocsr()
+        ptr, cofaces, coeffs = by_row.indptr, by_row.indices, by_row.data
 
         def coboundary(j: int) -> dict[int, int]:
             lo, hi = ptr[j], ptr[j + 1]
-            return {c: v % p for c, v in zip(cofaces[lo:hi].tolist(), coeffs[lo:hi].tolist())
-                    if v % p}
+            return {c: v % p for c, v in zip(cofaces[lo:hi].tolist(), coeffs[lo:hi].tolist())}
 
-        owner: dict[int, int | dict[int, int]] = {}
-        for j in np.flatnonzero(~_cleared(partner, d))[::-1].tolist():
-            col, modified = coboundary(j), False
+        # Apparent pairs: c is j's earliest coface (the first index of its
+        # row) and j is c's latest face (the last index of its column).
+        cleared = _cleared(partner, d)
+        rows = np.flatnonzero((ptr[1:] > ptr[:-1]) & ~cleared)
+        earliest = cofaces[ptr[rows]]
+        is_apparent = by_col.indices[by_col.indptr[earliest + 1] - 1] == rows
+        apparent = rows[is_apparent]
+        partner[d][apparent] = earliest[is_apparent]
+        owner = np.full(by_col.shape[1], -1, dtype=np.int32)
+        owner[partner[d][apparent]] = apparent
+
+        todo = ~cleared
+        todo[apparent] = False
+        looped = np.flatnonzero(todo)[::-1].tolist()
+        modified: dict[int, dict[int, int]] = {}
+        additions = 0
+        for j in looped:
+            col, added = coboundary(j), False
             while col:
                 piv = min(col)
-                other = owner.get(piv)
-                if other is None:
-                    owner[piv] = col if modified else j
-                    partner[d][j] = piv
+                k = owner[piv]
+                if k < 0:
+                    owner[piv], partner[d][j] = j, piv
+                    if added:
+                        modified[piv] = col
                     break
-                if isinstance(other, int):
-                    other = coboundary(other)
-                factor, modified = col[piv] * pow(other[piv], p - 2, p) % p, True
+                other = modified.get(piv)
+                if other is None:
+                    other = coboundary(k)
+                factor, added = col[piv] * pow(other[piv], p - 2, p) % p, True
+                additions += 1
                 for r, v in other.items():
                     nv = (col.get(r, 0) - factor * v) % p
                     if nv:
                         col[r] = nv
                     else:
                         del col[r]
+        if stats is not None:
+            born = np.flatnonzero(partner[d] >= 0)
+            deaths = cx.dims[d + 1].filtration[partner[d][born]]
+            stats[d] = {
+                "columns": len(cleared),
+                "cleared": int(np.count_nonzero(cleared)),
+                "apparent": len(apparent),
+                "looped": len(looped),
+                "additions": additions,
+                "pairs": len(born),
+                "zero_length": int(np.count_nonzero(cx.dims[d].filtration[born] == deaths)),
+                "essential": len(looped) - (len(born) - len(apparent)),
+            }
     return partner
 
 
-def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD) -> GradedBarcode:
+def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
+           stats: dict | None = None) -> GradedBarcode:
     """Barcodes of a filtered complex over F_p, dimensions 0..cx.reliable_dim.
 
     Every reliable dimension appears in the result, empty or not, so serialized
     documents record which dimensions were actually computed.
+
+    If `stats` is a dict, it gets one entry per reduced dimension d (0 to
+    cx.top_dim - 1; the top dimension has no coboundaries to reduce), a dict
+    of counts: `columns` (cells of dimension d), of which `cleared`,
+    `apparent` and `looped` (the rest, reduced one by one); `additions` (column
+    additions); `pairs` (cells paired with a coface), of which `zero_length`
+    contribute no bar; and `essential` (looped columns that reduced to zero).
     """
-    partner = _reduction_pairs(cx, _check_field(p))
+    partner = _reduction_pairs(cx, _check_field(p), stats)
 
     codes = {}
     for n in range(cx.reliable_dim + 1):

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sumrips import Bar, Barcode, GradedBarcode, compare_product, hamming_cube
+from sumrips import Bar, Barcode, GradedBarcode, InputError, compare_product, hamming_cube
 from sumrips.io import (
     FormatError,
     barcode_document,
@@ -167,3 +168,17 @@ def test_write_complex_dump(tmp_path):
     path = tmp_path / "complex.txt"
     write_complex_dump(cx, path)
     assert path.read_text() == "0 0 0.0 - 0\n1 0 0.0 - 1\n2 1 1.0 0:-1,1:1 0,1\n"
+
+
+def test_barcode_documents_carry_prime_fields(tmp_path):
+    code = _sample_code()
+    with pytest.raises(InputError, match="prime"):
+        barcode_document(code, 4)
+    with pytest.raises(InputError, match="prime"):
+        write_barcode_json(code, tmp_path / "bad.json", field=4)
+    doc = barcode_document(code, np.int64(3))
+    assert type(doc["field"]) is int and json.loads(dumps_document(doc))["field"] == 3
+    for field in (4, 9, 2**31):
+        doc["field"] = field
+        with pytest.raises(FormatError, match="field"):
+            parse_barcode_document(doc)

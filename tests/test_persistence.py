@@ -138,6 +138,28 @@ def test_reduce_matches_standard_reduction():
             assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(cx, p), (cx, p)
 
 
+def test_reduce_stats_tie_out():
+    """The reduction's counts partition the columns and agree with the bars."""
+    cube = vietoris_rips(hamming_cube(3), 4)
+    for cx in [cube, *corpus.random_complexes(count=10, seed=404)]:
+        for p in (2, 3):
+            stats = {}
+            code = reduce(cx, p, stats=stats)
+            assert code == reduce(cx, p)
+            assert sorted(stats) == list(range(cx.top_dim))
+            for d, s in stats.items():
+                assert s["columns"] == len(cx.dims[d].filtration)
+                assert s["cleared"] + s["apparent"] + s["looped"] == s["columns"]
+                assert s["cleared"] + s["pairs"] + s["essential"] == s["columns"]
+                assert s["cleared"] == (stats[d - 1]["pairs"] if d else 0)
+                if d <= cx.reliable_dim:
+                    assert len(code[d].finite()) == s["pairs"] - s["zero_length"]
+                    assert len(code[d].essentials()) == s["essential"]
+    stats = {}
+    reduce(cube, stats=stats)
+    assert all(s["apparent"] > 0 for s in stats.values())
+
+
 def test_signed_zero_births_keep_their_order():
     """Equal bars whose births are 0.0 and -0.0 come out in the order of their
     death cells, as the CLI's JSON and table output has always shown them."""
