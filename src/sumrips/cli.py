@@ -26,9 +26,10 @@ from .metric import hamming_cube
 from .persistence import DEFAULT_FIELD, reduce
 
 
-def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, default_format: str,
+                field_default: str = str(DEFAULT_FIELD)) -> None:
     sub.add_argument("--field", type=int, default=DEFAULT_FIELD,
-                     help="coefficient field characteristic (prime, default 2)")
+                     help=f"coefficient field characteristic (prime, default {field_default})")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; computation is single-threaded")
     sub.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP,
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--a", type=Path, required=True, help="first barcode JSON")
     bo.add_argument("--b", type=Path, required=True, help="second barcode JSON")
     bo.add_argument("--dim", type=int, required=True, help="homological dimension to compare")
-    _add_common(bo, "table")
-    bo.set_defaults(func=cmd_bottleneck)
+    _add_common(bo, "table", field_default="the documents' field")
+    bo.set_defaults(func=cmd_bottleneck, field=None)
     return parser
 
 
@@ -178,8 +179,13 @@ def cmd_hamming(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_bottleneck(args: argparse.Namespace) -> tuple[str, int]:
-    code_a = io.read_barcode_json(args.a)
-    code_b = io.read_barcode_json(args.b)
+    code_a, field_a = io.read_barcode_json_with_field(args.a)
+    code_b, field_b = io.read_barcode_json_with_field(args.b)
+    if field_a != field_b:
+        raise InputError(f"{args.a} is over F_{field_a} but {args.b} is over F_{field_b}; "
+                         f"barcodes over different fields are not comparable")
+    if args.field is not None and args.field != field_a:
+        raise InputError(f"--field {args.field} disagrees with the documents' field {field_a}")
     if args.dim < 0:
         raise InputError(f"--dim must be >= 0, got {args.dim}")
     for path, code in ((args.a, code_a), (args.b, code_b)):

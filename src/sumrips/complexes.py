@@ -25,16 +25,16 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import bmat, csc_matrix, identity, kron
 
 from .errors import CapExceeded, InputError, SumripsError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 120 B per cell (CPython 3.11, numpy
-# 2.4, x86-64).  The figure below is the 760 B per cell that a homology
-# reduction with bitset columns took, kept so that the default cap admits no
-# complex it refused before.
+# maxdim 4 grows the resident set by about 180 B per cell (CPython 3.11, numpy
+# 2.4, x86-64); about 60 B of that is the argsort that transposes a boundary.
+# The figure below is the 760 B per cell that a homology reduction with bitset
+# columns took, kept so that the default cap admits no complex it refused
+# before.
 BYTES_PER_CELL = 800
 # The default cap keeps a build and its reduction within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
@@ -65,14 +65,17 @@ class Cell:
 class Dimension(NamedTuple):
     """The cells of one dimension d, sorted by (filtration, construction key).
 
-    `boundary` maps them to dimension d - 1: a compressed sparse column matrix
-    with int8 coefficients and ascending face rows in each column.  Rips cells
-    carry `vertices` (one ascending row of point indices per cell), tensor
-    cells `factors` (global ids in the left and right factor complexes).
+    The boundary into dimension d - 1 is three arrays: the faces of cell j are
+    the rows `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
+    coefficients at the same places of `data`.  Rips cells carry `vertices`
+    (one ascending row of point indices per cell), tensor cells `factors`
+    (global ids in the left and right factor complexes).
     """
 
     filtration: np.ndarray
-    boundary: csc_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     vertices: np.ndarray | None = None
     factors: np.ndarray | None = None
 
@@ -132,8 +135,8 @@ class FilteredComplex:
         ids = self.global_ids()
         cells: list[Cell] = [None] * len(self)  # type: ignore[list-item]
         for d, dim in enumerate(self.dims):
-            faces = ids[d - 1][dim.boundary.indices].tolist() if d else []
-            coeffs, ptr = dim.boundary.data.tolist(), dim.boundary.indptr.tolist()
+            faces = ids[d - 1][dim.indices].tolist() if d else []
+            coeffs, ptr = dim.data.tolist(), dim.indptr.tolist()
             keys = [[None] * len(dim.filtration) if a is None else list(map(tuple, a.tolist()))
                     for a in (dim.vertices, dim.factors)]
             for g, f, label, lo, hi, v, ij in zip(ids[d].tolist(), dim.filtration.tolist(),
@@ -148,25 +151,26 @@ class FilteredComplex:
         for tests and debugging; builders already guarantee these invariants.
         """
         below = np.empty(0)
-        for d, (filt, boundary, *_) in enumerate(self.dims):
+        for d, (filt, indptr, faces, data, *_) in enumerate(self.dims):
             if np.any(filt[1:] < filt[:-1]):
                 raise ComplexError(f"dimension {d} breaks the filtration order")
-            if boundary.shape != (len(below), len(filt)):
-                raise ComplexError(f"dimension {d} boundary has shape {boundary.shape}")
-            if np.any(boundary.data == 0):
+            if len(indptr) != len(filt) + 1 or np.any((faces < 0) | (faces >= len(below))):
+                raise ComplexError(f"dimension {d} boundary does not map {len(filt)} cells "
+                                   f"into {len(below)} faces")
+            if np.any(data == 0):
                 raise ComplexError(f"dimension {d} has a zero boundary coefficient")
-            cols = np.repeat(np.arange(len(filt)), np.diff(boundary.indptr))
-            faces = boundary.indices
+            cols = np.repeat(np.arange(len(filt)), np.diff(indptr))
             if np.any((cols[1:] == cols[:-1]) & (faces[1:] <= faces[:-1])):
                 raise ComplexError(f"dimension {d} face rows are not ascending")
             late = np.flatnonzero(below[faces] > filt[cols])
             if late.size:
                 raise ComplexError(f"a face of dimension-{d} cell {cols[late[0]]} enters after it")
             if d >= 2:
-                square = self.dims[d - 1].boundary.astype(np.int64) @ boundary.astype(np.int64)
-                if square.count_nonzero():
+                col = _first_nonzero_square(self.dims[d - 1], cols, faces, data,
+                                            len(self.dims[d - 2].filtration))
+                if col is not None:
                     raise ComplexError(f"boundary of boundary of dimension-{d} cell "
-                                       f"{square.nonzero()[1].min()} is nonzero")
+                                       f"{col} is nonzero")
             below = filt
 
     def dump_lines(self) -> list[str]:
@@ -180,6 +184,25 @@ class FilteredComplex:
     def __repr__(self) -> str:
         return (f"FilteredComplex(cells={len(self)}, top_dim={self.top_dim}, "
                 f"complete={self.complete})")
+
+
+def _first_nonzero_square(lower: Dimension, cols: np.ndarray, faces: np.ndarray,
+                          data: np.ndarray, n_rows: int) -> int | None:
+    """The first column of the composed boundary that is nonzero over Z, if any.
+
+    The boundary entry (face f, coefficient c) of column j in `cols`, `faces`,
+    `data` adds c times column f of `lower` to column j of the composition.
+    """
+    counts = np.diff(lower.indptr)[faces]
+    entry = np.repeat(np.arange(len(faces)), counts)
+    # The place in `lower`'s arrays of each term: its face column's start
+    # plus its rank within that column.
+    pos = np.arange(len(entry)) + np.repeat(lower.indptr[faces] - np.cumsum(counts) + counts,
+                                            counts)
+    keys, inverse = np.unique(cols[entry] * n_rows + lower.indices[pos], return_inverse=True)
+    sums = np.bincount(inverse, weights=data[entry].astype(np.int64) * lower.data[pos])
+    nonzero = keys[sums != 0]
+    return int(nonzero[0] // n_rows) if nonzero.size else None
 
 
 def _check_cap(what: str, needed: int, cell_cap: int) -> None:
@@ -226,26 +249,45 @@ def _rank_term(binom: np.ndarray, verts: np.ndarray, i: int, k: int) -> np.ndarr
 
 
 def _rips_boundary(binom: np.ndarray, verts: np.ndarray, total: np.ndarray,
-                   rank: np.ndarray) -> csc_matrix:
-    """Boundary of the k-subset rows `verts` into the (k-1)-subsets of lexicographic
-    ranks `rank`; `total` is the sum of each row's rank terms."""
+                   rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary (indptr, indices, data) of the k-subset rows `verts` into the
+    (k-1)-subsets of lexicographic ranks `rank`; `total` is the sum of each
+    row's rank terms."""
     m, k = len(binom) - 1, verts.shape[1]
     # Entries of cut faces stay -1: no kept subset has a cut face.
     row_of_rank = np.full(binom[m, k - 1], -1, dtype=np.int32)
     row_of_rank[rank] = np.arange(len(rank))
-    # Column pos of `rows` holds the face without vertex pos, in which the points
-    # before pos keep their place and those after it move one down.
-    rows = np.empty_like(verts)
+    # Column pos of `keys` holds 2 * row + pos % 2 for the face without vertex
+    # pos, in which the points before pos keep their place and those after it
+    # move one down.  Sorting each cell's keys orders its faces and keeps the
+    # parity of pos, the sign (-1)^pos, in the low bit.  Each step works in
+    # place, which keeps the build's peak low.
+    keys = np.empty(verts.shape, dtype=_index_dtype(2 * len(rank)))
     before, after = 0, total
     for pos in range(k):
         after = after - _rank_term(binom, verts, pos, k)
-        rows[:, pos] = row_of_rank[binom[m, k - 1] - 1 - before - after]
+        keys[:, pos] = row_of_rank[binom[m, k - 1] - 1 - before - after]
+        keys[:, pos] *= 2
+        keys[:, pos] += pos % 2
         before = before + _rank_term(binom, verts, pos, k - 1)
-    signs = np.tile(np.array([1, -1] * k, dtype=np.int8)[:k], len(verts))
-    boundary = csc_matrix((signs, rows.ravel(), np.arange(0, rows.size + 1, k, dtype=np.int32)),
-                          shape=(len(rank), len(verts)))
-    boundary.sort_indices()
-    return boundary
+    keys.sort(axis=1)
+    keys = keys.ravel()
+    data = keys.astype(np.int8)  # the low bit survives the cast
+    data &= 1
+    data *= -2
+    data += 1
+    keys >>= 1
+    return np.arange(0, keys.size + 1, k, dtype=_index_dtype(keys.size)), keys, data
+
+
+def _index_dtype(bound: int) -> type:
+    """int32 if it holds every index up to `bound`, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The empty boundary (indptr, indices, data) of n_cells cells of dimension 0."""
+    return np.zeros(n_cells + 1, dtype=np.int32), np.empty(0, np.int32), np.empty(0, np.int8)
 
 
 def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT_CELL_CAP,
@@ -289,7 +331,7 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     diag = np.diagonal(dist)
     # near[u, v]: the edge uv and the point v both enter at or below the radius.
     near = (dist <= radius) & (diag <= radius)
-    # Point indices and face rows are int32, like the CSC indices of a boundary.
+    # Point indices and face rows are int32, like the `indices` of a boundary.
     subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
     filt = diag[subsets[:, 0]]
     # _extend and _rips_boundary free their temporaries on return: a build peaks
@@ -301,9 +343,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
         order = np.argsort(filt, kind="stable")
         verts = subsets[order]
         total = sum(_rank_term(binom, verts, i, d + 1) for i in range(d + 1))
-        boundary = (_rips_boundary(binom, verts, total, rank) if d
-                    else csc_matrix((0, len(verts)), dtype=np.int8))
-        dims.append(Dimension(filt[order], boundary, vertices=verts))
+        boundary = _rips_boundary(binom, verts, total, rank) if d else _no_boundary(len(verts))
+        dims.append(Dimension(filt[order], *boundary, vertices=verts))
         rank = binom[m, d + 1] - 1 - total
     return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
 
@@ -317,14 +358,48 @@ def tensor_cell_count(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | No
                for dy, ny in by_y.items() if dx + dy <= top)
 
 
-def _koszul_block(x: Dimension, y: Dimension, a: int, row: int) -> csc_matrix | None:
-    """Boundary block from cells s x t with dim s = a to those with dim s = row."""
-    if row == a - 1:
-        return kron(x.boundary, identity(len(y.filtration), dtype=np.int8), format="csc")
-    if row == a:
-        return (-1) ** a * kron(identity(len(x.filtration), dtype=np.int8), y.boundary,
-                                format="csc")
-    return None
+def _part_starts(cx: FilteredComplex, cy: FilteredComplex, n: int) -> dict[int, int]:
+    """Per dim a of the left cell, where the pairs (s, t) with dim s = a start
+    in dimension n of the tensor complex before sorting; each part is s-major."""
+    starts, at = {}, 0
+    for a in range(max(0, n - cy.top_dim), min(n, cx.top_dim) + 1):
+        starts[a] = at
+        at += len(cx.dims[a].filtration) * len(cy.dims[n - a].filtration)
+    return starts
+
+
+def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np.ndarray,
+                     below_order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary (indptr, indices, data) of dimension n >= 1 of the tensor
+    complex, whose cells and faces are sorted by `order` and `below_order`.
+
+    d(s x t) = ds x t + (-1)^a s x dt for dim s = a: a face f of s gives the
+    face (f, t) in part a - 1 of dimension n - 1, and a face g of t the face
+    (s, g) in part a, with the sign (-1)^a.
+    """
+    cols, rows, data = [], [], []
+    col_at, row_at = _part_starts(cx, cy, n), _part_starts(cx, cy, n - 1)
+    for a, start in col_at.items():
+        x, y = cx.dims[a], cy.dims[n - a]
+        nx, ny = len(x.filtration), len(y.filtration)
+        if a:
+            s = np.repeat(np.arange(nx), np.diff(x.indptr))[:, None]
+            t = np.arange(ny)
+            cols.append((start + s * ny + t).ravel())
+            rows.append((row_at[a - 1] + x.indices[:, None].astype(np.int64) * ny + t).ravel())
+            data.append(np.repeat(x.data, ny))
+        if a < n:
+            s = np.arange(nx)[:, None]
+            t = np.repeat(np.arange(ny), np.diff(y.indptr))
+            cols.append((start + s * ny + t).ravel())
+            rows.append((row_at[a] + s * len(cy.dims[n - a - 1].filtration) + y.indices).ravel())
+            data.append(np.tile(-y.data if a % 2 else y.data, nx))
+    col = np.argsort(order)[np.concatenate(cols)]
+    row = np.argsort(below_order)[np.concatenate(rows)]
+    by_cell = np.argsort(col * len(below_order) + row)
+    indptr = np.zeros(len(order) + 1, dtype=_index_dtype(len(col)))
+    np.cumsum(np.bincount(col, minlength=len(order)), out=indptr[1:])
+    return indptr, row[by_cell].astype(np.int32), np.concatenate(data)[by_cell]
 
 
 def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None = None,
@@ -351,22 +426,16 @@ def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None 
     gx, gy = cx.global_ids(), cy.global_ids()
     dims: list[Dimension] = []
     for n in range(top + 1):
-        # Unsorted, dimension n lists the pairs with dim s = a for each a, s-major.
-        parts = range(max(0, n - cy.top_dim), min(n, cx.top_dim) + 1)
-        pairs = [(cx.dims[a], cy.dims[n - a]) for a in parts]
-        filt = np.concatenate([np.add.outer(x.filtration, y.filtration).ravel()
-                               for x, y in pairs])
+        parts = _part_starts(cx, cy, n)
+        filt = np.concatenate([np.add.outer(cx.dims[a].filtration, cy.dims[n - a].filtration)
+                               .ravel() for a in parts])
         factors = np.concatenate([np.stack(np.meshgrid(gx[a], gy[n - a], indexing="ij"),
                                            -1).reshape(-1, 2) for a in parts])
         order = np.lexsort((factors[:, 1], factors[:, 0], filt))
-        boundary = csc_matrix((0, len(filt)), dtype=np.int8)
-        if n:
-            blocks = [[_koszul_block(x, y, a, row) for a, (x, y) in zip(parts, pairs)]
-                      for row in below]
-            boundary = bmat(blocks, format="csc")[below_order][:, order]
-            boundary.sort_indices()
-        dims.append(Dimension(filt[order], boundary, factors=factors[order]))
-        below, below_order = parts, order
+        boundary = (_koszul_boundary(cx, cy, n, order, below_order) if n
+                    else _no_boundary(len(filt)))
+        dims.append(Dimension(filt[order], *boundary, factors=factors[order]))
+        below_order = order
     complete = cx.complete and cy.complete and top == full
     return FilteredComplex(tuple(dims), complete, source=(cx, cy))
 

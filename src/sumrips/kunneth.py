@@ -18,7 +18,9 @@ binary search.  A threshold is feasible when the bars within it of each other
 have one matching that covers every bar of A longer than twice the threshold
 and another that covers every such bar of B; by the Mendelsohn-Dulmage
 theorem (1958) the two then merge into one matching that covers both, and
-every bar it leaves out goes to the diagonal.  Essential bars may only match
+every bar it leaves out goes to the diagonal.  Each one-sided matching is
+found by Kuhn's augmenting paths (`_covers`), searched with an explicit stack
+so that a path may run through every bar.  Essential bars may only match
 essential bars; a count mismatch makes the distance infinite.
 """
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .bars import INF, Barcode, GradedBarcode, tensor_barcodes, tor1_barcodes
 from .complexes import DEFAULT_CELL_CAP, vietoris_rips
@@ -61,9 +61,40 @@ def predict_graded(bx: GradedBarcode, by: GradedBarcode, maxn: int) -> GradedBar
 
 def _covers(edges: np.ndarray, rows: np.ndarray) -> bool:
     """Whether the bipartite graph of boolean matrix `edges` has a matching
-    that covers every row in the mask `rows`."""
-    match = maximum_bipartite_matching(csr_matrix(edges[rows]), perm_type="column")
-    return bool((match != -1).all())
+    that covers every row in the mask `rows`.
+
+    Kuhn's augmenting paths, one search per row with an explicit stack: the
+    row scans its own columns first, so it takes a free one next to it if it
+    has one (a greedy start), and otherwise the first free column that an
+    alternating path reaches, flipping the path.  A row that reaches no free
+    column stays unmatched in every maximum matching, so the answer is no at
+    once.
+    """
+    adjacent = [np.flatnonzero(row).tolist() for row in edges[rows]]
+    row_of: dict[int, int] = {}  # column -> the row matched to it
+    col_of: dict[int, int] = {}  # row -> the column matched to it
+    for root in range(len(adjacent)):
+        came: dict[int, int] = {}  # column -> the row the search reached it from
+        stack, free = [root], None
+        while stack and free is None:
+            r = stack.pop()
+            for c in adjacent[r]:
+                if c not in came:
+                    came[c] = r
+                    if c not in row_of:
+                        free = c
+                        break
+                    stack.append(row_of[c])
+        if free is None:
+            return False
+        # Flip the path back to the root, the one row on it without a column.
+        c = free
+        while c is not None:
+            r = came[c]
+            prev = col_of.get(r)
+            row_of[c], col_of[r] = r, c
+            c = prev
+    return True
 
 
 def bottleneck(a: Barcode, b: Barcode) -> float:
@@ -73,7 +104,8 @@ def bottleneck(a: Barcode, b: Barcode) -> float:
     diagonal (cost persistence / 2).  A threshold delta is feasible when the
     pairs of cost <= delta have two one-sided matchings, one covering every bar
     of A with persistence / 2 > delta and one covering every such bar of B,
-    which Mendelsohn and Dulmage (1958) show merge into one.  Essential bars
+    which Mendelsohn and Dulmage (1958) show merge into one; `_covers` finds
+    each by Kuhn's augmenting paths, without recursion.  Essential bars
     match essential bars by sorted births, the optimal assignment for a
     max-metric on a line; a count mismatch returns inf.  Equal barcodes, the
     usual case in a product comparison, return 0.0 without a search.

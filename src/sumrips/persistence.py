@@ -49,7 +49,7 @@ import operator
 import numpy as np
 
 from .bars import INF, Bar, Barcode, GradedBarcode
-from .complexes import FilteredComplex
+from .complexes import Dimension, FilteredComplex
 from .errors import InputError
 
 DEFAULT_FIELD = 2
@@ -89,18 +89,32 @@ def _cleared(partner: list[np.ndarray], d: int) -> np.ndarray:
     return mask
 
 
-def _live_boundary(boundary, p: int):
-    """The boundary matrix without the entries that vanish mod p."""
-    data = boundary.data
+def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundary (indptr, indices, data) of `dim` without the entries that
+    vanish mod p."""
+    data = dim.data
     # Above the dtype's range no nonzero coefficient is a multiple of the prime
     # p, and `data % p` would overflow.
     live = data != 0 if p > np.iinfo(data.dtype).max else data % p != 0
     if live.all():
-        return boundary
-    boundary = boundary.copy()
-    boundary.data[~live] = 0
-    boundary.eliminate_zeros()
-    return boundary
+        return dim.indptr, dim.indices, data
+    kept = np.concatenate([[0], np.cumsum(live)]).astype(dim.indptr.dtype)
+    return kept[dim.indptr], dim.indices[live], data[live]
+
+
+def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+               n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a boundary as (indptr, indices, data), each row's columns ascending.
+
+    A stable sort of the entries by row keeps them in column order within
+    each row; numpy radix-sorts 16-bit keys, which covers every dimension of
+    up to 65,536 cells.
+    """
+    by_row = np.argsort(indices.astype(np.uint16) if n_rows <= 2**16 else indices, kind="stable")
+    cols = np.repeat(np.arange(len(indptr) - 1, dtype=indices.dtype), np.diff(indptr))
+    ptr = np.zeros(n_rows + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(indices, minlength=n_rows), out=ptr[1:])
+    return ptr, cols[by_row], data[by_row]
 
 
 def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> list[np.ndarray]:
@@ -112,9 +126,8 @@ def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> 
     """
     partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
     for d in range(cx.top_dim):
-        by_col = _live_boundary(cx.dims[d + 1].boundary, p)
-        by_row = by_col.tocsr()
-        ptr, cofaces, coeffs = by_row.indptr, by_row.indices, by_row.data
+        col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
+        ptr, cofaces, coeffs = _transpose(col_ptr, faces, data, len(partner[d]))
 
         def coboundary(j: int) -> dict[int, int]:
             lo, hi = ptr[j], ptr[j + 1]
@@ -125,10 +138,10 @@ def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> 
         cleared = _cleared(partner, d)
         rows = np.flatnonzero((ptr[1:] > ptr[:-1]) & ~cleared)
         earliest = cofaces[ptr[rows]]
-        is_apparent = by_col.indices[by_col.indptr[earliest + 1] - 1] == rows
+        is_apparent = faces[col_ptr[earliest + 1] - 1] == rows
         apparent = rows[is_apparent]
         partner[d][apparent] = earliest[is_apparent]
-        owner = np.full(by_col.shape[1], -1, dtype=np.int32)
+        owner = np.full(len(partner[d + 1]), -1, dtype=np.int32)
         owner[partner[d][apparent]] = apparent
 
         todo = ~cleared

@@ -3,8 +3,9 @@
 Nothing here reuses the library's arithmetic: graded tensor dimensions come
 from explicit generator/relation matrices on a discretized grid, Tor from the
 two-step free resolution mechanics, Betti numbers from dense Gaussian
-elimination on boundary matrices, and bottleneck distances from exhaustive
-matching enumeration.  Deliberately slow and simple; feed small inputs only.
+elimination on boundary matrices, bottleneck distances from exhaustive
+matching enumeration, and bipartite covers from Hall's condition.
+Deliberately slow and simple; feed small inputs only.
 """
 
 from __future__ import annotations
@@ -185,3 +186,13 @@ def bottleneck_bruteforce(a: Barcode, b: Barcode) -> float:
         return min(candidates)
 
     return max(ess_cost, best(0, frozenset()))
+
+
+def covers_by_hall(edges: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether some matching of the bipartite graph `edges` covers the rows in
+    the mask `rows`, by Hall's theorem: every set S of those rows has at least
+    |S| columns next to it.  Exponential in the rows; keep them few."""
+    chosen = np.flatnonzero(rows)
+    return all(np.count_nonzero(edges[list(subset)].any(axis=0)) >= k
+               for k in range(1, len(chosen) + 1)
+               for subset in itertools.combinations(chosen, k))

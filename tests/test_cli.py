@@ -135,6 +135,22 @@ def test_bottleneck_missing_dimension_is_input_error(tmp_path, capsys):
     assert "dimension 1" in capsys.readouterr().err
 
 
+def test_bottleneck_refuses_documents_over_other_fields(tmp_path, capsys):
+    paths = {p: tmp_path / f"f{p}.json" for p in (2, 3)}
+    for p, path in paths.items():
+        write_barcode_json(GradedBarcode({0: Barcode([Bar(0, p)])}), path, field=p)
+    f2, f3 = str(paths[2]), str(paths[3])
+    for argv in (["--a", f2, "--b", f3], ["--a", f3, "--b", f3, "--field", "5"],
+                 ["--a", f3, "--b", f3, "--field", "2"]):
+        assert main(["bottleneck", *argv, "--dim", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "field" in err
+    # the default, and an explicit --field that agrees, read the documents' field
+    for argv in (["--a", f3, "--b", f3], ["--a", f3, "--b", f3, "--field", "3"]):
+        assert main(["bottleneck", *argv, "--dim", "0"]) == 0
+        assert capsys.readouterr().out == "0.0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["hamming", "--k", "3", "--maxdim", "4", "--threads", "0"],
     ["hamming", "--k", "0", "--maxdim", "2"],
@@ -194,3 +210,35 @@ def test_console_script_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.rstrip().endswith("ok")
+
+
+RUN_EVERY_SUBCOMMAND = """
+import json, sys
+from pathlib import Path
+from sumrips import cli
+
+tmp = Path(sys.argv[1])
+(tmp / "x.csv").write_text("0,1,2\\n1,0,1\\n2,1,0\\n")
+(tmp / "y.csv").write_text("0,2,3\\n2,0,1\\n3,1,0\\n")
+out = str(tmp / "out")
+codes = [cli.main(["vr", "--input", str(tmp / name), "--maxdim", "2",
+                   "--output", str(tmp / (name + ".json"))]) for name in ("x.csv", "y.csv")]
+codes.append(cli.main(["kunneth", "--x", str(tmp / "x.csv"), "--y", str(tmp / "y.csv"),
+                       "--maxn", "1", "--output", out]))
+codes.append(cli.main(["hamming", "--k", "2", "--maxdim", "3", "--output", out]))
+codes.append(cli.main(["bottleneck", "--a", str(tmp / "x.csv.json"),
+                       "--b", str(tmp / "y.csv.json"), "--dim", "0", "--output", out]))
+print(json.dumps({"codes": codes, "bottleneck": open(out).read(),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: no subcommand loads scipy."""
+    proc = subprocess.run([sys.executable, "-c", RUN_EVERY_SUBCOMMAND, str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["bottleneck"] == "1.0\n"
+    assert result["scipy"] == []

@@ -149,10 +149,10 @@ def test_validate_catches_corruption():
     cx = vietoris_rips(hamming_cube(2), 2)
 
     # break d^2 = 0 by flipping one coefficient of a 2-cell
-    boundary = cx.dims[2].boundary.copy()
-    boundary.data[0] *= -1
+    data = cx.dims[2].data.copy()
+    data[0] *= -1
     with pytest.raises(ComplexError, match="boundary of boundary"):
-        _replaced(cx, 2, boundary=boundary).validate()
+        _replaced(cx, 2, data=data).validate()
 
     # face entering after its coface
     filtration = cx.dims[0].filtration.copy()

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import corpus
@@ -20,7 +21,7 @@ from sumrips import (
     reduce,
     vietoris_rips,
 )
-from sumrips.kunneth import VERDICT_DOMINATED, VERDICT_EQUAL, VERDICT_VIOLATED
+from sumrips.kunneth import VERDICT_DOMINATED, VERDICT_EQUAL, VERDICT_VIOLATED, _covers
 
 INF = math.inf
 INTERVAL = hamming_cube(1)
@@ -135,6 +136,39 @@ def test_bottleneck_matches_bruteforce():
             a = corpus.random_barcode(rng, max_bars=max_bars)
             b = corpus.random_barcode(rng, max_bars=max_bars)
             assert bottleneck(a, b) == oracle.bottleneck_bruteforce(a, b), (a, b)
+
+
+def test_covers_agrees_with_halls_condition():
+    """Every 0/1 matrix of 3 x 3, 3 x 4 and 4 x 3, covering all rows or all
+    but the first."""
+    for shape in ((3, 3), (3, 4), (4, 3)):
+        cells = shape[0] * shape[1]
+        masks = [np.ones(shape[0], dtype=bool), np.arange(shape[0]) > 0]
+        for bits in range(2 ** cells):
+            edges = np.array([bits >> k & 1 for k in range(cells)], dtype=bool).reshape(shape)
+            for rows in masks:
+                assert _covers(edges, rows) == oracle.covers_by_hall(edges, rows), (edges, rows)
+
+
+def test_bottleneck_on_long_augmenting_paths():
+    """1,001 finite bars per side, where the only cover at the optimum needs
+    an augmenting path through every bar.
+
+    A_i = [0, 10 + 2i) and B_j = [0, 9 + 2j) for i < 1000 and j <= 1000, plus
+    X = [1, 9) in A.  Births are integers and the deaths of A_i and B_j differ
+    in parity, so every pair is at least 1 apart, and every bar is at least 4
+    from the diagonal; X -> B_0 and A_i -> B_(i+1) are all exactly 1 apart, so
+    the distance is 1.  At that threshold A_i is next to B_i and B_(i+1) only,
+    and X, which sorts last, next to B_0 only: after each A_i takes B_i, X
+    reaches a free bar only through all of them, deeper than Python's default
+    recursion limit.
+    """
+    n = 1000
+    a = Barcode([Bar(0, 10 + 2 * i) for i in range(n)] + [Bar(1, 9)])
+    b = Barcode([Bar(0, 9 + 2 * j) for j in range(n + 1)])
+    assert len(a.finite()) == len(b.finite()) == n + 1
+    assert bottleneck(a, b) == 1.0
+    assert bottleneck(b, a) == 1.0
 
 
 def test_bottleneck_is_a_pseudometric_on_samples():

@@ -24,6 +24,7 @@ from sumrips import (
     validate,
     vietoris_rips,
 )
+from sumrips.persistence import _transpose
 
 INF = math.inf
 INTERVAL = hamming_cube(1)
@@ -82,6 +83,16 @@ def test_field_independence_on_cube():
     assert codes[0] == codes[1] == codes[2]
 
 
+def _with_entry(dim, row, col, value):
+    """dim with the boundary entry `value` stored at (row, col), a face that
+    column col does not have yet."""
+    lo, hi = dim.indptr[col], dim.indptr[col + 1]
+    at = lo + np.searchsorted(dim.indices[lo:hi], row)
+    indptr = dim.indptr + (np.arange(len(dim.indptr)) > col).astype(dim.indptr.dtype)
+    return dim._replace(indptr=indptr, indices=np.insert(dim.indices, at, row),
+                        data=np.insert(dim.data, at, value))
+
+
 def test_coefficients_vanishing_mod_p_change_no_bar():
     """Boundary coefficients count only mod p: shifting every one by a multiple
     of p, and storing an entry equal to p, leaves the barcode over F_p as it is."""
@@ -92,18 +103,32 @@ def test_coefficients_vanishing_mod_p_change_no_bar():
     for p in (2, 3):
         dims = [cx.dims[0]]
         for dim in cx.dims[1:]:
-            boundary = dim.boundary.copy()
-            boundary.data += (p * rng.integers(-1, 3, len(boundary.data))).astype(np.int8)
-            dims.append(dim._replace(boundary=boundary))
+            data = dim.data + (p * rng.integers(-1, 3, len(dim.data))).astype(np.int8)
+            dims.append(dim._replace(data=data))
         # vertex 4, whose edges all enter at 7 or later, gets the entry p in
         # edge (0, 3), which enters at 4: that edge must not kill vertex 4
-        boundary = dims[1].boundary.tolil()
-        boundary[4, 3] = p
-        dims[1] = dims[1]._replace(boundary=boundary.tocsc())
+        dims[1] = _with_entry(dims[1], 4, 3, p)
         shifted = FilteredComplex(tuple(dims), cx.complete, cx.source)
         code = reduce(shifted, p)
         assert code == reduce(cx, p)
         assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(shifted, p)
+
+
+@pytest.mark.parametrize("n_rows", [300, 2**16, 2**16 + 1, 100_000])
+def test_transpose_lists_each_rows_columns_in_order(n_rows):
+    """Both sorts the transpose picks by the row count, 16-bit keys up to
+    2^16 rows and full indices above, give every row its columns ascending."""
+    rng = np.random.default_rng(n_rows)
+    counts = rng.integers(0, 6, 4000)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = np.concatenate([np.sort(rng.choice(n_rows, c, replace=False)) for c in counts])
+    indices[0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
+    data = rng.integers(-3, 4, len(indices)).astype(np.int8)
+    ptr, cols, coeffs = _transpose(indptr, indices.astype(np.int32), data, n_rows)
+    col_of = np.repeat(np.arange(len(counts)), counts)
+    want = sorted(zip(indices.tolist(), col_of.tolist(), data.tolist()))
+    rows = np.repeat(np.arange(n_rows), np.diff(ptr))
+    assert list(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) == want
 
 
 def test_truncation_drops_cut_dimension():
