@@ -7,11 +7,16 @@ assertion failed, 2 bad input, 3 a resource cap would be exceeded.
 
 All computation is deterministic and single-threaded; --threads is accepted
 for interface stability and validated, and output bytes do not depend on it.
+
+`main(argv)` may be called any number of times in one process.  The parser is
+built on the first call, not at import, and reused; each call parses into a
+fresh namespace, so no call's output depends on an earlier call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -41,7 +46,13 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str,
                      help=f"output format (default {default_format})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sumrips` parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged, so `main` reuses it; a caller that
+    adds arguments to it changes every later `main` call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="sumrips",
         description="Rips persistence of finite generalized metric spaces and "
@@ -203,8 +214,7 @@ def cmd_bottleneck(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_common(args)
         text, status = args.func(args)

@@ -127,8 +127,16 @@ def parse_barcode_document(doc: Any, where: str = "barcode document") -> tuple[G
         raise FormatError(f"{where}: missing dims object")
     by_dim: dict[int, Barcode] = {}
     for key, rows in dims.items():
-        if not (isinstance(key, str) and key.isdigit()):
-            raise FormatError(f"{where}: dimension key {key!r} is not a nonnegative integer")
+        # Canonical ASCII only: "01" would stand for the same dimension as "1"
+        # and silently replace its bars.
+        try:
+            canonical = (isinstance(key, str) and key.isascii() and key.isdigit()
+                         and str(int(key)) == key)
+        except ValueError:  # int() refuses strings of more than 4300 digits
+            canonical = False
+        if not canonical:
+            raise FormatError(f"{where}: dimension key {key!r} is not a nonnegative integer "
+                              f"in canonical form")
         n = int(key)
         if not isinstance(rows, list):
             raise FormatError(f"{where}: dims[{key!r}] must be a list of intervals")

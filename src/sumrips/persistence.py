@@ -93,6 +93,10 @@ def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.n
     """The boundary (indptr, indices, data) of `dim` without the entries that
     vanish mod p."""
     data = dim.data
+    # A nonzero entry strictly between -p and p cannot vanish mod p.  Every
+    # Rips and tensor boundary entry is +-1, so they all return here.
+    if not len(data) or (data.all() and -p < int(data.min()) and int(data.max()) < p):
+        return dim.indptr, dim.indices, data
     # Above the dtype's range no nonzero coefficient is a multiple of the prime
     # p, and `data % p` would overflow.
     live = data != 0 if p > np.iinfo(data.dtype).max else data % p != 0
@@ -212,7 +216,8 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
         born = born[np.argsort(partner[n][born])]
         births = filt[born]
         deaths = cx.dims[n + 1].filtration[partner[n][born]] if n < cx.top_dim else births
-        bars = [Bar(b, d) for b, d in zip(births.tolist(), deaths.tolist()) if b != d]
+        finite = births != deaths
+        bars = [Bar(b, d) for b, d in zip(births[finite].tolist(), deaths[finite].tolist())]
         essential = filt[(partner[n] < 0) & ~_cleared(partner, n)]
         bars.extend(Bar(f, INF) for f in essential.tolist())
         codes[n] = Barcode(bars)

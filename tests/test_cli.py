@@ -9,7 +9,7 @@ import pytest
 
 import corpus
 from sumrips import Bar, Barcode, GradedBarcode, hamming_cube, validate
-from sumrips.cli import main
+from sumrips.cli import build_parser, main
 from sumrips.complexes import rips_cell_count
 from sumrips.io import write_barcode_json
 from sumrips.kunneth import ComparisonReport, DimensionComparison
@@ -149,6 +149,61 @@ def test_bottleneck_refuses_documents_over_other_fields(tmp_path, capsys):
     for argv in (["--a", f3, "--b", f3], ["--a", f3, "--b", f3, "--field", "3"]):
         assert main(["bottleneck", *argv, "--dim", "0"]) == 0
         assert capsys.readouterr().out == "0.0\n"
+
+
+def test_bottleneck_refuses_noncanonical_dimension_keys(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    write_barcode_json(GradedBarcode({1: Barcode([Bar(0, 1)])}), path, field=2)
+    doc = json.loads(path.read_text())
+    doc["dims"]["01"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["bottleneck", "--a", str(path), "--b", str(path), "--dim", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "dimension key '01'" in err
+
+
+def test_repeated_calls_share_no_state(interval_csv, square_csv, tmp_path, capsys):
+    """Options of one in-process call do not carry over to the next."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, 2)])}), a, field=2)
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, 3)])}), b, field=2)
+    assert main(["vr", "--input", str(interval_csv), "--maxdim", "1",
+                 "--field", "3", "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("field 3")
+    # the documents' field (2, not 3) and bottleneck's table default
+    assert main(["bottleneck", "--a", str(a), "--b", str(b), "--dim", "0"]) == 0
+    assert capsys.readouterr().out == "1.0\n"
+    assert main(["vr", "--input", str(interval_csv), "--maxdim", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == 2
+    kunneth = ["kunneth", "--x", str(interval_csv), "--y", str(square_csv), "--maxn", "2"]
+    outputs = []
+    for _ in range(2):
+        assert main(kunneth) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_main_builds_the_parser_once(interval_csv, capsys):
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["vr", "--input", str(interval_csv), "--maxdim", "1"]) == 0
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("command", [[], ["vr"], ["kunneth"], ["hamming"], ["bottleneck"]])
+def test_help_from_the_shared_parser(command, capsys):
+    """--help prints the same bytes on every call as from a parser built afresh."""
+    def help_text(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse([*command, "--help"])
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    fresh = help_text(build_parser.__wrapped__().parse_args)
+    assert fresh.startswith(" ".join(["usage: sumrips", *command]))
+    assert help_text(main) == fresh
+    assert help_text(main) == fresh
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,6 +137,21 @@ def test_parse_rejects_malformed_documents(tmp_path):
         read_barcode_json(path)
 
 
+@pytest.mark.parametrize("key", ["01", "\u0661", "\u00b2",
+                                 pytest.param("9" * 5000, id="5000-digits")])
+def test_parse_rejects_noncanonical_dimension_keys(key):
+    """Only str(n) names dimension n: "01" next to "1" would silently replace
+    its bars, Arabic-Indic one parses as 1 too, and int() refuses superscript
+    two and 5000 digits."""
+    doc = barcode_document(GradedBarcode({1: Barcode([Bar(0, 1)])}), field=2)
+    doc["dims"][key] = [[0.0, 2.0]]
+    with pytest.raises(FormatError, match="dimension key"):
+        parse_barcode_document(doc)
+    doc["dims"] = {key: [[0.0, 2.0]]}
+    with pytest.raises(FormatError, match="dimension key"):
+        parse_barcode_document(doc)
+
+
 # ------------------------------------------------------------------- reports
 
 def test_report_document_structure():
