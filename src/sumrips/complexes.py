@@ -49,9 +49,8 @@ class Cell:
     """One cell as rendered by `FilteredComplex.cells`.
 
     boundary holds (face id, integer coefficient) pairs in ascending id order.
-    Exactly one of `vertices` (Rips: point indices, ascending) and `factors`
-    (tensor: ids in the two factor complexes) is set; hand-built cells may
-    leave both unset.
+    `vertices` (Rips: point indices, ascending) or `factors` (tensor: ids in
+    the two factor complexes) is set, whichever its `Dimension` carries.
     """
 
     dim: int
@@ -243,33 +242,30 @@ def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
     return np.column_stack([subsets, new.astype(subsets.dtype)]), filt
 
 
-def _rank_term(binom: np.ndarray, verts: np.ndarray, i: int, k: int) -> np.ndarray:
-    """C(m - 1 - c_i, k - i) for the point c_i at place i of each k-subset row."""
-    return binom[len(binom) - 2 - verts[:, i], k - i]
-
-
-def _rips_boundary(binom: np.ndarray, verts: np.ndarray, total: np.ndarray,
-                   rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
+                   faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary (indptr, indices, data) of the k-subset rows `verts` into the
-    (k-1)-subsets of lexicographic ranks `rank`; `total` is the sum of each
-    row's rank terms."""
-    m, k = len(binom) - 1, verts.shape[1]
+    (k-1)-subset rows `faces`, by row number in `faces`."""
+    k = verts.shape[1]
     # Entries of cut faces stay -1: no kept subset has a cut face.
-    row_of_rank = np.full(binom[m, k - 1], -1, dtype=np.int32)
-    row_of_rank[rank] = np.arange(len(rank))
+    row_of_rank = np.full(binom[-1, k - 1], -1, dtype=np.int32)
+    row_of_rank[sum(binom[faces[:, i], i + 1] for i in range(k - 1))] = np.arange(len(faces))
     # Column pos of `keys` holds 2 * row + pos % 2 for the face without vertex
-    # pos, in which the points before pos keep their place and those after it
-    # move one down.  Sorting each cell's keys orders its faces and keeps the
-    # parity of pos, the sign (-1)^pos, in the low bit.  Each step works in
-    # place, which keeps the build's peak low.
-    keys = np.empty(verts.shape, dtype=_index_dtype(2 * len(rank)))
-    before, after = 0, total
-    for pos in range(k):
-        after = after - _rank_term(binom, verts, pos, k)
-        keys[:, pos] = row_of_rank[binom[m, k - 1] - 1 - before - after]
+    # pos, whose colex rank sums C(c_i, i + 1) over the points before pos and
+    # C(c_i, i) over those after it, which move one place down.  Sorting each
+    # cell's keys orders its faces and keeps the parity of pos, the sign
+    # (-1)^pos, in the low bit.  Each step works in place, which keeps the
+    # build's peak low.
+    keys = np.empty(verts.shape, dtype=_index_dtype(2 * len(faces)))
+    before = sum(binom[verts[:, i], i + 1] for i in range(k - 1))
+    after = 0
+    for pos in reversed(range(k)):
+        keys[:, pos] = row_of_rank[before + after]
         keys[:, pos] *= 2
         keys[:, pos] += pos % 2
-        before = before + _rank_term(binom, verts, pos, k - 1)
+        if pos:
+            before -= binom[verts[:, pos - 1], pos]
+            after += binom[verts[:, pos], pos]
     keys.sort(axis=1)
     keys = keys.ravel()
     data = keys.astype(np.int8)  # the low bit survives the cast
@@ -310,12 +306,12 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     Subsets of each size are enumerated in lexicographic order, each subset
     extended only by the larger points within R of all of its points
     (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), and
-    stably sorted by filtration.  A face is found through its lexicographic
-    rank, from the combinatorial number system (Bauer, Ripser,
-    arXiv:1908.02518, sec. 3): the k-subset c_0 < ... < c_(k-1) of m points
-    has rank C(m, k) - 1 - sum_i C(m - 1 - c_i, k - i).  A rank-indexed table
-    maps it to its row; a superset of a cut subset is cut too, so every face of
-    a kept subset has a row.
+    stably sorted by filtration.  A face is found through its colex rank,
+    from the combinatorial number system (Bauer, Ripser, arXiv:1908.02518,
+    sec. 3): the k-subset c_0 < ... < c_(k-1) has rank sum_i C(c_i, i + 1),
+    one of 0 ... C(m, k) - 1 for m points.  A rank-indexed table maps it to
+    its row; a superset of a cut subset is cut too, so every face of a kept
+    subset has a row.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -323,8 +319,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     top = min(maxdim, m - 1)
     _check_cap("Rips complex", rips_cell_count(m, maxdim), cell_cap)
 
-    # Only columns k <= top + 1 are used, so every entry is at most a cell count.
-    binom = np.array([[math.comb(a, k) for k in range(top + 2)] for a in range(m + 1)],
+    # Only columns k <= top are used, so every entry is at most a cell count.
+    binom = np.array([[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)],
                      dtype=np.int64)
     radius = enclosing_radius(space) if at_radius else math.inf
     dist, dims = space.dist, []
@@ -342,10 +338,9 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
             subsets, filt = _extend(subsets, filt, near, dist)
         order = np.argsort(filt, kind="stable")
         verts = subsets[order]
-        total = sum(_rank_term(binom, verts, i, d + 1) for i in range(d + 1))
-        boundary = _rips_boundary(binom, verts, total, rank) if d else _no_boundary(len(verts))
+        boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
+                    else _no_boundary(len(verts)))
         dims.append(Dimension(filt[order], *boundary, vertices=verts))
-        rank = binom[m, d + 1] - 1 - total
     return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
 
 
@@ -473,14 +468,15 @@ def verify_product_filtration(product: FilteredComplex, x: FiniteMetricSpace,
         ly = _subset_diameter(y.dist, dim.vertices % ny)
         bad = np.flatnonzero((np.maximum(lx, ly) > dim.filtration) | (dim.filtration > lx + ly))
         if bad.size:
-            k = bad[0]
-            first.append((int(product.global_ids()[d][k]), float(lx[k]), float(ly[k])))
+            first.append((d, bad[0], float(lx[bad[0]]), float(ly[bad[0]])))
     if not first:
         return FiltrationCheckReport(True, len(product))
-    gid, lx, ly = min(first)
-    cell = product.cells[gid]
+    ids = product.global_ids()
+    gid, d, k, lx, ly = min((int(ids[d][k]), d, k, lx, ly) for d, k, lx, ly in first)
+    dim = product.dims[d]
+    label = ",".join([product.source[v] for v in dim.vertices[k].tolist()])
     return FiltrationCheckReport(False, gid + 1,
-                                 (cell.label, cell.filtration, max(lx, ly), lx + ly))
+                                 (label, float(dim.filtration[k]), max(lx, ly), lx + ly))
 
 
 def filtration_inequality_check(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,

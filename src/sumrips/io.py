@@ -10,6 +10,7 @@ refuse data it does not understand.  parse(serialize(B)) == B exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -106,7 +107,15 @@ def _parse_endpoint(value: Any, where: str) -> float:
         return INF
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: endpoint must be a number or \"inf\", got {value!r}")
-    return float(value)
+    # Only the string "inf" is infinite: JSON's Infinity, 1e400 and integers
+    # beyond the float range are refused, not read as essential bars.
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: integer endpoint is too large for a float") from None
+    if not math.isfinite(number):
+        raise FormatError(f"{where}: endpoint must be finite or \"inf\", got {number!r}")
+    return number
 
 
 def parse_barcode_document(doc: Any, where: str = "barcode document") -> tuple[GradedBarcode, int]:
@@ -164,7 +173,7 @@ def read_barcode_json_with_field(path: str | Path) -> tuple[GradedBarcode, int]:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes, or int() refusing 4300+ digits
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     return parse_barcode_document(doc, where=str(path))
 

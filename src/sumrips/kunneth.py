@@ -118,22 +118,13 @@ def bottleneck(a: Barcode, b: Barcode) -> float:
         return INF
     d_ess = max((abs(p - q) for p, q in zip(ess_a, ess_b)), default=0.0)
 
-    fin_a = a.finite()
-    fin_b = b.finite()
-    if not fin_a and not fin_b:
+    # (birth, death) rows; an empty side makes an (m, 0) or (0, n) cost matrix.
+    fin_a, fin_b = (np.array([(bar.birth, bar.death) for bar in code.finite()]).reshape(-1, 2)
+                    for code in (a, b))
+    if not len(fin_a) and not len(fin_b):
         return d_ess
-
-    half_a = np.array([bar.persistence / 2 for bar in fin_a])
-    half_b = np.array([bar.persistence / 2 for bar in fin_b])
-    if fin_a and fin_b:
-        births_a = np.array([bar.birth for bar in fin_a])
-        deaths_a = np.array([bar.death for bar in fin_a])
-        births_b = np.array([bar.birth for bar in fin_b])
-        deaths_b = np.array([bar.death for bar in fin_b])
-        costs = np.maximum(np.abs(births_a[:, None] - births_b[None, :]),
-                           np.abs(deaths_a[:, None] - deaths_b[None, :]))
-    else:
-        costs = np.zeros((len(fin_a), len(fin_b)))
+    half_a, half_b = ((fin[:, 1] - fin[:, 0]) / 2 for fin in (fin_a, fin_b))
+    costs = np.abs(fin_a[:, None] - fin_b[None]).max(axis=2)
 
     candidates = sorted(set(half_a.tolist()) | set(half_b.tolist()) | set(costs.ravel().tolist()))
     lo, hi = 0, len(candidates) - 1

@@ -162,6 +162,19 @@ def test_bottleneck_refuses_noncanonical_dimension_keys(tmp_path, capsys):
     assert out == "" and "dimension key '01'" in err
 
 
+@pytest.mark.parametrize("death", [pytest.param("9" * 400, id="400-digits"), "1e400", "Infinity"])
+def test_bottleneck_refuses_endpoints_that_are_not_finite_floats(death, tmp_path, capsys):
+    """Against a document whose bar dies at "inf", these once gave a traceback
+    (the 400-digit integer) or read as the same essential bar and printed 0.0."""
+    essential = tmp_path / "inf.json"
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, INF)])}), essential, field=2)
+    path = tmp_path / "a.json"
+    path.write_text(essential.read_text().replace('"inf"', death))
+    assert main(["bottleneck", "--a", str(path), "--b", str(essential), "--dim", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "endpoint" in err and "Traceback" not in err
+
+
 def test_repeated_calls_share_no_state(interval_csv, square_csv, tmp_path, capsys):
     """Options of one in-process call do not carry over to the next."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"

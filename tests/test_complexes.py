@@ -88,6 +88,27 @@ def test_positive_diagonal_delays_vertices():
     cx.validate()
 
 
+def test_rips_boundaries_drop_one_point_with_alternating_signs():
+    """Every Rips cell's faces are its vertex sets with one point removed, in
+    ascending rows, the face without the point at position pos with sign
+    (-1)^pos; seeded generalized metrics, cut and uncut."""
+    rng = random.Random(9091)
+    for _ in range(60):
+        space = corpus.random_space(rng, 1, 8, max_dist=3, allow_diagonal=True)
+        maxdim = rng.randint(1, 5)
+        for at_radius in (False, True):
+            cx = vietoris_rips(space, maxdim, at_radius=at_radius)
+            for below, dim in zip(cx.dims, cx.dims[1:]):
+                row_of = {v: r for r, v in enumerate(map(tuple, below.vertices.tolist()))}
+                for j, verts in enumerate(dim.vertices.tolist()):
+                    lo, hi = dim.indptr[j], dim.indptr[j + 1]
+                    rows = dim.indices[lo:hi].tolist()
+                    assert all(a < b for a, b in zip(rows, rows[1:]))
+                    assert list(zip(rows, dim.data[lo:hi].tolist())) == sorted(
+                        (row_of[tuple(verts[:pos] + verts[pos + 1:])], (-1) ** pos)
+                        for pos in range(len(verts)))
+
+
 def test_rips_cell_cap():
     with pytest.raises(CapExceeded, match="cells"):
         vietoris_rips(hamming_cube(4), 4, cell_cap=100)

@@ -152,6 +152,21 @@ def test_parse_rejects_noncanonical_dimension_keys(key):
         parse_barcode_document(doc)
 
 
+@pytest.mark.parametrize("text", [pytest.param("9" * 400, id="400-digits"), "1e400", "Infinity",
+                                  "-Infinity", "NaN", pytest.param("9" * 5000, id="5000-digits")])
+def test_parse_refuses_endpoints_that_are_not_finite_floats(text, tmp_path):
+    """Only the string "inf" is an infinite death: an integer past the float
+    range, 1e400 and JSON's non-standard Infinity must not read as one."""
+    path = tmp_path / "a.json"
+    path.write_text('{"format": "sumrips-barcode", "field": 2, "convention": "half-open", '
+                    f'"dims": {{"0": [[0.0, {text}]]}}}}')
+    with pytest.raises(FormatError):
+        read_barcode_json(path)
+    if len(text) < 4300:  # json.loads refuses longer integers itself
+        with pytest.raises(FormatError, match="endpoint"):
+            parse_barcode_document(json.loads(path.read_text()))
+
+
 # ------------------------------------------------------------------- reports
 
 def test_report_document_structure():
