@@ -117,9 +117,10 @@ def _fmt(value: float) -> str:
 def cmd_vr(args: argparse.Namespace) -> tuple[str, int]:
     space = io.read_metric_csv(args.input)
     # The dump shows the whole complex; the barcode alone needs only the cells
-    # up to the enclosing radius.
+    # up to the enclosing radius, with the dominated edges collapsed.
+    barcode_only = args.dump_complex is None
     cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap,
-                       at_radius=args.dump_complex is None)
+                       at_radius=barcode_only, collapse=barcode_only)
     if args.dump_complex is not None:
         io.write_complex_dump(cx, args.dump_complex)
     code = reduce(cx, args.field)

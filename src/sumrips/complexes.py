@@ -19,6 +19,7 @@ request (`global_ids`), as is the per-cell `cells` view.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -276,6 +277,91 @@ def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
     return np.arange(0, keys.size + 1, k, dtype=_index_dtype(keys.size)), keys, data
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _collapse(near: np.ndarray, dist: np.ndarray) -> None:
+    """Clear from `near` the edges whose removal keeps every barcode.
+
+    The edges of the graph `near` describes (both points and the edge at or
+    below the radius) are walked from latest to earliest entry, an edge uv
+    entering at max(d(u, v), d(u, u), d(v, v)).  It is dropped when, in the
+    graph left by the edges walked before it, some w != u, v dominates it at
+    its entry and at every later level where N[u] & N[v] grows: N[u] & N[v]
+    is a subset of N[w], closed neighbourhoods at that level.  Between those
+    levels N[u] & N[v] is fixed and N[w] only grows, so a witness holds there.
+
+    At a level s at or after the entry t of the walked edge, N[x] is `base[x]`
+    (x and its neighbours by edges not yet walked, all entering at or before
+    t) plus the kept neighbours of x entering at or before s.  These are
+    listed in the order they were kept, latest entry first: `later[x]` holds
+    their negated entries, ascending, and `grown[x][i]` the bitset of the
+    first i of them.
+    """
+    diag = np.diagonal(dist)
+    enter = np.maximum(dist, np.maximum(diag[:, None], diag))
+    edges = near & near.T
+    np.fill_diagonal(edges, False)
+    us, vs = np.nonzero(np.triu(edges))
+    order = np.argsort(enter[us, vs], kind="stable")[::-1]
+    rows = np.packbits(edges | np.eye(len(dist), dtype=bool), axis=1, bitorder="little")
+    base = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    later: list[list[float]] = [[] for _ in base]
+    grown: list[list[int]] = [[0] for _ in base]
+    enter = enter.tolist()
+
+    def nbhd(x: int, s: float) -> int:
+        """N[x] at a level s at or after the walked edge's entry."""
+        return base[x] | grown[x][-1] ^ grown[x][bisect.bisect_left(later[x], -s)]
+
+    def misses(w: int, common: int, s: float) -> int:
+        """The points of common outside N[w] at level s."""
+        return common & ~base[w] and common & ~nbhd(w, s)
+
+    def witness(u: int, v: int, common: int, s: float) -> int | None:
+        """Some w != u, v whose N[w] holds common, which is N[u] & N[v]."""
+        rest = common & ~(1 << u | 1 << v)
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
+            missing = misses(w, common, s)
+            if not missing:
+                return w
+            # Every witness is adjacent to the points w misses.
+            rest &= nbhd((missing & -missing).bit_length() - 1, s)
+        return None
+
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
+        t = enter[u][v]
+        common = nbhd(u, t) & nbhd(v, t)
+        w = witness(u, v, common, t)
+        if w is not None:
+            # N[u] & N[v] grows by each point y of `joins` at the later of the
+            # entries of uy and vy.  A witness holds until it no longer covers.
+            joins = nbhd(u, math.inf) & nbhd(v, math.inf) & ~common
+            steps = sorted((max(enter[u][y], enter[v][y]), y) for y in _bits(joins))
+            for i, (s, y) in enumerate(steps):
+                common |= 1 << y
+                if i + 1 < len(steps) and steps[i + 1][0] == s or not misses(w, common, s):
+                    continue
+                w = witness(u, v, common, s)
+                if w is None:
+                    break
+        base[u] ^= 1 << v
+        base[v] ^= 1 << u
+        if w is None:
+            for a, b in ((u, v), (v, u)):
+                later[a].append(-t)
+                grown[a].append(grown[a][-1] | 1 << b)
+        else:
+            near[u, v] = near[v, u] = False
+
+
 def _index_dtype(bound: int) -> type:
     """int32 if it holds every index up to `bound`, else int64."""
     return np.int32 if bound < 2**31 else np.int64
@@ -287,7 +373,7 @@ def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT_CELL_CAP,
-                  *, at_radius: bool = False) -> FilteredComplex:
+                  *, at_radius: bool = False, collapse: bool = False) -> FilteredComplex:
     """Flag complex of all subsets of size <= maxdim + 1.
 
     The filtration value of a subset is the max of d over all ordered pairs of
@@ -312,6 +398,25 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     one of 0 ... C(m, k) - 1 for m points.  A rank-indexed table maps it to
     its row; a superset of a cut subset is cut too, so every face of a kept
     subset has a row.
+
+    With `collapse`, dominated edges leave the graph before it is expanded
+    (`_collapse`).  A point w != u, v dominates the edge uv when N[u] & N[v]
+    is a subset of N[w], closed neighbourhoods; the flag complex then
+    strong-collapses onto that of the graph without uv (Boissonnat & Pritam,
+    "Edge collapse and persistence of flag complexes", SoCG 2020).  An edge
+    is dropped only when it is dominated in the graph left so far at its
+    entry and at every later level where N[u] & N[v] grows.  Each level's
+    flag complex then includes into the uncollapsed one as a homotopy
+    equivalence, and these inclusions commute with the inclusions between
+    levels, so the persistence modules are isomorphic: every barcode is
+    unchanged over every field (Glisse & Pritam, "Swap, shift and trim to
+    edge collapse a filtration", SoCG 2022), and the cut at maxdim keeps the
+    reliable degrees as before.  Points are never removed, and `complete`,
+    `reliable_dim` and the cap pre-check are those of the uncollapsed
+    complex.  Equal values print alike except 0.0 and -0.0, and which of the
+    two a bar born at zero gets depends on the cells that are left, so a
+    matrix holding -0.0 is not collapsed.  Nor is a complex whose top
+    dimension is below 2: it has no triangles to save.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -327,6 +432,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     diag = np.diagonal(dist)
     # near[u, v]: the edge uv and the point v both enter at or below the radius.
     near = (dist <= radius) & (diag <= radius)
+    if collapse and top >= 2 and not np.signbit(dist).any():
+        _collapse(near, dist)
     # Point indices and face rows are int32, like the `indices` of a boundary.
     subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
     filt = diag[subsets[:, 0]]

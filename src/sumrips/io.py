@@ -32,13 +32,17 @@ class FormatError(InputError):
 def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     """Parse an n x n comma-separated distance matrix, optional label header.
 
+    The file is read as UTF-8; other bytes are a format error.
+
     The first row is a header exactly when any of its entries fails to parse
     as a number.  Parse errors report 1-based line and column.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     rows = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not rows:
         raise FormatError(f"{path}: no data rows")

@@ -210,9 +210,10 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
 
     Builds Rips complexes to dimension maxn + 1 (factors and product alike) so
     every reported degree is reliable, then fills one DimensionComparison per
-    degree.  Each complex stops at its enclosing radius (`at_radius`), which
-    leaves every reliable barcode unchanged; the cell cap still counts the
-    complexes in full, so it admits exactly the inputs the uncut build did.
+    degree.  Each complex stops at its enclosing radius (`at_radius`) and is
+    built from its graph with the dominated edges collapsed (`collapse`);
+    both leave every reliable barcode unchanged.  The cell cap still counts
+    the complexes in full, so it admits exactly the inputs the uncut build did.
     Violations become verdicts, never exceptions: in degrees >= 3 they are
     expected on some inputs and merely recorded.
     """
@@ -221,7 +222,8 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     if maxn_cap is not None and maxn > maxn_cap:
         raise InputError(f"maxn {maxn} exceeds the cap {maxn_cap}; pass a higher cap knowingly")
     p = _check_field(p)
-    bx, by, actual = (reduce(vietoris_rips(space, maxn + 1, cell_cap=cell_cap, at_radius=True), p)
+    bx, by, actual = (reduce(vietoris_rips(space, maxn + 1, cell_cap=cell_cap, at_radius=True,
+                                           collapse=True), p)
                       for space in (x, y, product_sum(x, y)))
     bound = min(diameter(x), diameter(y))
 

@@ -36,6 +36,27 @@ def random_space(rng: random.Random, min_points: int, max_points: int,
     return validate(m)
 
 
+def random_float_space(rng: random.Random, min_points: int, max_points: int,
+                       signed_zero_rate: float = 0.3) -> FiniteMetricSpace:
+    """Generalized distances beyond the dyadic grid: non-dyadic floats such as
+    0.1 + 0.2 and 1/3, ties, zero off-diagonal entries and positive
+    diagonals; with probability `signed_zero_rate` some zeros are -0.0."""
+    n = rng.randint(min_points, max_points)
+    ties = (0.0, 0.1 + 0.2, 0.3, 1 / 3, 0.7, 1.0, 2.0)
+    m = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.25:
+            m[i][i] = rng.choice((0.1, 0.1 + 0.2, 0.5))
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice(ties) if rng.random() < 0.5 else rng.random()
+    if rng.random() < signed_zero_rate:
+        for i in range(n):
+            for j in range(i, n):
+                if m[i][j] == 0.0 and rng.random() < 0.5:
+                    m[i][j] = m[j][i] = -0.0
+    return validate(m)
+
+
 def product_corpus(count: int = 50, seed: int = PRODUCT_CORPUS_SEED):
     """The pairs corpus for product comparisons: |X| <= 6, |Y| <= 5."""
     rng = random.Random(seed)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import random
 import subprocess
 import sys
 
@@ -46,6 +48,22 @@ def test_vr_table_output(interval_csv, capsys):
     out = capsys.readouterr().out
     assert "PH_0: [0,1) [0,inf)" in out
     assert "PH_1: -" in out
+
+
+@pytest.mark.parametrize("field", ["2", "3"])
+def test_vr_prints_the_same_bytes_with_and_without_the_whole_complex(field, tmp_path, capsys):
+    """Without --dump-complex, vr collapses the complex cut at the enclosing
+    radius; with it, vr builds the whole complex."""
+    rng = random.Random(5077)
+    for i in range(20):
+        path = tmp_path / f"m{i}.csv"
+        path.write_text(corpus.space_to_csv(corpus.random_float_space(rng, 4, 10)))
+        outputs = []
+        for extra in ([], ["--dump-complex", os.devnull]):
+            assert main(["vr", "--input", str(path), "--maxdim", "3", "--field", field,
+                         *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], path.read_text()
 
 
 def test_vr_output_file_and_dump(interval_csv, tmp_path, capsys):
@@ -235,6 +253,14 @@ def test_bad_csv_exits_2(tmp_path, capsys):
     path.write_text("0,x\nx,0\n")
     assert main(["vr", "--input", str(path), "--maxdim", "1"]) == 2
     assert main(["vr", "--input", str(tmp_path / "absent.csv"), "--maxdim", "1"]) == 2
+
+
+def test_csv_that_is_not_utf8_exits_2_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("0,1\n1,0\n".encode("utf-16"))  # starts with the bytes ff fe
+    assert main(["vr", "--input", str(path), "--maxdim", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_caps_exit_3(capsys):

@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import corpus
+import oracle
 from sumrips import (
     CapExceeded,
     FilteredComplex,
@@ -27,6 +29,7 @@ from sumrips.complexes import (
     tensor_cell_count,
     verify_product_filtration,
 )
+from sumrips.io import barcode_document, dumps_document
 
 INTERVAL = hamming_cube(1)
 
@@ -157,6 +160,106 @@ def test_at_radius_barcodes_match_full_on_corpus_at_compare_depth():
     """The depth compare_product builds at for maxn 3."""
     for x, y in corpus.product_corpus():
         _assert_cut_matches_full(product_sum(x, y), 4, 2)
+
+
+def _document(cx, p):
+    """The serialized barcode: Barcode equality would take -0.0 for 0.0."""
+    return dumps_document(barcode_document(reduce(cx, p), p))
+
+
+def _assert_collapse_keeps_bytes(space, maxdim, fields=(2, 3, 5), at_radius=True):
+    """The collapsed build prints the barcodes of the plain build; returns the
+    cell counts of both."""
+    plain = vietoris_rips(space, maxdim, at_radius=at_radius)
+    collapsed = vietoris_rips(space, maxdim, at_radius=at_radius, collapse=True)
+    for p in fields:
+        assert _document(collapsed, p) == _document(plain, p), (space.dist.tolist(), maxdim, p)
+    return len(plain), len(collapsed)
+
+
+def _float_spaces(count=100, seed=6113):
+    rng = random.Random(seed)
+    return [(corpus.random_float_space(rng, 1, 12), rng.randint(2, 4)) for _ in range(count)]
+
+
+def test_collapse_keeps_barcode_bytes_on_corpus():
+    counts = np.array([_assert_collapse_keeps_bytes(space, 3)
+                       for x, y in corpus.product_corpus()
+                       for space in (x, y, product_sum(x, y))])
+    plain, collapsed = counts.sum(axis=0)
+    assert collapsed < plain / 10
+
+
+def test_collapse_keeps_barcode_bytes_on_generalized_float_metrics():
+    """Non-dyadic floats, ties, positive diagonals and -0.0, cut and uncut."""
+    for space, maxdim in _float_spaces():
+        for at_radius in (True, False):
+            _assert_collapse_keeps_bytes(space, maxdim, at_radius=at_radius)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_collapse_keeps_barcode_bytes_on_cubes(k):
+    plain, collapsed = _assert_collapse_keeps_bytes(hamming_cube(k), 3)
+    assert collapsed < plain or k == 1
+
+
+def _cell_set(cx):
+    return {(d, tuple(verts), repr(f)) for d, dim in enumerate(cx.dims)
+            for verts, f in zip(dim.vertices.tolist(), dim.filtration.tolist())}
+
+
+def test_collapsed_complexes_are_valid_subcomplexes_with_the_oracle_barcode():
+    """Every collapsed cell, vertices and filtration, is a cell of the cut
+    complex, and the dense standard algorithm on the collapsed complex finds
+    the cut complex's barcode."""
+    checked = 0
+    for space, maxdim in _float_spaces(count=60, seed=2207):
+        cut = vietoris_rips(space, maxdim, at_radius=True)
+        collapsed = vietoris_rips(space, maxdim, at_radius=True, collapse=True)
+        collapsed.validate()
+        assert _cell_set(collapsed) <= _cell_set(cut)
+        assert (collapsed.top_dim, collapsed.complete) == (cut.top_dim, cut.complete)
+        if len(collapsed) <= 150:
+            checked += 1
+            for p in (2, 3, 5):
+                code = reduce(cut, p)
+                assert oracle.standard_barcode(collapsed, p) == \
+                    {n: code[n] for n in code.dims()}, (space.dist.tolist(), p)
+    assert checked >= 40
+
+
+def _assert_same_arrays(a, b):
+    assert (a.top_dim, a.complete, len(a.dims)) == (b.top_dim, b.complete, len(b.dims))
+    for x, y in zip(a.dims, b.dims):
+        for u, v in zip(x, y):
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+
+
+def test_collapse_leaves_builds_without_triangles_or_with_signed_zeros_alone():
+    """Below top dimension 2 nothing is collapsed, nor is a matrix holding -0.0."""
+    spaces = [space for space, _ in _float_spaces(count=40, seed=818)]
+    for space in spaces:
+        for maxdim in (0, 1):
+            for at_radius in (True, False):
+                _assert_same_arrays(
+                    vietoris_rips(space, maxdim, at_radius=at_radius, collapse=True),
+                    vietoris_rips(space, maxdim, at_radius=at_radius))
+    signed = [space for space in spaces if np.signbit(space.dist).any()]
+    assert signed
+    for space in signed:
+        _assert_same_arrays(vietoris_rips(space, 3, at_radius=True, collapse=True),
+                            vietoris_rips(space, 3, at_radius=True))
+    square = hamming_cube(2)
+    assert len(vietoris_rips(square, 2, collapse=True)) < len(vietoris_rips(square, 2))
+
+
+@pytest.mark.slow
+def test_collapse_keeps_barcode_bytes_on_corpus_at_compare_depth():
+    """The depth compare_product builds the products at for maxn 3."""
+    for x, y in corpus.product_corpus():
+        _assert_collapse_keeps_bytes(product_sum(x, y), 4, fields=(2,))
 
 
 def _replaced(cx, d, **arrays):

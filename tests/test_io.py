@@ -63,6 +63,15 @@ def test_read_csv_shape_errors(tmp_path):
         read_metric_csv(path)
 
 
+def test_read_csv_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xff\xfe0\x00,\x001\x00\n")
+    with pytest.raises(FormatError, match="not UTF-8 text.*at byte 0"):
+        read_metric_csv(path)
+    path.write_bytes("a,\u00e9\n0,1\n1,0\n".encode())
+    assert read_metric_csv(path).labels == ("a", "\u00e9")
+
+
 def test_read_csv_applies_metric_validation(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0,1\n2,0\n")
