@@ -3,7 +3,9 @@
 Subcommands: vr (Rips barcode of a distance CSV), kunneth (predicted vs
 computed product barcodes), hamming (cube golden table), bottleneck (distance
 between two stored barcodes).  Exit codes: 0 success, 1 a theorem-level
-assertion failed, 2 bad input, 3 a resource cap would be exceeded.
+assertion failed, 2 bad input or an --output or --dump-complex path that
+cannot be written, 3 a resource cap would be exceeded.  Files are written as
+UTF-8 whatever the locale.
 
 All computation is deterministic and single-threaded; --threads is accepted
 for interface stability and validated, and output bytes do not depend on it.
@@ -219,15 +221,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_common(args)
         text, status = args.func(args)
+        if args.output is not None:
+            io.write_text(text, args.output)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SumripsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output is not None:
-        args.output.write_text(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
     return status
 

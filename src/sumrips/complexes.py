@@ -296,70 +296,99 @@ def _collapse(near: np.ndarray, dist: np.ndarray) -> None:
     is a subset of N[w], closed neighbourhoods at that level.  Between those
     levels N[u] & N[v] is fixed and N[w] only grows, so a witness holds there.
 
-    At a level s at or after the entry t of the walked edge, N[x] is `base[x]`
-    (x and its neighbours by edges not yet walked, all entering at or before
-    t) plus the kept neighbours of x entering at or before s.  These are
-    listed in the order they were kept, latest entry first: `later[x]` holds
-    their negated entries, ascending, and `grown[x][i]` the bitset of the
-    first i of them.
+    `cur[x]` is N[x] at the entry t of the walked edge: x, its neighbours by
+    edges not yet walked (all entering at or before t), and its neighbours by
+    kept edges entering exactly at t.  A dropped edge leaves `cur` when it is
+    walked; a kept edge stays in it until the walk drops below its entry, and
+    then leaves it, once.  `every[x]` is N[x] at infinity: x and its
+    neighbours by the edges not dropped.  At a later level s, N[x] is `cur[x]`
+    plus the kept neighbours entering at or before s.  These are listed in the
+    order they were kept, latest entry first: `later[x]` holds their negated
+    entries, ascending, and `grown[x][i]` the bitset of the first i of them.
     """
     diag = np.diagonal(dist)
     enter = np.maximum(dist, np.maximum(diag[:, None], diag))
-    edges = near & near.T
-    np.fill_diagonal(edges, False)
-    us, vs = np.nonzero(np.triu(edges))
+    closed = near & near.T
+    np.fill_diagonal(closed, True)
+    us, vs = np.nonzero(closed)
+    upper = us < vs
+    us, vs = us[upper], vs[upper]
     order = np.argsort(enter[us, vs], kind="stable")[::-1]
-    rows = np.packbits(edges | np.eye(len(dist), dtype=bool), axis=1, bitorder="little")
-    base = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    later: list[list[float]] = [[] for _ in base]
-    grown: list[list[int]] = [[0] for _ in base]
+    rows = np.packbits(closed, axis=1, bitorder="little")
+    cur = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    every = cur.copy()
+    later: list[list[float]] = [[] for _ in cur]
+    grown: list[list[int]] = [[0] for _ in cur]
     enter = enter.tolist()
 
     def nbhd(x: int, s: float) -> int:
-        """N[x] at a level s at or after the walked edge's entry."""
-        return base[x] | grown[x][-1] ^ grown[x][bisect.bisect_left(later[x], -s)]
-
-    def misses(w: int, common: int, s: float) -> int:
-        """The points of common outside N[w] at level s."""
-        return common & ~base[w] and common & ~nbhd(w, s)
+        """N[x] at a level s after the walked edge's entry."""
+        return cur[x] | grown[x][-1] ^ grown[x][bisect.bisect_left(later[x], -s)]
 
     def witness(u: int, v: int, common: int, s: float) -> int | None:
-        """Some w != u, v whose N[w] holds common, which is N[u] & N[v]."""
+        """Some w != u, v whose N[w] at level s holds common, which is N[u] & N[v]."""
         rest = common & ~(1 << u | 1 << v)
         while rest:
             w = (rest & -rest).bit_length() - 1
             rest ^= 1 << w
-            missing = misses(w, common, s)
+            missing = common & ~cur[w] and common & ~nbhd(w, s)
             if not missing:
                 return w
             # Every witness is adjacent to the points w misses.
             rest &= nbhd((missing & -missing).bit_length() - 1, s)
         return None
 
+    level, kept, dropped = math.inf, [], []
     for u, v in zip(us[order].tolist(), vs[order].tolist()):
         t = enter[u][v]
-        common = nbhd(u, t) & nbhd(v, t)
-        w = witness(u, v, common, t)
-        if w is not None:
-            # N[u] & N[v] grows by each point y of `joins` at the later of the
-            # entries of uy and vy.  A witness holds until it no longer covers.
-            joins = nbhd(u, math.inf) & nbhd(v, math.inf) & ~common
+        if t != level:
+            for a, b in kept:
+                cur[a] ^= 1 << b
+                cur[b] ^= 1 << a
+            level, kept = t, []
+        bu, bv = 1 << u, 1 << v
+        common = cur[u] & cur[v]
+        # The search `witness` makes, at the entry t, where N[x] is cur[x]:
+        # it runs for every edge, so it is written out here.
+        rest = common & ~(bu | bv)
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
+            missing = common & ~cur[w]
+            if not missing:
+                break
+            rest &= cur[(missing & -missing).bit_length() - 1]
+        else:
+            w = None
+        # N[u] & N[v] grows by each point y of `joins` at the later of the
+        # entries of uy and vy.  A witness holds until it no longer covers;
+        # one whose N[w] already holds N[u] & N[v] at infinity covers them all.
+        if w is not None and every[u] & every[v] & ~cur[w]:
+            joins = every[u] & every[v] & ~common
             steps = sorted((max(enter[u][y], enter[v][y]), y) for y in _bits(joins))
             for i, (s, y) in enumerate(steps):
                 common |= 1 << y
-                if i + 1 < len(steps) and steps[i + 1][0] == s or not misses(w, common, s):
+                if (i + 1 < len(steps) and steps[i + 1][0] == s
+                        or not (common & ~cur[w] and common & ~nbhd(w, s))):
                     continue
                 w = witness(u, v, common, s)
                 if w is None:
                     break
-        base[u] ^= 1 << v
-        base[v] ^= 1 << u
         if w is None:
-            for a, b in ((u, v), (v, u)):
-                later[a].append(-t)
-                grown[a].append(grown[a][-1] | 1 << b)
+            kept.append((u, v))
+            later[u].append(-t)
+            later[v].append(-t)
+            grown[u].append(grown[u][-1] | bv)
+            grown[v].append(grown[v][-1] | bu)
         else:
-            near[u, v] = near[v, u] = False
+            cur[u] ^= bv
+            cur[v] ^= bu
+            every[u] ^= bv
+            every[v] ^= bu
+            dropped.append((u, v))
+    if dropped:
+        du, dv = np.array(dropped).T
+        near[du, dv] = near[dv, du] = False
 
 
 def _index_dtype(bound: int) -> type:
@@ -397,7 +426,11 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     sec. 3): the k-subset c_0 < ... < c_(k-1) has rank sum_i C(c_i, i + 1),
     one of 0 ... C(m, k) - 1 for m points.  A rank-indexed table maps it to
     its row; a superset of a cut subset is cut too, so every face of a kept
-    subset has a row.
+    subset has a row.  Once a dimension has no cells, neither has any above
+    it; those are stored empty without being enumerated, and no empty
+    dimension gets a boundary computed.  Each has the dtypes and shapes an
+    enumerated empty dimension had: a float64 filtration, int32 `indptr` [0]
+    and `indices`, int8 `data` and a (0, d + 1) int32 vertex matrix.
 
     With `collapse`, dominated edges leave the graph before it is expanded
     (`_collapse`).  A point w != u, v dominates the edge uv when N[u] & N[v]
@@ -441,8 +474,13 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     # at about twice what its complex retains (104 and 55 B per cell on a cut
     # 30-point product at maxdim 4, under tracemalloc).
     for d in range(top + 1):
-        if d:
+        if d and len(filt):
             subsets, filt = _extend(subsets, filt, near, dist)
+        if not len(filt):
+            # No subset has d + 1 points, so none has more.
+            dims.append(Dimension(np.empty(0), *_no_boundary(0),
+                                  vertices=np.empty((0, d + 1), dtype=np.int32)))
+            continue
         order = np.argsort(filt, kind="stable")
         verts = subsets[order]
         boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d

@@ -1,10 +1,11 @@
 """File formats: distance-matrix CSV in, barcode and report JSON out.
 
-Barcode documents are canonical and deterministic: dims appear in ascending
-numeric order, bars in (birth, death) order, floats via repr round-trip, and
-infinite deaths as the string "inf" (never JSON Infinity).  Every document
-records the coefficient field and the interval convention so a reader can
-refuse data it does not understand.  parse(serialize(B)) == B exactly.
+Files are read and written as UTF-8 whatever the locale.  Barcode documents
+are canonical and deterministic: dims appear in ascending numeric order, bars
+in (birth, death) order, floats via repr round-trip, and infinite deaths as
+the string "inf" (never JSON Infinity).  Every document records the
+coefficient field and the interval convention so a reader can refuse data it
+does not understand.  parse(serialize(B)) == B exactly.
 """
 
 from __future__ import annotations
@@ -102,8 +103,17 @@ def dumps_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def write_text(text: str, path: str | Path) -> None:
+    """Write text to path as UTF-8, whatever the locale; a path that cannot be
+    written is an input error that names it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def write_barcode_json(code: GradedBarcode, path: str | Path, field: int) -> None:
-    Path(path).write_text(dumps_document(barcode_document(code, field)))
+    write_text(dumps_document(barcode_document(code, field)), path)
 
 
 def _parse_endpoint(value: Any, where: str) -> float:
@@ -174,7 +184,7 @@ def read_barcode_json(path: str | Path) -> GradedBarcode:
 
 def read_barcode_json_with_field(path: str | Path) -> tuple[GradedBarcode, int]:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON or bytes, or int() refusing 4300+ digits
@@ -213,4 +223,4 @@ def report_document(report: ComparisonReport) -> dict[str, Any]:
 
 def write_complex_dump(cx: FilteredComplex, path: str | Path) -> None:
     """One cell per line: id dim filtration boundary label."""
-    Path(path).write_text("\n".join(cx.dump_lines()) + "\n")
+    write_text("\n".join(cx.dump_lines()) + "\n", path)

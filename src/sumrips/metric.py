@@ -75,17 +75,17 @@ def validate(matrix, labels=None, point_cap: int | None = DEFAULT_POINT_CAP) -> 
     bad = np.argwhere(~np.isfinite(dist))
     if bad.size:
         i, j = bad[0]
-        raise ValidationError(f"dist[{i},{j}] = {dist[i, j]!r} is not finite")
+        raise ValidationError(f"dist[{i},{j}] = {float(dist[i, j])!r} is not finite")
     bad = np.argwhere(dist < 0.0)
     if bad.size:
         i, j = bad[0]
-        raise ValidationError(f"dist[{i},{j}] = {dist[i, j]!r} is negative")
+        raise ValidationError(f"dist[{i},{j}] = {float(dist[i, j])!r} is negative")
     bad = np.argwhere(dist != dist.T)
     if bad.size:
         i, j = bad[0]
         raise ValidationError(
-            f"matrix is not symmetric: dist[{i},{j}] = {dist[i, j]!r} "
-            f"but dist[{j},{i}] = {dist[j, i]!r}"
+            f"matrix is not symmetric: dist[{i},{j}] = {float(dist[i, j])!r} "
+            f"but dist[{j},{i}] = {float(dist[j, i])!r}"
         )
 
     if labels is None:

@@ -130,6 +130,14 @@ def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> 
     """
     partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
     for d in range(cx.top_dim):
+        if not len(partner[d + 1]):
+            # No cofaces: every column not cleared reduces to zero as it is.
+            if stats is not None:
+                columns, cleared = len(partner[d]), int(np.count_nonzero(_cleared(partner, d)))
+                stats[d] = {"columns": columns, "cleared": cleared, "apparent": 0,
+                            "looped": columns - cleared, "additions": 0, "pairs": 0,
+                            "zero_length": 0, "essential": columns - cleared}
+            continue
         col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
         ptr, cofaces, coeffs = _transpose(col_ptr, faces, data, len(partner[d]))
 
@@ -203,12 +211,22 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     `apparent` and `looped` (the rest, reduced one by one); `additions` (column
     additions); `pairs` (cells paired with a coface), of which `zero_length`
     contribute no bar; and `essential` (looped columns that reduced to zero).
+
+    A dimension whose cofaces are empty, as the top dimensions of a collapsed
+    Rips complex often are, is neither transposed nor searched for apparent
+    pairs: each of its columns that is not cleared is essential as it
+    stands, and its stats read as the column loop would leave them (looped =
+    essential = columns - cleared, every other count 0).  A degree without
+    cells gets an empty barcode.
     """
     partner = _reduction_pairs(cx, _check_field(p), stats)
 
     codes = {}
     for n in range(cx.reliable_dim + 1):
         filt = cx.dims[n].filtration
+        if not len(filt):
+            codes[n] = Barcode()
+            continue
         # Finite bars in the order of their death cells, then essential bars:
         # Barcode's stable sort keeps that order among equal bars, so 0.0 and
         # -0.0 births print in a fixed order.

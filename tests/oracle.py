@@ -4,7 +4,8 @@ Nothing here reuses the library's arithmetic: graded tensor dimensions come
 from explicit generator/relation matrices on a discretized grid, Tor from the
 two-step free resolution mechanics, Betti numbers from dense Gaussian
 elimination on boundary matrices, bottleneck distances from exhaustive
-matching enumeration, and bipartite covers from Hall's condition.
+matching enumeration, bipartite covers from Hall's condition, and the edge
+collapse from each level's neighbourhoods recomputed as sets.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -95,6 +96,43 @@ def standard_barcode(cx: FilteredComplex, p: int) -> dict[int, Barcode]:
         if j not in paired and cell.dim in bars:
             bars[cell.dim].append(Bar(cell.filtration, INF))
     return {n: Barcode(b) for n, b in bars.items()}
+
+
+def collapse_reference(near: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The `near` mask `complexes._collapse` leaves, from the rule it states.
+
+    The edges uv (near both ways, u != v) are walked from latest to earliest
+    entry max(d(u, v), d(u, u), d(v, v)), ties in reverse row-major order.
+    The graph at level s holds the edges not dropped that enter at or below
+    s.  uv, entering at t, is dropped when at t and at every later entry of
+    some uy or vy, some w != u, v has a closed neighbourhood holding
+    N[u] & N[v] (so w lies in it).  Each neighbourhood is rebuilt from the
+    edges left.
+    """
+    m = len(dist)
+    d = dist.tolist()
+    enter = {(u, v): max(d[u][v], d[u][u], d[v][v])
+             for u in range(m) for v in range(u + 1, m) if near[u, v] and near[v, u]}
+    adj: list[dict[int, float]] = [{} for _ in range(m)]
+    for (u, v), t in enter.items():
+        adj[u][v] = adj[v][u] = t
+
+    def nbhd(x: int, s: float) -> set[int]:
+        return {x} | {y for y, t in adj[x].items() if t <= s}
+
+    def dominated(u: int, v: int, s: float) -> bool:
+        common = nbhd(u, s) & nbhd(v, s)
+        return any(common <= nbhd(w, s) for w in common - {u, v})
+
+    for (u, v), t in sorted(enter.items(), key=lambda item: (item[1], item[0]), reverse=True):
+        levels = {t} | {s for s in (*adj[u].values(), *adj[v].values()) if s > t}
+        if all(dominated(u, v, s) for s in levels):
+            del adj[u][v], adj[v][u]
+    out = near.copy()
+    for u, v in enter:
+        if v not in adj[u]:
+            out[u, v] = out[v, u] = False
+    return out
 
 
 def _alive(bar: Bar, u: float) -> bool:

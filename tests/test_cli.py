@@ -263,6 +263,38 @@ def test_csv_that_is_not_utf8_exits_2_without_a_traceback(tmp_path, capsys):
     assert "not UTF-8 text" in err and "Traceback" not in err
 
 
+def test_unwritable_output_exits_2_without_a_traceback(interval_csv, tmp_path, capsys):
+    for target in (tmp_path / "absent" / "code.json", tmp_path):
+        assert main(["vr", "--input", str(interval_csv), "--maxdim", "1",
+                     "--output", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {target}: cannot write")
+
+
+def test_unwritable_dump_exits_2_without_a_traceback(interval_csv, tmp_path, capsys):
+    for target in (tmp_path / "absent" / "cells.txt", tmp_path):
+        assert main(["vr", "--input", str(interval_csv), "--maxdim", "1",
+                     "--dump-complex", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {target}: cannot write")
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """A non-ASCII label reaches the dump intact when the locale is C."""
+    csv = tmp_path / "labels.csv"
+    csv.write_text("\u00e9,b\n0,1\n1,0\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "sumrips.cli", "vr",
+                           "--input", str(csv), "--maxdim", "1",
+                           "--dump-complex", str(tmp_path / "cells.txt"),
+                           "--output", str(tmp_path / "code.json")],
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    cells = (tmp_path / "cells.txt").read_text(encoding="utf-8").splitlines()
+    assert cells[0] == "0 0 0.0 - \u00e9" and cells[2] == "2 1 1.0 0:-1,1:1 \u00e9,b"
+    assert json.loads((tmp_path / "code.json").read_text(encoding="utf-8"))["field"] == 2
+
+
 def test_caps_exit_3(capsys):
     assert main(["hamming", "--k", "3", "--maxdim", "4", "--cell-cap", "5"]) == 3
     assert main(["hamming", "--k", "9", "--maxdim", "2"]) == 3

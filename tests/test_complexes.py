@@ -25,6 +25,8 @@ from sumrips.complexes import (
     BYTES_PER_CELL,
     DEFAULT_CELL_CAP,
     ComplexError,
+    Dimension,
+    _collapse,
     rips_cell_count,
     tensor_cell_count,
     verify_product_filtration,
@@ -253,6 +255,55 @@ def test_collapse_leaves_builds_without_triangles_or_with_signed_zeros_alone():
                             vietoris_rips(space, 3, at_radius=True))
     square = hamming_cube(2)
     assert len(vietoris_rips(square, 2, collapse=True)) < len(vietoris_rips(square, 2))
+
+
+def _assert_collapse_matches_reference(space):
+    """_collapse keeps the edges the reference keeps, on the graph cut at the
+    enclosing radius and on the whole graph."""
+    diag = np.diagonal(space.dist)
+    for radius in (enclosing_radius(space), math.inf):
+        near = (space.dist <= radius) & (diag <= radius)
+        expected = oracle.collapse_reference(near, space.dist)
+        _collapse(near, space.dist)
+        assert (near == expected).all(), (space.dist.tolist(), radius)
+
+
+def test_collapse_keeps_the_reference_edges_on_the_corpus():
+    for x, y in corpus.product_corpus():
+        for space in (x, y, product_sum(x, y)):
+            _assert_collapse_matches_reference(space)
+
+
+def test_collapse_keeps_the_reference_edges_on_generalized_float_metrics():
+    """Ties, positive diagonals and -0.0; the float spaces of the other tests."""
+    spaces = [space for space, _ in _float_spaces()]
+    assert sum(bool((np.diagonal(space.dist) > 0).any()) for space in spaces) >= 50
+    for space in spaces:
+        _assert_collapse_matches_reference(space)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_collapse_keeps_the_reference_edges_on_cubes(k):
+    _assert_collapse_matches_reference(hamming_cube(k))
+
+
+# a 5-point path: cut at the enclosing radius 2 and collapsed, it is the path
+# graph, so dimensions 2 to 4 are empty
+PATH5 = validate([[abs(i - j) for j in range(5)] for i in range(5)])
+
+
+def test_empty_dimensions_keep_their_dtypes_and_shapes():
+    cx = vietoris_rips(PATH5, 4, at_radius=True, collapse=True)
+    assert cx.dim_counts() == {0: 5, 1: 4} and cx.top_dim == 4 and cx.complete
+    for d in (2, 3, 4):
+        empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
+                          np.empty(0, np.int8), vertices=np.empty((0, d + 1), np.int32))
+        for got, want in zip(cx.dims[d], empty):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes())
+    cx.validate()
 
 
 @pytest.mark.slow

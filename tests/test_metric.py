@@ -40,6 +40,16 @@ def test_validate_names_offending_indices():
         validate([[0, 1], [2, 0]])
 
 
+def test_validate_prints_offending_values_as_plain_floats():
+    cases = [([[0, float("nan")], [float("nan"), 0]], "dist[0,1] = nan is not finite"),
+             ([[0, -1], [-1, 0]], "dist[0,1] = -1.0 is negative"),
+             ([[0, 1], [2, 0]], "matrix is not symmetric: dist[0,1] = 1.0 but dist[1,0] = 2.0")]
+    for matrix, message in cases:
+        with pytest.raises(ValidationError) as info:
+            validate(matrix)
+        assert str(info.value) == message
+
+
 def test_validate_rejects_bad_labels():
     with pytest.raises(ValidationError, match="2 labels for 3 points"):
         validate(np.zeros((3, 3)), ["a", "b"])

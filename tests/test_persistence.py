@@ -24,6 +24,7 @@ from sumrips import (
     validate,
     vietoris_rips,
 )
+from sumrips.complexes import Dimension
 from sumrips.persistence import _transpose
 
 INF = math.inf
@@ -183,6 +184,39 @@ def test_reduce_stats_tie_out():
     stats = {}
     reduce(cube, stats=stats)
     assert all(s["apparent"] > 0 for s in stats.values())
+
+
+def _empty_stats(columns, cleared):
+    """The stats of a dimension without cofaces: every column not cleared is
+    looped and essential."""
+    return {"columns": columns, "cleared": cleared, "apparent": 0, "looped": columns - cleared,
+            "additions": 0, "pairs": 0, "zero_length": 0, "essential": columns - cleared}
+
+
+def test_dimensions_without_cofaces_are_not_reduced():
+    """Cut and collapsed, a 5-point path is the path graph: dimension 1 has no
+    cofaces, dimensions 2 to 4 no cells, and degrees 1 to 4 no bars."""
+    path = validate([[abs(i - j) for j in range(5)] for i in range(5)])
+    cx = vietoris_rips(path, 4, at_radius=True, collapse=True)
+    stats = {}
+    code = reduce(cx, stats=stats)
+    assert [stats[d] for d in (1, 2, 3)] == [_empty_stats(4, 4)] + [_empty_stats(0, 0)] * 2
+    assert code == GradedBarcode({0: Barcode([Bar(0, 1)] * 4 + [Bar(0, INF)])})
+    assert code.dims() == (0, 1, 2, 3, 4)
+    assert code == reduce(vietoris_rips(path, 4))
+
+
+def test_essential_columns_without_cofaces():
+    """The square's six edges with an empty dimension 2 above them: three are
+    cleared by the points and three stay essential."""
+    edges = vietoris_rips(hamming_cube(2), 1)
+    no_triangles = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
+                             np.empty(0, np.int8), vertices=np.empty((0, 3), np.int32))
+    cx = FilteredComplex(edges.dims + (no_triangles,), complete=False, source=edges.source)
+    stats = {}
+    code = reduce(cx, stats=stats)
+    assert stats[1] == _empty_stats(6, 3)
+    assert code[1] == Barcode([Bar(1, INF), Bar(2, INF), Bar(2, INF)])
 
 
 def test_signed_zero_births_keep_their_order():
