@@ -26,7 +26,6 @@ from .kunneth import (
     bottleneck,
     compare_product,
     kunneth_predict,
-    predict_graded,
 )
 from .metric import (
     FiniteMetricSpace,
@@ -36,7 +35,7 @@ from .metric import (
     product_sum,
     validate,
 )
-from .persistence import betti_curve, reduce
+from .persistence import reduce
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,6 @@ __all__ = [
     "GradedBarcode",
     "InputError",
     "SumripsError",
-    "betti_curve",
     "bottleneck",
     "compare_product",
     "diameter",
@@ -61,7 +59,6 @@ __all__ = [
     "filtration_inequality_check",
     "hamming_cube",
     "kunneth_predict",
-    "predict_graded",
     "product_sum",
     "reduce",
     "tensor_bar",

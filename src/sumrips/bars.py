@@ -32,6 +32,11 @@ class Bar:
     death: float
 
     def __post_init__(self) -> None:
+        # A bool compares as a number but serializes as true or false, which
+        # no barcode reader accepts.
+        if type(self.birth) is bool or type(self.death) is bool:
+            raise TypeError(f"bar endpoints must be numbers, got "
+                            f"({self.birth!r}, {self.death!r})")
         # NaN fails both comparisons, so it is rejected by the same checks.
         if not 0.0 <= self.birth < INF:
             raise ValueError(f"bar birth must be finite and nonnegative, got {self.birth!r}")
@@ -45,13 +50,6 @@ class Bar:
     @property
     def is_essential(self) -> bool:
         return self.death == INF
-
-    def contains(self, t: float) -> bool:
-        """Whether the module is alive at parameter t (birth <= t < death)."""
-        return self.birth <= t < self.death
-
-    def shifted(self, s: float) -> "Bar":
-        return Bar(self.birth + s, self.death + s)
 
     def __str__(self) -> str:
         death = "inf" if self.death == INF else f"{self.death:g}"
@@ -123,10 +121,6 @@ class Barcode:
         """Pointwise dimension at parameter t: number of bars with birth <= t < death."""
         return sum(1 for b in self._bars if b.birth <= t < b.death)
 
-    def shift(self, s: float) -> "Barcode":
-        """Shift every bar by s (s may be negative if no birth goes below zero)."""
-        return Barcode(b.shifted(s) for b in self._bars)
-
     def essentials(self) -> tuple[Bar, ...]:
         return tuple(b for b in self._bars if b.death == INF)
 
@@ -175,7 +169,8 @@ class GradedBarcode:
         items = by_dim.items() if isinstance(by_dim, Mapping) else by_dim
         store: dict[int, Barcode] = {}
         for n, code in items:
-            if not isinstance(n, int) or n < 0:
+            # A bool key would serialize as "True", which no reader accepts.
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError(f"homological dimension must be a nonnegative int, got {n!r}")
             if not isinstance(code, Barcode):
                 raise TypeError(f"dimension {n} entry must be a Barcode, got {type(code).__name__}")
@@ -193,12 +188,6 @@ class GradedBarcode:
 
     def items(self) -> Iterator[tuple[int, Barcode]]:
         return iter(self._by_dim.items())
-
-    def nonempty_dims(self) -> tuple[int, ...]:
-        return tuple(n for n, code in self._by_dim.items() if code)
-
-    def total_bars(self) -> int:
-        return sum(len(code) for code in self._by_dim.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedBarcode):

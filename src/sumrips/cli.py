@@ -118,11 +118,9 @@ def _fmt(value: float) -> str:
 
 def cmd_vr(args: argparse.Namespace) -> tuple[str, int]:
     space = io.read_metric_csv(args.input)
-    # The dump shows the whole complex; the barcode alone needs only the cells
-    # up to the enclosing radius, with the dominated edges collapsed.
-    barcode_only = args.dump_complex is None
+    # The dump shows the whole complex; the barcode alone needs fewer cells.
     cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap,
-                       at_radius=barcode_only, collapse=barcode_only)
+                       barcode_only=args.dump_complex is None)
     if args.dump_complex is not None:
         io.write_complex_dump(cx, args.dump_complex)
     code = reduce(cx, args.field)
@@ -161,7 +159,7 @@ def cmd_hamming(args: argparse.Namespace) -> tuple[str, int]:
     if args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
     space = hamming_cube(args.k)
-    cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap)
+    cx = vietoris_rips(space, args.maxdim, cell_cap=args.cell_cap, barcode_only=True)
     code = reduce(cx, args.field)
     expected = _hamming_expected(args.k)
     counts = {n: len(code[n]) for n in code.dims()}
@@ -182,7 +180,8 @@ def cmd_hamming(args: argparse.Namespace) -> tuple[str, int]:
             "barcode": io.barcode_document(code, args.field),
         }
         return io.dumps_document(doc), status
-    lines = [f"I^{args.k} ({2 ** args.k} points), {len(cx)} cells, "
+    cells = rips_cell_count(len(space), args.maxdim)
+    lines = [f"I^{args.k} ({2 ** args.k} points), {cells} cells, "
              f"maxdim {args.maxdim}, field {args.field}",
              "dim  bars  expected"]
     for n in code.dims():

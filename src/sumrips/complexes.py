@@ -402,21 +402,22 @@ def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT_CELL_CAP,
-                  *, at_radius: bool = False, collapse: bool = False) -> FilteredComplex:
+                  *, barcode_only: bool = False) -> FilteredComplex:
     """Flag complex of all subsets of size <= maxdim + 1.
 
     The filtration value of a subset is the max of d over all ordered pairs of
     its points, including d(v, v): the diagonal can delay a vertex.  Faces never
     enter after cofaces because the max is monotone under inclusion.
 
-    With `at_radius`, only subsets with filtration <= the enclosing radius R
-    (`metric.enclosing_radius`) are stored.  Above R the complex is a cone on
-    the point v attaining R: sigma + {v} has dimension at most one more than
-    sigma, so every degree below top_dim is acyclic from R on (degree 0 keeps
-    one class), and so is the top degree when the complex is complete.  Every
-    reliable degree therefore has the barcode of the uncut complex, and
-    `complete` and `reliable_dim` keep their meaning.  The cap pre-check still
-    counts the uncut complex.
+    With `barcode_only`, only the cells a barcode needs are built, in two
+    steps; `top_dim`, `complete`, `reliable_dim` and the cap pre-check stay
+    those of the whole flag complex.  First, only subsets with filtration <=
+    the enclosing radius R (`metric.enclosing_radius`) are stored.  Above R
+    the complex is a cone on the point v attaining R: sigma + {v} has
+    dimension at most one more than sigma, so every degree below top_dim is
+    acyclic from R on (degree 0 keeps one class), and so is the top degree
+    when the complex is complete.  Every reliable degree therefore has the
+    barcode of the uncut complex.
 
     Subsets of each size are enumerated in lexicographic order, each subset
     extended only by the larger points within R of all of its points
@@ -432,7 +433,7 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     enumerated empty dimension had: a float64 filtration, int32 `indptr` [0]
     and `indices`, int8 `data` and a (0, d + 1) int32 vertex matrix.
 
-    With `collapse`, dominated edges leave the graph before it is expanded
+    Second, dominated edges leave the graph before it is expanded
     (`_collapse`).  A point w != u, v dominates the edge uv when N[u] & N[v]
     is a subset of N[w], closed neighbourhoods; the flag complex then
     strong-collapses onto that of the graph without uv (Boissonnat & Pritam,
@@ -444,12 +445,11 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     levels, so the persistence modules are isomorphic: every barcode is
     unchanged over every field (Glisse & Pritam, "Swap, shift and trim to
     edge collapse a filtration", SoCG 2022), and the cut at maxdim keeps the
-    reliable degrees as before.  Points are never removed, and `complete`,
-    `reliable_dim` and the cap pre-check are those of the uncollapsed
-    complex.  Equal values print alike except 0.0 and -0.0, and which of the
-    two a bar born at zero gets depends on the cells that are left, so a
-    matrix holding -0.0 is not collapsed.  Nor is a complex whose top
-    dimension is below 2: it has no triangles to save.
+    reliable degrees as before.  Points are never removed.  Equal values
+    print alike except 0.0 and -0.0, and which of the two a bar born at zero
+    gets depends on the cells that are left, so a matrix holding -0.0 is not
+    collapsed.  Nor is a complex whose top dimension is below 2: it has no
+    triangles to save.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -460,12 +460,12 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     # Only columns k <= top are used, so every entry is at most a cell count.
     binom = np.array([[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)],
                      dtype=np.int64)
-    radius = enclosing_radius(space) if at_radius else math.inf
+    radius = enclosing_radius(space) if barcode_only else math.inf
     dist, dims = space.dist, []
     diag = np.diagonal(dist)
     # near[u, v]: the edge uv and the point v both enter at or below the radius.
     near = (dist <= radius) & (diag <= radius)
-    if collapse and top >= 2 and not np.signbit(dist).any():
+    if barcode_only and top >= 2 and not np.signbit(dist).any():
         _collapse(near, dist)
     # Point indices and face rows are int32, like the `indices` of a boundary.
     subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]

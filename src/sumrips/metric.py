@@ -36,9 +36,6 @@ class FiniteMetricSpace:
     def __len__(self) -> int:
         return self.dist.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented

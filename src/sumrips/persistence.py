@@ -241,28 +241,3 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
         codes[n] = Barcode(bars)
     return GradedBarcode(codes)
 
-
-def betti_curve(cx: FilteredComplex, p: int, n: int) -> tuple[tuple[float, int], ...]:
-    """Step function t -> dim over F_p of degree-n homology, as (start, value) pairs.
-
-    Each pair gives the value on [start, next start); the first start is 0.0.
-    Dimensions above the complex's reliable range are refused unless the
-    complex is complete there, in which case the curve is identically zero.
-    """
-    if n < 0:
-        raise InputError(f"homological dimension must be >= 0, got {n}")
-    if n > cx.reliable_dim:
-        if cx.complete:
-            _check_field(p)
-            return ((0.0, 0),)
-        raise InputError(
-            f"dimension {n} is not reliable for a complex truncated at {cx.top_dim}; "
-            f"rebuild with maxdim >= {n + 1}"
-        )
-    code = reduce(cx, p)[n]
-    curve: list[tuple[float, int]] = []
-    for t in sorted({0.0, *code.endpoints()}):
-        v = code.dim_at(t)
-        if not curve or curve[-1][1] != v:
-            curve.append((t, v))
-    return tuple(curve)

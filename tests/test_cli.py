@@ -113,6 +113,8 @@ def test_kunneth_json(interval_csv, square_csv, capsys):
 def test_hamming_table(capsys):
     assert main(["hamming", "--k", "3", "--maxdim", "4"]) == 0
     out = capsys.readouterr().out
+    # the cell count of the whole complex, not of the barcode-only build
+    assert out.startswith("I^3 (8 points), 218 cells, maxdim 4, field 2\n")
     assert "dim  bars  expected" in out
     assert "0    8     8" in out
     assert "1    5     5" in out

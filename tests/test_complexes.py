@@ -96,13 +96,13 @@ def test_positive_diagonal_delays_vertices():
 def test_rips_boundaries_drop_one_point_with_alternating_signs():
     """Every Rips cell's faces are its vertex sets with one point removed, in
     ascending rows, the face without the point at position pos with sign
-    (-1)^pos; seeded generalized metrics, cut and uncut."""
+    (-1)^pos; seeded generalized metrics, whole and barcode-only."""
     rng = random.Random(9091)
     for _ in range(60):
         space = corpus.random_space(rng, 1, 8, max_dist=3, allow_diagonal=True)
         maxdim = rng.randint(1, 5)
-        for at_radius in (False, True):
-            cx = vietoris_rips(space, maxdim, at_radius=at_radius)
+        for barcode_only in (False, True):
+            cx = vietoris_rips(space, maxdim, barcode_only=barcode_only)
             for below, dim in zip(cx.dims, cx.dims[1:]):
                 row_of = {v: r for r, v in enumerate(map(tuple, below.vertices.tolist()))}
                 for j, verts in enumerate(dim.vertices.tolist()):
@@ -129,23 +129,49 @@ def test_cap_message_estimates_bytes():
     assert DEFAULT_CELL_CAP * BYTES_PER_CELL <= 4 * 10**9
 
 
-def test_at_radius_keeps_the_cells_up_to_the_enclosing_radius():
-    path = validate([[abs(i - j) for j in range(4)] for i in range(4)])
-    full, cut = vietoris_rips(path, 3), vietoris_rips(path, 3, at_radius=True)
-    radius = enclosing_radius(path)
-    assert [(c.dim, c.filtration, c.label) for c in cut.cells] == \
-        [(c.dim, c.filtration, c.label) for c in full.cells if c.filtration <= radius]
-    assert len(cut) < len(full) == rips_cell_count(4, 3)
+def _cell_rows(cx, radius=math.inf):
+    """Dimension, filtration, label and boundary by face label of each cell
+    up to radius, in the global order."""
+    cells = cx.cells
+    return [(c.dim, repr(c.filtration), c.label, [(cells[i].label, k) for i, k in c.boundary])
+            for c in cells if c.filtration <= radius]
+
+
+def _assert_is_the_cut(space, maxdim):
+    """On an input it does not collapse, the barcode-only build holds exactly
+    the cells of the whole build up to the enclosing radius, in their order,
+    with the whole build's truncation bookkeeping; returns both builds."""
+    full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, barcode_only=True)
+    assert _cell_rows(cut) == _cell_rows(full, enclosing_radius(space))
     assert (cut.top_dim, cut.complete, cut.reliable_dim) == \
         (full.top_dim, full.complete, full.reliable_dim)
     cut.validate()
-    # the cap pre-check counts the uncut complex
-    with pytest.raises(CapExceeded, match=f"needs {len(full)} cells"):
-        vietoris_rips(path, 3, cell_cap=len(cut), at_radius=True)
+    return full, cut
+
+
+def _signed(space):
+    """The space with its zero d(0, 0) written as -0.0, which barcode-only
+    builds do not collapse; every value compares as before."""
+    dist = space.dist.copy()
+    assert dist[0, 0] == 0.0
+    dist[0, 0] = -0.0
+    return validate(dist, space.labels)
+
+
+def test_at_radius_keeps_the_cells_up_to_the_enclosing_radius():
+    path = validate([[abs(i - j) for j in range(4)] for i in range(4)])
+    for space, maxdim in ((_signed(path), 3), (path, 1)):
+        full, cut = _assert_is_the_cut(space, maxdim)
+        assert len(cut) < len(full) == rips_cell_count(4, maxdim)
+        # the cap pre-check counts the uncut complex
+        with pytest.raises(CapExceeded, match=f"needs {len(full)} cells"):
+            vietoris_rips(space, maxdim, cell_cap=len(cut), barcode_only=True)
 
 
 def _assert_cut_matches_full(space, maxdim, p):
-    full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, at_radius=True)
+    """The cut alone keeps every reliable barcode: -0.0 keeps the collapse off."""
+    space = _signed(space)
+    full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, barcode_only=True)
     cut.validate()
     assert reduce(cut, p) == reduce(full, p), (space, maxdim, p)
 
@@ -169,11 +195,11 @@ def _document(cx, p):
     return dumps_document(barcode_document(reduce(cx, p), p))
 
 
-def _assert_collapse_keeps_bytes(space, maxdim, fields=(2, 3, 5), at_radius=True):
-    """The collapsed build prints the barcodes of the plain build; returns the
-    cell counts of both."""
-    plain = vietoris_rips(space, maxdim, at_radius=at_radius)
-    collapsed = vietoris_rips(space, maxdim, at_radius=at_radius, collapse=True)
+def _assert_collapse_keeps_bytes(space, maxdim, fields=(2, 3, 5)):
+    """The barcode-only build prints the barcodes of the whole build; returns
+    the cell counts of both."""
+    plain = vietoris_rips(space, maxdim)
+    collapsed = vietoris_rips(space, maxdim, barcode_only=True)
     for p in fields:
         assert _document(collapsed, p) == _document(plain, p), (space.dist.tolist(), maxdim, p)
     return len(plain), len(collapsed)
@@ -193,10 +219,9 @@ def test_collapse_keeps_barcode_bytes_on_corpus():
 
 
 def test_collapse_keeps_barcode_bytes_on_generalized_float_metrics():
-    """Non-dyadic floats, ties, positive diagonals and -0.0, cut and uncut."""
+    """Non-dyadic floats, ties, positive diagonals and -0.0."""
     for space, maxdim in _float_spaces():
-        for at_radius in (True, False):
-            _assert_collapse_keeps_bytes(space, maxdim, at_radius=at_radius)
+        _assert_collapse_keeps_bytes(space, maxdim)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -211,50 +236,39 @@ def _cell_set(cx):
 
 
 def test_collapsed_complexes_are_valid_subcomplexes_with_the_oracle_barcode():
-    """Every collapsed cell, vertices and filtration, is a cell of the cut
-    complex, and the dense standard algorithm on the collapsed complex finds
-    the cut complex's barcode."""
+    """Every barcode-only cell, vertices and filtration, is a cell of the
+    whole complex, and the dense standard algorithm on the barcode-only
+    complex finds the whole complex's barcode."""
     checked = 0
     for space, maxdim in _float_spaces(count=60, seed=2207):
-        cut = vietoris_rips(space, maxdim, at_radius=True)
-        collapsed = vietoris_rips(space, maxdim, at_radius=True, collapse=True)
+        full = vietoris_rips(space, maxdim)
+        collapsed = vietoris_rips(space, maxdim, barcode_only=True)
         collapsed.validate()
-        assert _cell_set(collapsed) <= _cell_set(cut)
-        assert (collapsed.top_dim, collapsed.complete) == (cut.top_dim, cut.complete)
+        assert _cell_set(collapsed) <= _cell_set(full)
+        assert (collapsed.top_dim, collapsed.complete) == (full.top_dim, full.complete)
         if len(collapsed) <= 150:
             checked += 1
             for p in (2, 3, 5):
-                code = reduce(cut, p)
+                code = reduce(full, p)
                 assert oracle.standard_barcode(collapsed, p) == \
                     {n: code[n] for n in code.dims()}, (space.dist.tolist(), p)
     assert checked >= 40
 
 
-def _assert_same_arrays(a, b):
-    assert (a.top_dim, a.complete, len(a.dims)) == (b.top_dim, b.complete, len(b.dims))
-    for x, y in zip(a.dims, b.dims):
-        for u, v in zip(x, y):
-            assert (u is None) == (v is None)
-            if u is not None:
-                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
-
-
 def test_collapse_leaves_builds_without_triangles_or_with_signed_zeros_alone():
-    """Below top dimension 2 nothing is collapsed, nor is a matrix holding -0.0."""
+    """Below top dimension 2 nothing is collapsed, nor is a matrix holding
+    -0.0: the barcode-only build is the cut alone."""
     spaces = [space for space, _ in _float_spaces(count=40, seed=818)]
     for space in spaces:
         for maxdim in (0, 1):
-            for at_radius in (True, False):
-                _assert_same_arrays(
-                    vietoris_rips(space, maxdim, at_radius=at_radius, collapse=True),
-                    vietoris_rips(space, maxdim, at_radius=at_radius))
+            _assert_is_the_cut(space, maxdim)
     signed = [space for space in spaces if np.signbit(space.dist).any()]
     assert signed
     for space in signed:
-        _assert_same_arrays(vietoris_rips(space, 3, at_radius=True, collapse=True),
-                            vietoris_rips(space, 3, at_radius=True))
+        _assert_is_the_cut(space, 3)
+    # the square's enclosing radius is its diameter: only the collapse cuts
     square = hamming_cube(2)
-    assert len(vietoris_rips(square, 2, collapse=True)) < len(vietoris_rips(square, 2))
+    assert len(vietoris_rips(square, 2, barcode_only=True)) < len(vietoris_rips(square, 2))
 
 
 def _assert_collapse_matches_reference(space):
@@ -287,13 +301,13 @@ def test_collapse_keeps_the_reference_edges_on_cubes(k):
     _assert_collapse_matches_reference(hamming_cube(k))
 
 
-# a 5-point path: cut at the enclosing radius 2 and collapsed, it is the path
-# graph, so dimensions 2 to 4 are empty
+# a 5-point path: built barcode-only (cut at the enclosing radius 2 and
+# collapsed), it is the path graph, so dimensions 2 to 4 are empty
 PATH5 = validate([[abs(i - j) for j in range(5)] for i in range(5)])
 
 
 def test_empty_dimensions_keep_their_dtypes_and_shapes():
-    cx = vietoris_rips(PATH5, 4, at_radius=True, collapse=True)
+    cx = vietoris_rips(PATH5, 4, barcode_only=True)
     assert cx.dim_counts() == {0: 5, 1: 4} and cx.top_dim == 4 and cx.complete
     for d in (2, 3, 4):
         empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),

@@ -32,7 +32,7 @@ def test_read_csv_plain(tmp_path):
     path.write_text("0,1\n1,0\n")
     space = read_metric_csv(path)
     assert len(space) == 2 and space.labels == ("0", "1")
-    assert space.distance(0, 1) == 1.0
+    assert space.dist[0, 1] == 1.0
 
 
 def test_read_csv_with_header_and_whitespace(tmp_path):
@@ -40,7 +40,7 @@ def test_read_csv_with_header_and_whitespace(tmp_path):
     path.write_text("a, b, c\n0, 3, 4\n\n3, 0, 5\n4, 5, 0\n")
     space = read_metric_csv(path)
     assert space.labels == ("a", "b", "c")
-    assert space.distance(1, 2) == 5.0
+    assert space.dist[1, 2] == 5.0
 
 
 def test_read_csv_reports_line_and_column(tmp_path):

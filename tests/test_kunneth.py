@@ -17,7 +17,6 @@ from sumrips import (
     diameter,
     hamming_cube,
     kunneth_predict,
-    predict_graded,
     reduce,
     vietoris_rips,
 )
@@ -45,12 +44,7 @@ def test_predict_interval_times_square():
     ph_i, ph_sq = _ph(INTERVAL), _ph(SQUARE)
     assert kunneth_predict(ph_i, ph_sq, 2) == Barcode([Bar(2, 3)])
     assert kunneth_predict(ph_i, ph_sq, 3) == Barcode()
-
-
-def test_predict_graded_collects_all_degrees():
-    graded = predict_graded(_ph(INTERVAL), _ph(SQUARE), 3)
-    assert graded.dims() == (0, 1, 2, 3)
-    assert [len(graded[n]) for n in range(4)] == [8, 5, 1, 0]
+    assert [len(kunneth_predict(ph_i, ph_sq, n)) for n in range(4)] == [8, 5, 1, 0]
 
 
 def test_compare_interval_squared_all_equal():

@@ -12,7 +12,7 @@ def test_validate_accepts_generalized_metrics():
     # no triangle inequality, positive diagonal, zero off-diagonal: all legal
     space = validate([[1.0, 0.0], [0.0, 0.0]], ["a", "b"])
     assert len(space) == 2
-    assert space.distance(0, 0) == 1.0
+    assert space.dist[0, 0] == 1.0
     assert space.labels == ("a", "b")
 
 
@@ -80,8 +80,8 @@ def test_hamming_cube_small():
 
 def test_hamming_cube_popcount_distances():
     cube = hamming_cube(3)
-    assert cube.distance(0b000, 0b111) == 3
-    assert cube.distance(0b101, 0b110) == 2
+    assert cube.dist[0b000, 0b111] == 3
+    assert cube.dist[0b101, 0b110] == 2
     assert cube.labels[5] == "101"
 
 
@@ -100,9 +100,9 @@ def test_product_sum_is_row_major_with_sum_distances():
     prod = product_sum(interval, tri)
     assert prod.labels == ("(0,a)", "(0,b)", "(0,c)", "(1,a)", "(1,b)", "(1,c)")
     # d((0,a),(1,b)) = d(0,1) + d(a,b) = 1 + 3
-    assert prod.distance(0, 4) == 4.0
-    assert prod.distance(2, 2) == 0.0
-    assert prod.distance(1, 5) == 1.0 + 5.0
+    assert prod.dist[0, 4] == 4.0
+    assert prod.dist[2, 2] == 0.0
+    assert prod.dist[1, 5] == 1.0 + 5.0
 
 
 def test_product_sum_matches_hamming_cube():

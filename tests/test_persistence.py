@@ -1,7 +1,6 @@
-"""Reduction engine: golden barcodes, oracle agreement, fields, Betti curves."""
+"""Reduction engine: golden barcodes, oracle agreement, fields."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from sumrips import (
     FilteredComplex,
     GradedBarcode,
     InputError,
-    betti_curve,
     compare_product,
     hamming_cube,
     product_sum,
@@ -152,12 +150,12 @@ def test_reduce_agrees_with_rank_nullity_oracle():
 
 def test_reduce_matches_standard_reduction():
     """Coboundary reduction with clearing against the plain homology algorithm,
-    bar for bar, on Rips and tensor complexes and on Rips complexes cut at
-    their enclosing radius."""
+    bar for bar, on Rips and tensor complexes and on barcode-only Rips
+    complexes."""
     complexes = corpus.random_complexes(count=15, seed=404)
     for x, y in corpus.small_pairs()[:6]:
-        complexes += [vietoris_rips(y, 3, at_radius=True),
-                      vietoris_rips(product_sum(x, y), 2, at_radius=True)]
+        complexes += [vietoris_rips(y, 3, barcode_only=True),
+                      vietoris_rips(product_sum(x, y), 2, barcode_only=True)]
     for cx in complexes:
         for p in (2, 3, 5):
             code = reduce(cx, p)
@@ -194,10 +192,10 @@ def _empty_stats(columns, cleared):
 
 
 def test_dimensions_without_cofaces_are_not_reduced():
-    """Cut and collapsed, a 5-point path is the path graph: dimension 1 has no
+    """Built barcode-only, a 5-point path is the path graph: dimension 1 has no
     cofaces, dimensions 2 to 4 no cells, and degrees 1 to 4 no bars."""
     path = validate([[abs(i - j) for j in range(5)] for i in range(5)])
-    cx = vietoris_rips(path, 4, at_radius=True, collapse=True)
+    cx = vietoris_rips(path, 4, barcode_only=True)
     stats = {}
     code = reduce(cx, stats=stats)
     assert [stats[d] for d in (1, 2, 3)] == [_empty_stats(4, 4)] + [_empty_stats(0, 0)] * 2
@@ -252,7 +250,7 @@ def generalized_metrics(draw):
 @given(generalized_metrics(), st.integers(0, 4))
 def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
     cx = vietoris_rips(space, maxdim)
-    cut = vietoris_rips(space, maxdim, at_radius=True)
+    cut = vietoris_rips(space, maxdim, barcode_only=True)
     cut.validate()
     for p in (2, 3):
         code = reduce(cx, p)
@@ -261,34 +259,3 @@ def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
             for t in cx.critical_values():
                 assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (p, n, t)
 
-
-def test_betti_curve_examples():
-    assert betti_curve(vietoris_rips(INTERVAL, 1), 2, 0) == ((0.0, 2), (1.0, 1))
-    assert betti_curve(vietoris_rips(hamming_cube(2), 2), 2, 1) == \
-        ((0.0, 0), (1.0, 1), (2.0, 0))
-    # complete complex, dimension above anything present: identically zero
-    assert betti_curve(vietoris_rips(INTERVAL, 1), 2, 5) == ((0.0, 0),)
-
-
-def test_betti_curve_refuses_unreliable_dimension():
-    truncated = vietoris_rips(hamming_cube(2), 2)
-    with pytest.raises(InputError, match="maxdim"):
-        betti_curve(truncated, 2, 2)
-    with pytest.raises(InputError):
-        betti_curve(truncated, 2, -1)
-
-
-def test_betti_curve_on_random_complexes_matches_oracle():
-    rng = random.Random(31)
-    for cx in corpus.random_complexes(count=4, seed=313):
-        n = rng.randint(0, max(0, cx.reliable_dim))
-        curve = betti_curve(cx, 2, n)
-        starts = [t for t, _ in curve]
-        assert starts == sorted(starts)
-        # evaluate the step function against the oracle at and between breakpoints
-        for t in cx.critical_values():
-            value = 0
-            for start, v in curve:
-                if start <= t:
-                    value = v
-            assert value == oracle.betti_at(cx, 2, n, t)
