@@ -44,6 +44,10 @@ def test_predict_interval_times_square():
     ph_i, ph_sq = _ph(INTERVAL), _ph(SQUARE)
     assert kunneth_predict(ph_i, ph_sq, 2) == Barcode([Bar(2, 3)])
     assert kunneth_predict(ph_i, ph_sq, 3) == Barcode()
+
+
+def test_predict_graded_collects_all_degrees():
+    ph_i, ph_sq = _ph(INTERVAL), _ph(SQUARE)
     assert [len(kunneth_predict(ph_i, ph_sq, n)) for n in range(4)] == [8, 5, 1, 0]
 
 
