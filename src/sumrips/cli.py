@@ -30,7 +30,7 @@ from .complexes import DEFAULT_CELL_CAP, rips_cell_count, vietoris_rips
 from .errors import CapExceeded, InputError, SumripsError
 from .kunneth import bottleneck, compare_product
 from .metric import hamming_cube
-from .persistence import DEFAULT_FIELD, reduce
+from .persistence import DEFAULT_FIELD, _check_field, reduce
 
 
 def _add_common(sub: argparse.ArgumentParser, default_format: str,
@@ -100,6 +100,8 @@ def _check_common(args: argparse.Namespace) -> None:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
     if args.cell_cap < 1:
         raise InputError(f"--cell-cap must be >= 1, got {args.cell_cap}")
+    if args.field is not None:
+        _check_field(args.field)
 
 
 def _group_bars(code: Barcode) -> str:
@@ -209,7 +211,7 @@ def cmd_bottleneck(args: argparse.Namespace) -> tuple[str, int]:
         doc = {
             "format": "sumrips-bottleneck",
             "dim": args.dim,
-            "distance": "inf" if value == INF else value,
+            "distance": io.json_endpoint(value),
         }
         return io.dumps_document(doc), 0
     return _fmt(value) + "\n", 0

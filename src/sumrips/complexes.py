@@ -19,7 +19,6 @@ request (`global_ids`), as is the per-cell `cells` view.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -291,20 +290,19 @@ def _collapse(near: np.ndarray, dist: np.ndarray) -> None:
     The edges of the graph `near` describes (both points and the edge at or
     below the radius) are walked from latest to earliest entry, an edge uv
     entering at max(d(u, v), d(u, u), d(v, v)).  It is dropped when, in the
-    graph left by the edges walked before it, some w != u, v dominates it at
-    its entry and at every later level where N[u] & N[v] grows: N[u] & N[v]
-    is a subset of N[w], closed neighbourhoods at that level.  Between those
-    levels N[u] & N[v] is fixed and N[w] only grows, so a witness holds there.
+    graph left by the edges walked before it, one w != u, v dominates it at
+    its entry t and at every level above: N[u] & N[v] is a subset of N[w],
+    closed neighbourhoods at that level.  N[w] only grows, and a point y joins
+    N[u] & N[v] at the larger of the entries of uy and vy, so that holds
+    exactly when w dominates uv at t and each point of `joins` (N[u] & N[v]
+    at infinity) that N[w] misses at t joins N[w] no later than N[u] & N[v].
 
     `cur[x]` is N[x] at the entry t of the walked edge: x, its neighbours by
     edges not yet walked (all entering at or before t), and its neighbours by
     kept edges entering exactly at t.  A dropped edge leaves `cur` when it is
     walked; a kept edge stays in it until the walk drops below its entry, and
     then leaves it, once.  `every[x]` is N[x] at infinity: x and its
-    neighbours by the edges not dropped.  At a later level s, N[x] is `cur[x]`
-    plus the kept neighbours entering at or before s.  These are listed in the
-    order they were kept, latest entry first: `later[x]` holds their negated
-    entries, ascending, and `grown[x][i]` the bitset of the first i of them.
+    neighbours by the edges not dropped.
     """
     diag = np.diagonal(dist)
     enter = np.maximum(dist, np.maximum(diag[:, None], diag))
@@ -317,26 +315,7 @@ def _collapse(near: np.ndarray, dist: np.ndarray) -> None:
     rows = np.packbits(closed, axis=1, bitorder="little")
     cur = [int.from_bytes(row.tobytes(), "little") for row in rows]
     every = cur.copy()
-    later: list[list[float]] = [[] for _ in cur]
-    grown: list[list[int]] = [[0] for _ in cur]
     enter = enter.tolist()
-
-    def nbhd(x: int, s: float) -> int:
-        """N[x] at a level s after the walked edge's entry."""
-        return cur[x] | grown[x][-1] ^ grown[x][bisect.bisect_left(later[x], -s)]
-
-    def witness(u: int, v: int, common: int, s: float) -> int | None:
-        """Some w != u, v whose N[w] at level s holds common, which is N[u] & N[v]."""
-        rest = common & ~(1 << u | 1 << v)
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest ^= 1 << w
-            missing = common & ~cur[w] and common & ~nbhd(w, s)
-            if not missing:
-                return w
-            # Every witness is adjacent to the points w misses.
-            rest &= nbhd((missing & -missing).bit_length() - 1, s)
-        return None
 
     level, kept, dropped = math.inf, [], []
     for u, v in zip(us[order].tolist(), vs[order].tolist()):
@@ -347,45 +326,26 @@ def _collapse(near: np.ndarray, dist: np.ndarray) -> None:
                 cur[b] ^= 1 << a
             level, kept = t, []
         bu, bv = 1 << u, 1 << v
-        common = cur[u] & cur[v]
-        # The search `witness` makes, at the entry t, where N[x] is cur[x]:
-        # it runs for every edge, so it is written out here.
+        common, joins = cur[u] & cur[v], every[u] & every[v]
         rest = common & ~(bu | bv)
         while rest:
             w = (rest & -rest).bit_length() - 1
             rest ^= 1 << w
-            missing = common & ~cur[w]
-            if not missing:
+            missing = joins & ~cur[w]
+            now = missing & common
+            if now:
+                # A point dominating uv at t is adjacent to those w misses there.
+                rest &= cur[(now & -now).bit_length() - 1]
+            elif not missing & ~every[w] and all(
+                    enter[w][y] <= max(enter[u][y], enter[v][y]) for y in _bits(missing)):
+                cur[u] ^= bv
+                cur[v] ^= bu
+                every[u] ^= bv
+                every[v] ^= bu
+                dropped.append((u, v))
                 break
-            rest &= cur[(missing & -missing).bit_length() - 1]
         else:
-            w = None
-        # N[u] & N[v] grows by each point y of `joins` at the later of the
-        # entries of uy and vy.  A witness holds until it no longer covers;
-        # one whose N[w] already holds N[u] & N[v] at infinity covers them all.
-        if w is not None and every[u] & every[v] & ~cur[w]:
-            joins = every[u] & every[v] & ~common
-            steps = sorted((max(enter[u][y], enter[v][y]), y) for y in _bits(joins))
-            for i, (s, y) in enumerate(steps):
-                common |= 1 << y
-                if (i + 1 < len(steps) and steps[i + 1][0] == s
-                        or not (common & ~cur[w] and common & ~nbhd(w, s))):
-                    continue
-                w = witness(u, v, common, s)
-                if w is None:
-                    break
-        if w is None:
             kept.append((u, v))
-            later[u].append(-t)
-            later[v].append(-t)
-            grown[u].append(grown[u][-1] | bv)
-            grown[v].append(grown[v][-1] | bu)
-        else:
-            cur[u] ^= bv
-            cur[v] ^= bu
-            every[u] ^= bv
-            every[v] ^= bu
-            dropped.append((u, v))
     if dropped:
         du, dv = np.array(dropped).T
         near[du, dv] = near[dv, du] = False
@@ -438,18 +398,19 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     is a subset of N[w], closed neighbourhoods; the flag complex then
     strong-collapses onto that of the graph without uv (Boissonnat & Pritam,
     "Edge collapse and persistence of flag complexes", SoCG 2020).  An edge
-    is dropped only when it is dominated in the graph left so far at its
-    entry and at every later level where N[u] & N[v] grows.  Each level's
-    flag complex then includes into the uncollapsed one as a homotopy
-    equivalence, and these inclusions commute with the inclusions between
-    levels, so the persistence modules are isomorphic: every barcode is
-    unchanged over every field (Glisse & Pritam, "Swap, shift and trim to
-    edge collapse a filtration", SoCG 2022), and the cut at maxdim keeps the
-    reliable degrees as before.  Points are never removed.  Equal values
-    print alike except 0.0 and -0.0, and which of the two a bar born at zero
-    gets depends on the cells that are left, so a matrix holding -0.0 is not
-    collapsed.  Nor is a complex whose top dimension is below 2: it has no
-    triangles to save.
+    is dropped only when one w dominates it in the graph left so far at its
+    entry and at every later level; as N[w] never shrinks, that is w
+    dominating it at the entry and each point that joins N[u] & N[v] later
+    joining N[w] no later.  Each level's flag complex then includes into the
+    uncollapsed one as a homotopy equivalence, and these inclusions commute
+    with the inclusions between levels, so the persistence modules are
+    isomorphic: every barcode is unchanged over every field (Glisse &
+    Pritam, "Swap, shift and trim to edge collapse a filtration", SoCG
+    2022), and the cut at maxdim keeps the reliable degrees as before.
+    Points are never removed.  Equal values print alike except 0.0 and
+    -0.0, and which of the two a bar born at zero gets depends on the cells
+    that are left, so a matrix holding -0.0 is not collapsed.  Nor is a
+    complex whose top dimension is below 2: it has no triangles to save.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")

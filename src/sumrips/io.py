@@ -80,8 +80,9 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     return validate(matrix, labels)
 
 
-def _bar_json(bar: Bar) -> list[Any]:
-    return [bar.birth, "inf" if bar.death == INF else bar.death]
+def json_endpoint(value: float) -> float | str:
+    """`value` as every JSON document holds it: infinity as the string "inf"."""
+    return "inf" if value == INF else value
 
 
 def barcode_document(code: GradedBarcode, field: int) -> dict[str, Any]:
@@ -193,7 +194,7 @@ def read_barcode_json_with_field(path: str | Path) -> tuple[GradedBarcode, int]:
 
 
 def _barcode_pairs(code: Barcode) -> list[list[Any]]:
-    return [_bar_json(b) for b in code]
+    return [[b.birth, json_endpoint(b.death)] for b in code]
 
 
 def report_document(report: ComparisonReport) -> dict[str, Any]:
@@ -210,7 +211,7 @@ def report_document(report: ComparisonReport) -> dict[str, Any]:
                 "verdict": d.verdict,
                 "asserted": d.asserted,
                 "verdict_ok": d.verdict_ok,
-                "bottleneck": "inf" if d.bottleneck == INF else d.bottleneck,
+                "bottleneck": json_endpoint(d.bottleneck),
                 "diameter_bound": d.diameter_bound,
                 "bound_ok": d.bound_ok,
                 "predicted": _barcode_pairs(d.predicted),

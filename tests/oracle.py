@@ -104,10 +104,10 @@ def collapse_reference(near: np.ndarray, dist: np.ndarray) -> np.ndarray:
     The edges uv (near both ways, u != v) are walked from latest to earliest
     entry max(d(u, v), d(u, u), d(v, v)), ties in reverse row-major order.
     The graph at level s holds the edges not dropped that enter at or below
-    s.  uv, entering at t, is dropped when at t and at every later entry of
-    some uy or vy, some w != u, v has a closed neighbourhood holding
-    N[u] & N[v] (so w lies in it).  Each neighbourhood is rebuilt from the
-    edges left.
+    s.  uv, entering at t, is dropped when one w != u, v has, at t and at
+    every later entry of some uy or vy, a closed neighbourhood holding
+    N[u] & N[v] (so w lies in N[u] & N[v] at t).  Each neighbourhood is
+    rebuilt from the edges left.
     """
     m = len(dist)
     d = dist.tolist()
@@ -120,13 +120,10 @@ def collapse_reference(near: np.ndarray, dist: np.ndarray) -> np.ndarray:
     def nbhd(x: int, s: float) -> set[int]:
         return {x} | {y for y, t in adj[x].items() if t <= s}
 
-    def dominated(u: int, v: int, s: float) -> bool:
-        common = nbhd(u, s) & nbhd(v, s)
-        return any(common <= nbhd(w, s) for w in common - {u, v})
-
     for (u, v), t in sorted(enter.items(), key=lambda item: (item[1], item[0]), reverse=True):
         levels = {t} | {s for s in (*adj[u].values(), *adj[v].values()) if s > t}
-        if all(dominated(u, v, s) for s in levels):
+        common = {s: nbhd(u, s) & nbhd(v, s) for s in levels}
+        if any(all(common[s] <= nbhd(w, s) for s in levels) for w in common[t] - {u, v}):
             del adj[u][v], adj[v][u]
     out = near.copy()
     for u, v in enter:

@@ -281,6 +281,16 @@ def test_unwritable_dump_exits_2_without_a_traceback(interval_csv, tmp_path, cap
         assert out == "" and err.startswith(f"error: {target}: cannot write")
 
 
+def test_a_field_that_is_not_prime_exits_2_before_anything_is_written(interval_csv, tmp_path,
+                                                                       capsys):
+    dump = tmp_path / "cells.txt"
+    assert main(["vr", "--input", str(interval_csv), "--maxdim", "2", "--field", "4",
+                 "--dump-complex", str(dump)]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: field characteristic must be a prime below 2^31, got 4\n")
+    assert not dump.exists()
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     """A non-ASCII label reaches the dump intact when the locale is C."""
     csv = tmp_path / "labels.csv"

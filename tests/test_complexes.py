@@ -301,6 +301,31 @@ def test_collapse_keeps_the_reference_edges_on_cubes(k):
     _assert_collapse_matches_reference(hamming_cube(k))
 
 
+# Each of the edges (0, 1), (1, 2) and (1, 5) is dominated by some w at its
+# entry and at each later level where N[u] & N[v] grows, but by no one w at
+# all of those levels, so the collapse keeps these three edges.
+SEVEN = validate([[0, 3, 4, 4, 3, 3, 1], [3, 0, 2, 1, 4, 2, 4], [4, 2, 0, 1, 4, 1, 2],
+                  [4, 1, 1, 0, 3, 4, 2], [3, 4, 4, 3, 0, 1, 3], [3, 2, 1, 4, 1, 0, 4],
+                  [1, 4, 2, 2, 3, 4, 0]])
+
+
+def test_collapse_keeps_an_edge_no_single_point_dominates_at_every_level():
+    near = np.ones((7, 7), dtype=bool)
+    _collapse(near, SEVEN.dist)
+    assert near[0, 1] and near[1, 2] and near[1, 5]
+    assert np.count_nonzero(np.triu(near, 1)) == 14
+    _assert_collapse_matches_reference(SEVEN)
+    _assert_collapse_keeps_bytes(SEVEN, 3)
+
+
+def test_collapse_on_a_float_cloud_where_distances_rarely_tie():
+    rng = np.random.default_rng(3001)
+    points = rng.random((30, 2))
+    space = validate(np.linalg.norm(points[:, None] - points, axis=2))
+    _assert_collapse_matches_reference(space)
+    _assert_collapse_keeps_bytes(space, 2)
+
+
 # a 5-point path: built barcode-only (cut at the enclosing radius 2 and
 # collapsed), it is the path graph, so dimensions 2 to 4 are empty
 PATH5 = validate([[abs(i - j) for j in range(5)] for i in range(5)])
