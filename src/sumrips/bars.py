@@ -13,6 +13,8 @@ its first derived functor reduce to closed formulas on pairs of bars:
 Float comparisons are exact float64 everywhere: every producer in this package
 shares the same arithmetic, so no epsilon tolerance is applied.  Infinite deaths
 use math.inf, never NaN, and degenerate intervals are rejected at construction.
+A tensor or Tor_1 bar whose endpoints rounding makes equal is empty and is
+dropped, as `persistence.reduce` drops a pair of cells that enter together.
 """
 
 from __future__ import annotations
@@ -56,26 +58,31 @@ class Bar:
         return f"[{self.birth:g},{death})"
 
 
-def tensor_bar(x: Bar, y: Bar) -> Bar:
-    """Tensor product of two bars: (a+c, min(a+d, b+c)).
+def tensor_bar(x: Bar, y: Bar) -> Bar | None:
+    """Tensor product of two bars: (a+c, min(a+d, b+c)), or None when it vanishes.
 
-    The result is never degenerate: both candidate deaths strictly exceed a+c.
+    In exact arithmetic both candidate deaths exceed a+c, but float rounding
+    can make the endpoints meet (0.1 + 0.3 == 0.1 + (0.1 + 0.2)); the rounded
+    bar is then empty, as a pair of cells entering together gives no bar.
     With an infinite death on either side, inf arithmetic gives the right answer
     (the free factor acts like a shifted copy of the ring).
     """
-    return Bar(x.birth + y.birth, min(x.birth + y.death, x.death + y.birth))
+    birth, death = x.birth + y.birth, min(x.birth + y.death, x.death + y.birth)
+    return Bar(birth, death) if birth < death else None
 
 
 def tor1_bar(x: Bar, y: Bar) -> Bar | None:
     """First torsion product of two bars, or None when it vanishes.
 
     Free modules are flat here, so an infinite death on either side kills the
-    torsion.  Otherwise the result is (max(a+d, b+c), b+d), again never
-    degenerate because a < b and c < d.
+    torsion.  Otherwise the result is (max(a+d, b+c), b+d), which a < b and
+    c < d keep nonempty in exact arithmetic; when float rounding makes its
+    endpoints meet, as in `tensor_bar`, it vanishes too.
     """
     if x.death == INF or y.death == INF:
         return None
-    return Bar(max(x.birth + y.death, x.death + y.birth), x.death + y.death)
+    birth, death = max(x.birth + y.death, x.death + y.birth), x.death + y.death
+    return Bar(birth, death) if birth < death else None
 
 
 class Barcode:
@@ -137,12 +144,14 @@ _EMPTY = Barcode()
 
 
 def tensor_barcodes(a: Barcode, b: Barcode) -> Barcode:
-    """Barwise tensor product: every pair contributes one bar."""
-    return Barcode(tensor_bar(x, y) for x in a for y in b)
+    """Barwise tensor product: every pair contributes one bar, unless float
+    rounding makes it empty."""
+    return Barcode(t for x in a for y in b if (t := tensor_bar(x, y)) is not None)
 
 
 def tor1_barcodes(a: Barcode, b: Barcode) -> Barcode:
-    """Barwise Tor_1: pairs with any free factor contribute nothing."""
+    """Barwise Tor_1: pairs with any free factor contribute nothing, nor do
+    pairs whose rounded bar is empty."""
     out = []
     for x in a:
         if x.death == INF:

@@ -30,8 +30,10 @@ from .errors import CapExceeded, InputError, SumripsError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 180 B per cell (CPython 3.11, numpy
-# 2.4, x86-64); about 60 B of that is the argsort that transposes a boundary.
+# maxdim 4 grows the resident set by about 105 B per cell (CPython 3.11, numpy
+# 2.4, x86-64), of which the build takes about 100 B.  The largest boundary's
+# transpose takes 21 B per cell of output and 10 B per cell beyond it; one
+# argsort of all its entries took 63 B.
 # The figure below is the 760 B per cell that a homology reduction with bitset
 # columns took, kept so that the default cap admits no complex it refused
 # before.

@@ -32,8 +32,11 @@ indexed by coface; an unmodified owner's coboundary is rebuilt from the
 boundary matrix only when it is added.  Only columns that additions changed
 are stored, as {coface: coefficient} dicts.  Owners are not rescaled: adding
 one multiplies it by col[pivot] / owner[pivot] mod p.  Memory beyond the
-complex therefore grows with the cells, at four bytes per coface, and with
-the few modified columns, not with the boundary entries.
+complex therefore grows with the cells, at four bytes per coface, with the few
+modified columns, and with the coboundaries of one dimension at a time: its
+boundary transposed, at five bytes per entry (an int32 coface and an int8
+coefficient).  The transpose sorts at most CHUNK entries at a time, so beyond
+that output it holds O(CHUNK + cells) bytes, not a permutation of every entry.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -54,6 +57,8 @@ from .errors import InputError
 
 DEFAULT_FIELD = 2
 MAX_FIELD = 2**31
+# Boundary entries that `_transpose` sorts at a time.
+CHUNK = 2**16
 
 
 def _is_prime(p: int) -> bool:
@@ -106,19 +111,61 @@ def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.n
     return kept[dim.indptr], dim.indices[live], data[live]
 
 
+def _column_cuts(indptr: np.ndarray) -> list[int]:
+    """Cuts of the columns into chunks of whole columns holding at most CHUNK
+    entries each; a longer column is a chunk by itself."""
+    n, cuts = len(indptr) - 1, [0]
+    while cuts[-1] < n:
+        lo = cuts[-1]
+        end = int(indptr[lo]) + CHUNK
+        hi = n if indptr[n] <= end else int(np.searchsorted(indptr, end, side="right")) - 1
+        cuts.append(max(hi, lo + 1))
+    return cuts
+
+
+def _sorted_chunk(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, lo: int, hi: int,
+                  n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column and coefficient of each entry of columns lo..hi-1, stably
+    sorted by row, so each row's columns ascend."""
+    a, b = indptr[lo], indptr[hi]
+    rows = indices[a:b]
+    # numpy radix-sorts 16-bit keys, which cover every dimension of up to
+    # 65,536 cells.
+    by_row = np.argsort(rows.astype(np.uint16) if n_rows <= 2**16 else rows, kind="stable")
+    cols = np.repeat(np.arange(lo, hi, dtype=indices.dtype), indptr[lo + 1:hi + 1] - indptr[lo:hi])
+    return cols[by_row], data[a:b][by_row]
+
+
 def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of a boundary as (indptr, indices, data), each row's columns ascending.
 
-    A stable sort of the entries by row keeps them in column order within
-    each row; numpy radix-sorts 16-bit keys, which covers every dimension of
-    up to 65,536 cells.
+    The columns are taken in chunks of at most CHUNK entries (`_column_cuts`).
+    Each row's entries are counted chunk by chunk, since `np.bincount` counts
+    in 8-byte integers.  Then each chunk's entries, stably sorted by row, go to
+    their rows' next free slots, chunk after chunk, so each row lists its
+    columns in order.  Beyond the output, this holds O(CHUNK + n_rows) bytes.
+    A boundary of one chunk is the sorted chunk itself.
     """
-    by_row = np.argsort(indices.astype(np.uint16) if n_rows <= 2**16 else indices, kind="stable")
-    cols = np.repeat(np.arange(len(indptr) - 1, dtype=indices.dtype), np.diff(indptr))
+    cuts = _column_cuts(indptr)
     ptr = np.zeros(n_rows + 1, dtype=indptr.dtype)
-    np.cumsum(np.bincount(indices, minlength=n_rows), out=ptr[1:])
-    return ptr, cols[by_row], data[by_row]
+    np.cumsum(sum(np.bincount(indices[indptr[lo]:indptr[hi]], minlength=n_rows)
+                  for lo, hi in zip(cuts, cuts[1:])), out=ptr[1:])
+    if len(cuts) == 2:
+        return (ptr, *_sorted_chunk(indptr, indices, data, 0, cuts[1], n_rows))
+    cofaces, coeffs = np.empty_like(indices), np.empty_like(data)
+    free = ptr[:-1].copy()
+    for lo, hi in zip(cuts, cuts[1:]):
+        count = np.bincount(indices[indptr[lo]:indptr[hi]], minlength=n_rows)
+        # The sorted chunk lists its rows ascending, count[r] entries each;
+        # the k-th entry of row r goes to slot free[r] + k.
+        first = free - np.cumsum(count)
+        first += count
+        slot = np.repeat(first, count)
+        slot += np.arange(len(slot))
+        cofaces[slot], coeffs[slot] = _sorted_chunk(indptr, indices, data, lo, hi, n_rows)
+        free += count
+    return ptr, cofaces, coeffs
 
 
 def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> list[np.ndarray]:

@@ -150,6 +150,17 @@ def test_tensor_barcodes_two_interval_example():
     assert tor1_barcodes(Barcode(), ph0) == Barcode()
 
 
+def test_bars_that_rounding_empties_are_dropped():
+    """Exactly, each pair below has a nonempty tensor or Tor_1 bar, but its
+    rounded endpoints meet: 0.1 + 0.3 == 0.1 + (0.1 + 0.2) and 1.0 + 1e-17 == 1.0."""
+    x, y = Bar(0.1, 1.0), Bar(0.3, 0.1 + 0.2)
+    assert tensor_bar(x, y) is None
+    assert tensor_barcodes(Barcode([x, UNIT]), Barcode([y])) == Barcode([Bar(0.3, 0.1 + 0.2)])
+    x, y = Bar(0.0, 1e-17), Bar(0.5, 1.0)
+    assert tor1_bar(x, y) is None
+    assert tor1_barcodes(Barcode([x, Bar(0, 1)]), Barcode([y])) == Barcode([Bar(1.5, 2.0)])
+
+
 def test_graded_barcode_semantics():
     code = GradedBarcode({0: Barcode([Bar(0, INF)]), 1: Barcode()})
     assert code.dims() == (0, 1)

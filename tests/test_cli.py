@@ -110,6 +110,24 @@ def test_kunneth_json(interval_csv, square_csv, capsys):
     assert doc["dims"][3]["verdict"] == "violated"
 
 
+@pytest.mark.parametrize("field", ["2", "3", "5"])
+def test_kunneth_survives_bars_that_rounding_empties(field, tmp_path, capsys):
+    """X's bar [0.1, 1) times Y's bar [0.3, 0.1 + 0.2) rounds to the empty
+    [0.4, 0.4); the product's matching pair sums the same floats, so it is
+    zero-length too, and both sides agree."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("0.1,1.0\n1.0,0.1\n")
+    y.write_text("0.3,0.30000000000000004\n0.30000000000000004,0.3\n")
+    assert main(["kunneth", "--x", str(x), "--y", str(y), "--maxn", "2", "--field", field,
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [d["n"] for d in doc["dims"]] == [0, 1, 2]
+    for d in doc["dims"]:
+        assert d["verdict"] == "equal" and d["predicted"] == d["actual"]
+    assert doc["dims"][0]["actual"] == [[0.4, 1.3], [0.4, "inf"]]
+    assert doc["dims"][1]["actual"] == doc["dims"][2]["actual"] == []
+
+
 def test_hamming_table(capsys):
     assert main(["hamming", "--k", "3", "--maxdim", "4"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Reduction engine: golden barcodes, oracle agreement, fields."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from sumrips import (
     validate,
     vietoris_rips,
 )
+from sumrips import persistence
 from sumrips.complexes import Dimension
+from sumrips.io import barcode_document, dumps_document
 from sumrips.persistence import _transpose
 
 INF = math.inf
@@ -114,20 +117,61 @@ def test_coefficients_vanishing_mod_p_change_no_bar():
 
 
 @pytest.mark.parametrize("n_rows", [300, 2**16, 2**16 + 1, 100_000])
-def test_transpose_lists_each_rows_columns_in_order(n_rows):
+def test_transpose_lists_each_rows_columns_in_order(n_rows, monkeypatch):
     """Both sorts the transpose picks by the row count, 16-bit keys up to
-    2^16 rows and full indices above, give every row its columns ascending."""
+    2^16 rows and full indices above, give every row its columns ascending,
+    whether the columns fit one chunk or many, and whether a column is longer
+    than a chunk or not; rows without entries get none."""
     rng = np.random.default_rng(n_rows)
-    counts = rng.integers(0, 6, 4000)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    indices = np.concatenate([np.sort(rng.choice(n_rows, c, replace=False)) for c in counts])
-    indices[0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
-    data = rng.integers(-3, 4, len(indices)).astype(np.int8)
-    ptr, cols, coeffs = _transpose(indptr, indices.astype(np.int32), data, n_rows)
-    col_of = np.repeat(np.arange(len(counts)), counts)
-    want = sorted(zip(indices.tolist(), col_of.tolist(), data.tolist()))
-    rows = np.repeat(np.arange(n_rows), np.diff(ptr))
-    assert list(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) == want
+    empty = np.r_[0, np.arange(n_rows // 2, n_rows // 2 + 10)]
+    live = np.setdiff1d(np.arange(n_rows), empty)
+    for chunk in (persistence.CHUNK, 7, 1):
+        monkeypatch.setattr(persistence, "CHUNK", chunk)
+        counts = rng.integers(0, 6, 500)
+        counts[200] = min(len(live), chunk + 1)  # longer than a chunk where the rows allow it
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64 if chunk == 7 else np.int32)
+        indices = np.concatenate([np.sort(rng.choice(live, c, replace=False)) for c in counts])
+        indices[0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
+        data = rng.integers(-3, 4, len(indices)).astype(np.int8)
+        ptr, cols, coeffs = _transpose(indptr, indices.astype(np.int32), data, n_rows)
+        assert (ptr.dtype, cols.dtype, coeffs.dtype) == (indptr.dtype, np.int32, np.int8)
+        assert not np.diff(ptr)[empty].any()
+        col_of = np.repeat(np.arange(len(counts)), counts)
+        want = sorted(zip(indices.tolist(), col_of.tolist(), data.tolist()))
+        rows = np.repeat(np.arange(n_rows), np.diff(ptr))
+        assert list(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_chunks_keep_barcode_bytes(p, monkeypatch):
+    """Transposing three entries at a time, so nearly every boundary spans
+    many chunks, leaves every barcode document of the product corpus as it is."""
+    complexes = [vietoris_rips(product_sum(x, y), 3, barcode_only=True)
+                 for x, y in corpus.product_corpus()]
+
+    def documents():
+        return [dumps_document(barcode_document(reduce(cx, p), p)) for cx in complexes]
+
+    whole = documents()
+    monkeypatch.setattr(persistence, "CHUNK", 3)
+    assert documents() == whole
+
+
+def test_transpose_holds_little_beyond_its_output():
+    """The top boundary of the 5-cube as a product (717,080 entries, about 11
+    chunks) is transposed within 4 MB of traced memory beyond the output; one
+    argsort of all the entries needs about 11 MB."""
+    cx = vietoris_rips(product_sum(hamming_cube(4), hamming_cube(1)), 4, barcode_only=True)
+    top = cx.dims[4]
+    assert len(top.indices) == 717_080
+    n_rows = len(cx.dims[3].filtration)
+    tracemalloc.start()
+    try:
+        out = _transpose(top.indptr, top.indices, top.data, n_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in out) <= 4_000_000
 
 
 def test_truncation_drops_cut_dimension():
