@@ -15,7 +15,6 @@ from .bars import (
 from .complexes import (
     Cell,
     FilteredComplex,
-    filtration_inequality_check,
     tensor_complex,
     vietoris_rips,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "compare_product",
     "diameter",
     "enclosing_radius",
-    "filtration_inequality_check",
     "hamming_cube",
     "kunneth_predict",
     "product_sum",

@@ -194,15 +194,15 @@ def cmd_hamming(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_bottleneck(args: argparse.Namespace) -> tuple[str, int]:
-    code_a, field_a = io.read_barcode_json_with_field(args.a)
-    code_b, field_b = io.read_barcode_json_with_field(args.b)
+    if args.dim < 0:
+        raise InputError(f"--dim must be >= 0, got {args.dim}")
+    code_a, field_a = io.read_barcode_json(args.a)
+    code_b, field_b = io.read_barcode_json(args.b)
     if field_a != field_b:
         raise InputError(f"{args.a} is over F_{field_a} but {args.b} is over F_{field_b}; "
                          f"barcodes over different fields are not comparable")
     if args.field is not None and args.field != field_a:
         raise InputError(f"--field {args.field} disagrees with the documents' field {field_a}")
-    if args.dim < 0:
-        raise InputError(f"--dim must be >= 0, got {args.dim}")
     for path, code in ((args.a, code_a), (args.b, code_b)):
         if args.dim not in code.dims():
             raise InputError(f"{path}: dimension {args.dim} is not present in the document")

@@ -111,9 +111,6 @@ class FilteredComplex:
     def dim_counts(self) -> dict[int, int]:
         return {d: len(dim.filtration) for d, dim in enumerate(self.dims) if len(dim.filtration)}
 
-    def critical_values(self) -> tuple[float, ...]:
-        return tuple(np.unique(np.concatenate([dim.filtration for dim in self.dims])).tolist())
-
     def global_ids(self) -> list[np.ndarray]:
         """Per dimension, each cell's position in the global order."""
         sizes = [len(dim.filtration) for dim in self.dims]
@@ -213,15 +210,6 @@ def _check_cap(what: str, needed: int, cell_cap: int) -> None:
                           f"exceeding the cap {cell_cap}")
 
 
-def _subset_diameter(dist: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per row of `points`, the max of dist over its pairs, diagonal included."""
-    out = np.zeros(len(points))
-    for p in range(points.shape[1]):
-        for q in range(p, points.shape[1]):
-            np.maximum(out, dist[points[:, p], points[:, q]], out=out)
-    return out
-
-
 def rips_cell_count(n_points: int, maxdim: int) -> int:
     """Number of cells vietoris_rips would build; cheap cap pre-check."""
     top = min(maxdim, n_points - 1)
@@ -238,7 +226,7 @@ def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
     parent, new = np.nonzero(grow)
     subsets, filt = subsets[parent], filt[parent]
     # The diagonal comes last: np.maximum returns the later of two equal values,
-    # so a zero keeps the sign _subset_diameter gives it.
+    # so a subset at zero takes the sign of its last point's d(v, v).
     for col in (*subsets.T, new):
         np.maximum(filt, dist[col, new], out=filt)
     return np.column_stack([subsets, new.astype(subsets.dtype)]), filt
@@ -541,56 +529,3 @@ def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None 
         below_order = order
     complete = cx.complete and cy.complete and top == full
     return FilteredComplex(tuple(dims), complete, source=(cx, cy))
-
-
-@dataclass(frozen=True, slots=True)
-class FiltrationCheckReport:
-    """Outcome of the product filtration sandwich check."""
-
-    ok: bool
-    cells_checked: int
-    violation: tuple[str, float, float, float] | None = None
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"ok: {self.cells_checked} product cells satisfy the filtration bounds"
-        label, filt, lower, upper = self.violation
-        return (f"violation at cell {label}: filtration {filt!r} outside "
-                f"[{lower!r}, {upper!r}] after {self.cells_checked} checks")
-
-
-def verify_product_filtration(product: FilteredComplex, x: FiniteMetricSpace,
-                              y: FiniteMetricSpace) -> FiltrationCheckReport:
-    """Check max(l_X, l_Y) <= l_product <= l_X + l_Y on every cell of `product`.
-
-    Cells must carry product-space vertices (index = ix * len(y) + iy).  The
-    factor filtrations are evaluated on the projected vertex sets, diagonal
-    included, so the bounds hold exactly in float arithmetic.  The report
-    counts cells in the global order up to the first violation.
-    """
-    ny, first = len(y), []
-    for d, dim in enumerate(product.dims):
-        if dim.vertices is None:
-            raise InputError("product complex cells lack vertex data")
-        lx = _subset_diameter(x.dist, dim.vertices // ny)
-        ly = _subset_diameter(y.dist, dim.vertices % ny)
-        bad = np.flatnonzero((np.maximum(lx, ly) > dim.filtration) | (dim.filtration > lx + ly))
-        if bad.size:
-            first.append((d, bad[0], float(lx[bad[0]]), float(ly[bad[0]])))
-    if not first:
-        return FiltrationCheckReport(True, len(product))
-    ids = product.global_ids()
-    gid, d, k, lx, ly = min((int(ids[d][k]), d, k, lx, ly) for d, k, lx, ly in first)
-    dim = product.dims[d]
-    label = ",".join([product.source[v] for v in dim.vertices[k].tolist()])
-    return FiltrationCheckReport(False, gid + 1,
-                                 (label, float(dim.filtration[k]), max(lx, ly), lx + ly))
-
-
-def filtration_inequality_check(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,
-                                cell_cap: int = DEFAULT_CELL_CAP) -> FiltrationCheckReport:
-    """Build the sum-metric product Rips complex and run the sandwich check."""
-    from .metric import product_sum
-
-    product = vietoris_rips(product_sum(x, y), maxdim, cell_cap=cell_cap)
-    return verify_product_filtration(product, x, y)

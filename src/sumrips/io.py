@@ -33,13 +33,14 @@ class FormatError(InputError):
 def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     """Parse an n x n comma-separated distance matrix, optional label header.
 
-    The file is read as UTF-8; other bytes are a format error.
+    The file is read as UTF-8, with or without a leading byte-order mark;
+    other bytes are a format error.
 
     The first row is a header exactly when any of its entries fails to parse
     as a number.  Parse errors report 1-based line and column.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -178,12 +179,9 @@ def parse_barcode_document(doc: Any, where: str = "barcode document") -> tuple[G
     return GradedBarcode(by_dim), field
 
 
-def read_barcode_json(path: str | Path) -> GradedBarcode:
-    """Read a barcode document; inverse of write_barcode_json on its output."""
-    return read_barcode_json_with_field(path)[0]
-
-
-def read_barcode_json_with_field(path: str | Path) -> tuple[GradedBarcode, int]:
+def read_barcode_json(path: str | Path) -> tuple[GradedBarcode, int]:
+    """Read a barcode document; returns (barcode, field characteristic), the
+    arguments write_barcode_json took."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

@@ -4,13 +4,17 @@ For the sum metric on X x Y, the degree-n prediction is the bar multiset
 
     sum_{i+j=n} PH_i(X) (x) PH_j(Y)   +   sum_{i+j=n-1} Tor_1(PH_i(X), PH_j(Y)),
 
-computed barwise from the factor barcodes.  The prediction provably matches the
+computed barwise from the factor barcodes.  When d(u, u) <= d(u, v) holds in
+each factor, as in every metric space, the prediction provably matches the
 product's persistent homology in degrees 0 and 1 and dominates it in degree 2;
 from degree 3 on it can genuinely differ, so comparisons return structured
-verdicts instead of raising.  Predicted and actual modules are always within
-interleaving distance min(diam X, diam Y) of each other, which bounds their
-bottleneck distance; every report carries that bound next to the exact
-bottleneck value so the theorem stays machine-checked on real inputs.
+verdicts instead of raising.  Without that hypothesis degrees 0 and 1 can fail
+too: `sumrips kunneth --maxn 1` on X = [[0,3],[3,0]], Y = [[2,0],[0,1]] finds
+degree 1 violated and exits 1, as the verdicts assert degrees 0 to 2 whatever
+the input.  Predicted and actual modules are always within interleaving
+distance min(diam X, diam Y) of each other, which bounds their bottleneck
+distance; every report carries that bound next to the exact bottleneck value
+so the theorem stays machine-checked on real inputs.
 
 The bottleneck distance here is exact: the optimum is always one of finitely
 many candidate values (pairwise max-costs and half-persistences), found by
@@ -211,7 +215,10 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     reliable barcode unchanged.  The cell cap still counts the whole
     complexes, so it admits exactly the inputs the whole build did.
     Violations become verdicts, never exceptions: in degrees >= 3 they are
-    expected on some inputs and merely recorded.
+    expected on some inputs and merely recorded.  Degrees 0 to 2 are asserted
+    whatever the input, but the theorem behind them assumes d(u, u) <= d(u, v)
+    in each factor; where a positive diagonal breaks that, an asserted degree
+    can fail (X = [[0,3],[3,0]], Y = [[2,0],[0,1]] violates degree 1).
     """
     if maxn < 0:
         raise InputError(f"maxn must be >= 0, got {maxn}")

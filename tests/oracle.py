@@ -4,8 +4,9 @@ Nothing here reuses the library's arithmetic: graded tensor dimensions come
 from explicit generator/relation matrices on a discretized grid, Tor from the
 two-step free resolution mechanics, Betti numbers from dense Gaussian
 elimination on boundary matrices, bottleneck distances from exhaustive
-matching enumeration, bipartite covers from Hall's condition, and the edge
-collapse from each level's neighbourhoods recomputed as sets.
+matching enumeration, bipartite covers from Hall's condition, the edge
+collapse from each level's neighbourhoods recomputed as sets, and the product
+filtration bounds from every pair of each cell's projected points.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -45,6 +46,33 @@ def gf_rank(matrix, p: int) -> int:
         if r == rows:
             break
     return r
+
+
+def critical_values(cx: FilteredComplex) -> list[float]:
+    """The distinct filtration values of the cells of cx, ascending."""
+    return sorted({cell.filtration for cell in cx.cells})
+
+
+def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:
+    """Ids of the cells of a Rips complex of X x Y whose filtration l breaks
+    max(l_X, l_Y) <= l <= l_X + l_Y.
+
+    Point x_i y_j of the product has index i * len(y) + j.  l_X and l_Y are
+    the filtrations of the cell's projections: the largest distance over every
+    pair of projected points, diagonal included.
+    """
+    ny, dx, dy = len(y), x.dist.tolist(), y.dist.tolist()
+
+    def diameter(dist: list[list[float]], points: set[int]) -> float:
+        return max(dist[a][b] for a in points for b in points)
+
+    bad = []
+    for j, cell in enumerate(product.cells):
+        lx = diameter(dx, {v // ny for v in cell.vertices})
+        ly = diameter(dy, {v % ny for v in cell.vertices})
+        if not max(lx, ly) <= cell.filtration <= lx + ly:
+            bad.append(j)
+    return bad
 
 
 def _boundary_matrix_at(cx: FilteredComplex, n: int, t: float):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import corpus
+import sumrips.io
 from sumrips import Bar, Barcode, GradedBarcode, hamming_cube, validate
 from sumrips.cli import build_parser, main
 from sumrips.complexes import rips_cell_count
@@ -164,6 +165,30 @@ def test_bottleneck_plain_and_json(tmp_path, capsys):
     assert main(["bottleneck", "--a", str(a), "--b", str(b), "--dim", "0",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 1.0
+
+
+def test_bottleneck_reads_each_document_through_read_barcode_json(tmp_path, monkeypatch,
+                                                                  capsys):
+    """The benchmark's tracer books a document read by rebinding this one reader."""
+    path = tmp_path / "a.json"
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, 2)])}), path, field=2)
+    read, calls = sumrips.io.read_barcode_json, []
+
+    def recording(p):
+        calls.append(p)
+        return read(p)
+
+    monkeypatch.setattr(sumrips.io, "read_barcode_json", recording)
+    assert main(["bottleneck", "--a", str(path), "--b", str(path), "--dim", "0"]) == 0
+    assert capsys.readouterr().out == "0.0\n"
+    assert calls == [path, path]
+
+
+def test_bottleneck_checks_dim_before_reading(tmp_path, capsys):
+    absent = str(tmp_path / "absent.json")
+    assert main(["bottleneck", "--a", absent, "--b", absent, "--dim", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --dim must be >= 0, got -1\n"
 
 
 def test_bottleneck_missing_dimension_is_input_error(tmp_path, capsys):

@@ -13,7 +13,6 @@ from sumrips import (
     FilteredComplex,
     InputError,
     enclosing_radius,
-    filtration_inequality_check,
     hamming_cube,
     product_sum,
     reduce,
@@ -29,7 +28,6 @@ from sumrips.complexes import (
     _collapse,
     rips_cell_count,
     tensor_cell_count,
-    verify_product_filtration,
 )
 from sumrips.io import barcode_document, dumps_document
 
@@ -430,10 +428,8 @@ def test_filtration_inequality_on_random_pairs():
     for _ in range(10):
         x = corpus.random_space(rng, 2, 4)
         y = corpus.random_space(rng, 2, 4)
-        report = filtration_inequality_check(x, y, 2)
-        assert report.ok, str(report)
-        assert report.cells_checked == len(vietoris_rips(product_sum(x, y), 2))
-        assert report.violation is None
+        prod = vietoris_rips(product_sum(x, y), 2)
+        assert oracle.filtration_sandwich_violations(prod, x, y) == []
 
 
 def test_filtration_inequality_detects_corruption():
@@ -444,18 +440,17 @@ def test_filtration_inequality_detects_corruption():
     # push one edge (row 0 of dimension 1) above the upper bound l_X + l_Y = 2
     filtration = prod.dims[1].filtration.copy()
     filtration[0] = 9.0
-    report = verify_product_filtration(_replaced(prod, 1, filtration=filtration), x, y)
-    assert not report.ok
-    assert report.violation[0] == cells[j].label
-    assert "violation" in str(report)
+    corrupt = _replaced(prod, 1, filtration=filtration)
+    bad = oracle.filtration_sandwich_violations(corrupt, x, y)
+    assert [corrupt.cells[i].label for i in bad] == [cells[j].label]
 
     # and one vertex below the lower bound max(l_X, l_Y)
     diag = validate([[1.0]])
     prod2 = vietoris_rips(product_sum(diag, diag), 1)
     filtration2 = prod2.dims[0].filtration.copy()
     filtration2[0] = 0.0
-    report2 = verify_product_filtration(_replaced(prod2, 0, filtration=filtration2), diag, diag)
-    assert not report2.ok
+    corrupt2 = _replaced(prod2, 0, filtration=filtration2)
+    assert oracle.filtration_sandwich_violations(corrupt2, diag, diag) == [0]
 
 
 def test_dump_lines_format():

@@ -13,7 +13,6 @@ from sumrips.io import (
     dumps_document,
     parse_barcode_document,
     read_barcode_json,
-    read_barcode_json_with_field,
     read_metric_csv,
     report_document,
     write_barcode_json,
@@ -72,6 +71,16 @@ def test_read_csv_refuses_bytes_that_are_not_utf8(tmp_path):
     assert read_metric_csv(path).labels == ("a", "\u00e9")
 
 
+def test_read_csv_skips_a_byte_order_mark(tmp_path):
+    """Spreadsheets save "CSV UTF-8" with the bytes ef bb bf in front."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,1\n1,0\n")
+    space = read_metric_csv(path)
+    assert space.labels == ("0", "1") and space.dist[0, 1] == 1.0
+    path.write_bytes(b"\xef\xbb\xbfa,b\n0,1\n1,0\n")
+    assert read_metric_csv(path).labels == ("a", "b")
+
+
 def test_read_csv_applies_metric_validation(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0,1\n2,0\n")
@@ -99,10 +108,9 @@ def test_barcode_roundtrip(tmp_path):
     path = tmp_path / "code.json"
     code = _sample_code()
     write_barcode_json(code, path, field=3)
-    back, field = read_barcode_json_with_field(path)
+    back, field = read_barcode_json(path)
     assert back == code and field == 3
     assert back.dims() == code.dims()  # explicit empty dim survives
-    assert read_barcode_json(path) == code
 
 
 def test_serialization_is_canonical():
