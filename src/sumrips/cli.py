@@ -149,6 +149,10 @@ def cmd_kunneth(args: argparse.Namespace) -> tuple[str, int]:
         lines.append(f"{d.n:>2}  {d.verdict:<10} {'yes' if d.asserted else 'no':<8} "
                      f"{_fmt(d.bottleneck):<12} {'yes' if d.bound_ok else 'NO':<8} "
                      f"{_group_bars(d.predicted)} / {_group_bars(d.actual)}")
+    broken = report.hypothesis_break
+    if broken is not None:
+        lines.append(f"no degree asserted: d(u, u) > d(u, v) in {broken.factor} "
+                     f"at u = {broken.u}, v = {broken.v}")
     lines.append("ok" if report.ok else "FAIL: prediction theorem violated in an asserted degree")
     return "\n".join(lines) + "\n", status
 

@@ -30,10 +30,11 @@ from .errors import CapExceeded, InputError, SumripsError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 105 B per cell (CPython 3.11, numpy
-# 2.4, x86-64), of which the build takes about 100 B.  The largest boundary's
-# transpose takes 21 B per cell of output and 10 B per cell beyond it; one
-# argsort of all its entries took 63 B.
+# maxdim 4 grows the resident set by about 97 B per cell (CPython 3.11, numpy
+# 2.4, x86-64), of which the build takes about 80 B; for the 251,175 cells of
+# 50 random points in the unit cube at maxdim 3 it is 85 and 72 B.  The
+# largest boundary's transpose takes 21 B per cell of output and 7 B per cell
+# beyond it; one argsort of all its entries took 63 B.
 # The figure below is the 760 B per cell that a homology reduction with bitset
 # columns took, kept so that the default cap admits no complex it refused
 # before.
@@ -220,16 +221,27 @@ def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
             dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every extension of each subset by a larger point near all of its points,
     with its filtration.  Listed in lexicographic order when the subsets are."""
-    grow = np.arange(len(dist)) > subsets[:, -1:]
+    m, k = len(dist), subsets.shape[1]
+    grow = np.arange(m) > subsets[:, -1:]
     for col in subsets.T:
         grow &= near[col]
-    parent, new = np.nonzero(grow)
-    subsets, filt = subsets[parent], filt[parent]
+    # One index per extension, row * m + point: the two index arrays of
+    # np.nonzero share one buffer, so neither could be freed before the other.
+    parent = np.flatnonzero(grow)
+    del grow
+    rows = np.empty((len(parent), k + 1), dtype=subsets.dtype)
+    rows[:, k] = parent % m
+    parent //= m
+    filt = filt[parent]
+    for i in range(k):
+        rows[:, i] = subsets[parent, i]
+    del parent
     # The diagonal comes last: np.maximum returns the later of two equal values,
     # so a subset at zero takes the sign of its last point's d(v, v).
-    for col in (*subsets.T, new):
+    new = rows[:, k]
+    for col in rows.T:
         np.maximum(filt, dist[col, new], out=filt)
-    return np.column_stack([subsets, new.astype(subsets.dtype)]), filt
+    return rows, filt
 
 
 def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
@@ -421,9 +433,11 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     # Point indices and face rows are int32, like the `indices` of a boundary.
     subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
     filt = diag[subsets[:, 0]]
-    # _extend and _rips_boundary free their temporaries on return: a build peaks
-    # at about twice what its complex retains (104 and 55 B per cell on a cut
-    # 30-point product at maxdim 4, under tracemalloc).
+    # _extend and _rips_boundary free their temporaries on return, and the top
+    # dimension's lexicographic rows go before its boundary is built: under
+    # tracemalloc a build peaks at about 1.3 times what its complex retains
+    # (72 and 55 B per cell on the whole 5-cube at maxdim 4, 66 and 47 B on
+    # 50 random points in the unit cube at maxdim 3).
     for d in range(top + 1):
         if d and len(filt):
             subsets, filt = _extend(subsets, filt, near, dist)
@@ -433,10 +447,15 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
                                   vertices=np.empty((0, d + 1), dtype=np.int32)))
             continue
         order = np.argsort(filt, kind="stable")
-        verts = subsets[order]
+        verts, filt_sorted = subsets[order], filt[order]
+        del order
+        if d == top:
+            # Nothing extends the top dimension: its lexicographic rows and
+            # unsorted filtration go before its boundary is built.
+            del subsets, filt
         boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
                     else _no_boundary(len(verts)))
-        dims.append(Dimension(filt[order], *boundary, vertices=verts))
+        dims.append(Dimension(filt_sorted, *boundary, vertices=verts))
     return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
 
 

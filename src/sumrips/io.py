@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -196,13 +197,16 @@ def _barcode_pairs(code: Barcode) -> list[list[Any]]:
 
 
 def report_document(report: ComparisonReport) -> dict[str, Any]:
-    """JSON-ready dict for a product comparison report."""
+    """JSON-ready dict for a product comparison report.  `hypothesis_break`
+    appears only when a factor breaks d(u, u) <= d(u, v)."""
+    broken = report.hypothesis_break
     return {
         "format": "sumrips-kunneth-report",
         "field": report.field,
         "convention": CONVENTION,
         "diameter_bound": report.diameter_bound,
         "ok": report.ok,
+        **({} if broken is None else {"hypothesis_break": asdict(broken)}),
         "dims": [
             {
                 "n": d.n,

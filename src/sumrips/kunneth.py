@@ -9,12 +9,13 @@ each factor, as in every metric space, the prediction provably matches the
 product's persistent homology in degrees 0 and 1 and dominates it in degree 2;
 from degree 3 on it can genuinely differ, so comparisons return structured
 verdicts instead of raising.  Without that hypothesis degrees 0 and 1 can fail
-too: `sumrips kunneth --maxn 1` on X = [[0,3],[3,0]], Y = [[2,0],[0,1]] finds
-degree 1 violated and exits 1, as the verdicts assert degrees 0 to 2 whatever
-the input.  Predicted and actual modules are always within interleaving
-distance min(diam X, diam Y) of each other, which bounds their bottleneck
-distance; every report carries that bound next to the exact bottleneck value
-so the theorem stays machine-checked on real inputs.
+too (X = [[0,3],[3,0]], Y = [[2,0],[0,1]] violates degree 1), so a comparison
+checks it and, where a factor breaks it, asserts no degree and names the
+factor and one offending pair; `sumrips kunneth` then exits 0 on that input.
+Predicted and actual modules are always within interleaving distance
+min(diam X, diam Y) of each other, which bounds their bottleneck distance;
+every report carries that bound next to the exact bottleneck value so the
+theorem stays machine-checked on real inputs.
 
 The bottleneck distance here is exact: the optimum is always one of finitely
 many candidate values (pairwise max-costs and half-persistences), found by
@@ -174,12 +175,26 @@ class DimensionComparison:
 
 
 @dataclass(frozen=True, slots=True)
+class HypothesisBreak:
+    """Points u, v of one factor ("X" or "Y"), by label, with d(u, u) > d(u, v)."""
+
+    factor: str
+    u: str
+    v: str
+
+
+@dataclass(frozen=True, slots=True)
 class ComparisonReport:
-    """Full product comparison: one entry per degree 0..maxn."""
+    """Full product comparison: one entry per degree 0..maxn.
+
+    `hypothesis_break` is set when a factor breaks d(u, u) <= d(u, v); then
+    no degree is asserted.
+    """
 
     field: int
     diameter_bound: float
     dims: tuple[DimensionComparison, ...]
+    hypothesis_break: HypothesisBreak | None = None
 
     @property
     def verdicts_ok(self) -> bool:
@@ -194,8 +209,21 @@ class ComparisonReport:
         return self.verdicts_ok and self.bounds_ok
 
 
-def _assertion(n: int, verdict: str) -> tuple[bool, bool]:
-    """(asserted, ok): degrees 0,1 must be equal, degree 2 at worst dominated."""
+def _hypothesis_break(x: FiniteMetricSpace, y: FiniteMetricSpace) -> HypothesisBreak | None:
+    """The first pair, X before Y and then in row-major order, with d(u, u) > d(u, v)."""
+    for factor, space in (("X", x), ("Y", y)):
+        bad = np.argwhere(np.diagonal(space.dist)[:, None] > space.dist)
+        if bad.size:
+            u, v = bad[0].tolist()
+            return HypothesisBreak(factor, space.labels[u], space.labels[v])
+    return None
+
+
+def _assertion(n: int, verdict: str, hypothesis: bool) -> tuple[bool, bool]:
+    """(asserted, ok): under the hypothesis, degrees 0,1 must be equal and
+    degree 2 at worst dominated; nothing is asserted without it."""
+    if not hypothesis:
+        return False, True
     if n <= 1:
         return True, verdict == VERDICT_EQUAL
     if n == 2:
@@ -216,9 +244,11 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     complexes, so it admits exactly the inputs the whole build did.
     Violations become verdicts, never exceptions: in degrees >= 3 they are
     expected on some inputs and merely recorded.  Degrees 0 to 2 are asserted
-    whatever the input, but the theorem behind them assumes d(u, u) <= d(u, v)
-    in each factor; where a positive diagonal breaks that, an asserted degree
-    can fail (X = [[0,3],[3,0]], Y = [[2,0],[0,1]] violates degree 1).
+    only where the theorem behind them applies, d(u, u) <= d(u, v) in each
+    factor.  Where a positive diagonal breaks that, as in X = [[0,3],[3,0]],
+    Y = [[2,0],[0,1]], whose degree 1 is violated, the report asserts no
+    degree, keeps every verdict and bottleneck value, and names the factor
+    and one offending pair in `hypothesis_break`.
     """
     if maxn < 0:
         raise InputError(f"maxn must be >= 0, got {maxn}")
@@ -229,13 +259,14 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
                                            barcode_only=True), p)
                       for space in (x, y, product_sum(x, y)))
     bound = min(diameter(x), diameter(y))
+    broken = _hypothesis_break(x, y)
 
     entries = []
     for n in range(maxn + 1):
         predicted_n = kunneth_predict(bx, by, n)
         actual_n = actual[n]
         verdict = _verdict(predicted_n, actual_n)
-        asserted, verdict_ok = _assertion(n, verdict)
+        asserted, verdict_ok = _assertion(n, verdict, broken is None)
         entries.append(DimensionComparison(
             n=n,
             predicted=predicted_n,
@@ -246,5 +277,6 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
             bottleneck=bottleneck(predicted_n, actual_n),
             diameter_bound=bound,
         ))
-    return ComparisonReport(field=p, diameter_bound=bound, dims=tuple(entries))
+    return ComparisonReport(field=p, diameter_bound=bound, dims=tuple(entries),
+                            hypothesis_break=broken)
 

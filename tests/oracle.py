@@ -5,8 +5,9 @@ from explicit generator/relation matrices on a discretized grid, Tor from the
 two-step free resolution mechanics, Betti numbers from dense Gaussian
 elimination on boundary matrices, bottleneck distances from exhaustive
 matching enumeration, bipartite covers from Hall's condition, the edge
-collapse from each level's neighbourhoods recomputed as sets, and the product
-filtration bounds from every pair of each cell's projected points.
+collapse from each level's neighbourhoods recomputed as sets, Rips cells from
+every subset of points, and the product filtration bounds from every pair of
+each cell's projected points.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -158,6 +159,29 @@ def collapse_reference(near: np.ndarray, dist: np.ndarray) -> np.ndarray:
         if v not in adj[u]:
             out[u, v] = out[v, u] = False
     return out
+
+
+def rips_rows(dist: np.ndarray, maxdim: int, near: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per dimension d up to min(maxdim, points - 1), the int32 vertex rows
+    and float64 filtration of the flag complex of the graph `near`.
+
+    Every (d + 1)-subset whose ordered pairs, u = v included, are all near is
+    a cell.  Its filtration is its largest distance, diagonal included; at 0
+    all its distances are zeros, and it takes the sign of its last point's
+    d(v, v).  Cells are sorted by (filtration, vertices).
+    """
+    m, d = len(dist), dist.tolist()
+    rows = []
+    for k in range(1, min(maxdim, m - 1) + 2):
+        cells = []
+        for s in itertools.combinations(range(m), k):
+            if all(near[u, v] for u in s for v in s):
+                f = max(d[u][v] for u in s for v in s)
+                cells.append((f if f else d[s[-1]][s[-1]], s))
+        cells.sort()
+        rows.append((np.array([s for _, s in cells], dtype=np.int32).reshape(-1, k),
+                     np.array([f for f, _ in cells], dtype=np.float64)))
+    return rows
 
 
 def _alive(bar: Bar, u: float) -> bool:

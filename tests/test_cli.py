@@ -109,6 +109,25 @@ def test_kunneth_json(interval_csv, square_csv, capsys):
     assert doc["ok"] is True
     assert doc["dims"][2]["verdict"] == "dominated"
     assert doc["dims"][3]["verdict"] == "violated"
+    assert "hypothesis_break" not in doc
+
+
+def test_kunneth_positive_diagonal_exits_0(tmp_path, capsys):
+    """d(y0, y0) = 2 > d(y0, y1) = 0 breaks the theorem's hypothesis: degree 1
+    is violated but not asserted, and the output names the break."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("0,3\n3,0\n")
+    y.write_text("2,0\n0,1\n")
+    assert main(["kunneth", "--x", str(x), "--y", str(y), "--maxn", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["no degree asserted: d(u, u) > d(u, v) in Y at u = 0, v = 1", "ok"]
+    assert main(["kunneth", "--x", str(x), "--y", str(y), "--maxn", "1",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["hypothesis_break"] == {"factor": "Y", "u": "0", "v": "1"}
+    assert [(d["verdict"], d["asserted"], d["verdict_ok"]) for d in doc["dims"]] == \
+        [("dominated", False, True), ("violated", False, True)]
 
 
 @pytest.mark.parametrize("field", ["2", "3", "5"])

@@ -299,6 +299,36 @@ def test_collapse_keeps_the_reference_edges_on_cubes(k):
     _assert_collapse_matches_reference(hamming_cube(k))
 
 
+def test_rips_rows_match_every_subset_bit_for_bit():
+    """The vertex rows and filtration bits, signs of zero included, and their
+    dtypes are those of a brute-force enumeration of every subset, sorted by
+    (filtration, vertices): on the whole build, and on the barcode-only build
+    against the cut graph, collapsed unless the matrix holds -0.0."""
+    rng = random.Random(5171)
+    signed = 0
+    for _ in range(150):
+        space = corpus.random_float_space(rng, 2, 9, signed_zero_rate=0.5)
+        dist, diag = space.dist, np.diagonal(space.dist)
+        maxdim = rng.randint(0, 4)
+        top = min(maxdim, len(space) - 1)
+        radius = enclosing_radius(space)
+        cut = (dist <= radius) & (diag <= radius)
+        has_signed_zero = bool(np.signbit(dist).any())
+        signed += has_signed_zero
+        if top >= 2 and not has_signed_zero:
+            cut = oracle.collapse_reference(cut, dist)
+        for near, barcode_only in ((np.ones_like(cut), False), (cut, True)):
+            cx = vietoris_rips(space, maxdim, barcode_only=barcode_only)
+            want = oracle.rips_rows(dist, maxdim, near)
+            assert len(cx.dims) == len(want)
+            for dim, (verts, filt) in zip(cx.dims, want):
+                assert (dim.vertices.dtype, dim.vertices.shape, dim.vertices.tobytes()) == \
+                    (verts.dtype, verts.shape, verts.tobytes()), (dist.tolist(), maxdim)
+                assert (dim.filtration.dtype, dim.filtration.tobytes()) == \
+                    (filt.dtype, filt.tobytes()), (dist.tolist(), maxdim)
+    assert signed >= 30
+
+
 # Each of the edges (0, 1), (1, 2) and (1, 5) is dominated by some w at its
 # entry and at each later level where N[u] & N[v] grows, but by no one w at
 # all of those levels, so the collapse keeps these three edges.

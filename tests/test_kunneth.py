@@ -20,7 +20,14 @@ from sumrips import (
     reduce,
     vietoris_rips,
 )
-from sumrips.kunneth import VERDICT_DOMINATED, VERDICT_EQUAL, VERDICT_VIOLATED, _covers
+from sumrips import validate
+from sumrips.kunneth import (
+    VERDICT_DOMINATED,
+    VERDICT_EQUAL,
+    VERDICT_VIOLATED,
+    HypothesisBreak,
+    _covers,
+)
 
 INF = math.inf
 INTERVAL = hamming_cube(1)
@@ -97,6 +104,56 @@ def test_interleaving_bound_on_cube_pairs():
     report = compare_product(INTERVAL, SQUARE, 3)
     assert report.bounds_ok
     assert report.diameter_bound == min(diameter(INTERVAL), diameter(SQUARE))
+
+
+def test_positive_diagonal_asserts_no_degree():
+    """Y's edge enters at its vertex birth 2, so Y's barcode never sees
+    d(y0, y1) = 0, while the product edge (x0,y1)-(x1,y0) enters at 3: degree
+    0 is dominated and degree 1 violated.  d(y0, y0) > d(y0, y1) breaks the
+    theorem's hypothesis, so neither is asserted and the report passes."""
+    x, y = validate([[0, 3], [3, 0]]), validate([[2, 0], [0, 1]])
+    report = compare_product(x, y, 1)
+    assert report.hypothesis_break == HypothesisBreak("Y", "0", "1")
+    assert [d.verdict for d in report.dims] == [VERDICT_DOMINATED, VERDICT_VIOLATED]
+    assert [d.bottleneck for d in report.dims] == [1.0, 0.5]
+    assert report.dims[1].actual == Barcode([Bar(3, 4)])
+    assert not any(d.asserted for d in report.dims) and report.verdicts_ok
+    assert report.ok
+    assert compare_product(y, x, 1).hypothesis_break == HypothesisBreak("X", "0", "1")
+
+
+def _lifted(space):
+    """d(u, v) raised to max(d(u, v), d(u, u), d(v, v)): the hypothesis holds."""
+    diag = np.diagonal(space.dist)
+    return validate(np.maximum(space.dist, np.maximum(diag[:, None], diag)), space.labels)
+
+
+def test_hypothesis_decides_what_is_asserted():
+    """On seeded generalized float spaces, a report names a hypothesis break
+    exactly when a factor has d(u, u) > d(u, v), and then asserts nothing;
+    where no factor breaks it, every asserted degree holds.  With the
+    distances lifted, every report asserts degrees 0 to 2 and passes."""
+    rng = random.Random(7411)
+    broken = failing = 0
+    for _ in range(40):
+        x, y = corpus.random_float_space(rng, 2, 5), corpus.random_float_space(rng, 2, 4)
+        report = compare_product(x, y, 2)
+        breaks = any((np.diagonal(s.dist)[:, None] > s.dist).any() for s in (x, y))
+        assert (report.hypothesis_break is not None) == breaks
+        assert report.bounds_ok
+        if breaks:
+            broken += 1
+            assert not any(d.asserted for d in report.dims)
+            verdicts = [d.verdict for d in report.dims]
+            failing += verdicts[:2] != [VERDICT_EQUAL] * 2 or verdicts[2] == VERDICT_VIOLATED
+        else:
+            assert report.ok
+        lifted = compare_product(_lifted(x), _lifted(y), 2)
+        assert lifted.hypothesis_break is None
+        assert [d.asserted for d in lifted.dims] == [True] * 3
+        assert lifted.ok, (x.dist.tolist(), y.dist.tolist())
+    # some inputs break the hypothesis, and some of those break the theorem
+    assert broken >= 10 and failing >= 3
 
 
 # ----------------------------------------------------------------- bottleneck

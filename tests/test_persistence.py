@@ -158,7 +158,7 @@ def test_small_chunks_keep_barcode_bytes(p, monkeypatch):
 
 
 def test_transpose_holds_little_beyond_its_output():
-    """The top boundary of the 5-cube as a product (717,080 entries, about 11
+    """The top boundary of the 5-cube as a product (717,080 entries, about 22
     chunks) is transposed within 4 MB of traced memory beyond the output; one
     argsort of all the entries needs about 11 MB."""
     cx = vietoris_rips(product_sum(hamming_cube(4), hamming_cube(1)), 4, barcode_only=True)
@@ -172,6 +172,28 @@ def test_transpose_holds_little_beyond_its_output():
     finally:
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in out) <= 4_000_000
+
+
+def test_build_and_reduce_free_their_temporaries():
+    """The 5-cube as a product at maxdim 3 collapses no edge and keeps 34,563
+    cells.  Under tracemalloc its build peaks at most 28 B per cell above what
+    the complex retains, and reducing it holds at most 64 B per cell beyond
+    the complex.  Freeing each large temporary before the next is allocated
+    gives about 18 and 48 B; keeping them alive took 38 and 80 B."""
+    space = product_sum(hamming_cube(4), hamming_cube(1))
+    tracemalloc.start()
+    try:
+        cx = vietoris_rips(space, 3, barcode_only=True)
+        retained, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        reduce(cx)
+        reduce_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = len(cx)
+    assert cells == 34_563
+    assert build_peak - retained <= 28 * cells
+    assert reduce_peak - retained <= 64 * cells
 
 
 def test_truncation_drops_cut_dimension():
