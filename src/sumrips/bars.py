@@ -152,15 +152,7 @@ def tensor_barcodes(a: Barcode, b: Barcode) -> Barcode:
 def tor1_barcodes(a: Barcode, b: Barcode) -> Barcode:
     """Barwise Tor_1: pairs with any free factor contribute nothing, nor do
     pairs whose rounded bar is empty."""
-    out = []
-    for x in a:
-        if x.death == INF:
-            continue
-        for y in b:
-            t = tor1_bar(x, y)
-            if t is not None:
-                out.append(t)
-    return Barcode(out)
+    return Barcode(t for x in a for y in b if (t := tor1_bar(x, y)) is not None)
 
 
 class GradedBarcode:

@@ -107,11 +107,9 @@ def _check_common(args: argparse.Namespace) -> None:
 def _group_bars(code: Barcode) -> str:
     if not code:
         return "-"
-    groups = Counter(code.bars)
-    parts = []
-    for bar, count in sorted(groups.items(), key=lambda kv: (kv[0].birth, kv[0].death)):
-        parts.append(f"{count}*{bar}" if count > 1 else str(bar))
-    return " ".join(parts)
+    # The bars are sorted, so the groups are in (birth, death) order.
+    return " ".join(f"{count}*{bar}" if count > 1 else str(bar)
+                    for bar, count in Counter(code.bars).items())
 
 
 def _fmt(value: float) -> str:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceeded, InputError, SumripsError
+from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
@@ -41,10 +41,6 @@ from .metric import FiniteMetricSpace, enclosing_radius
 BYTES_PER_CELL = 800
 # The default cap keeps a build and its reduction within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
-
-
-class ComplexError(SumripsError):
-    """A filtered complex violates its structural invariants."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,35 +139,6 @@ class FilteredComplex:
                 cells[g] = Cell(d, f, tuple(zip(faces[lo:hi], coeffs[lo:hi])), label, v, ij)
         return tuple(cells)
 
-    def validate(self) -> None:
-        """Check ordering, face monotonicity, and boundary-squared = 0 over Z.
-
-        Integer coefficients make the d^2 check field-independent.  Intended
-        for tests and debugging; builders already guarantee these invariants.
-        """
-        below = np.empty(0)
-        for d, (filt, indptr, faces, data, *_) in enumerate(self.dims):
-            if np.any(filt[1:] < filt[:-1]):
-                raise ComplexError(f"dimension {d} breaks the filtration order")
-            if len(indptr) != len(filt) + 1 or np.any((faces < 0) | (faces >= len(below))):
-                raise ComplexError(f"dimension {d} boundary does not map {len(filt)} cells "
-                                   f"into {len(below)} faces")
-            if np.any(data == 0):
-                raise ComplexError(f"dimension {d} has a zero boundary coefficient")
-            cols = np.repeat(np.arange(len(filt)), np.diff(indptr))
-            if np.any((cols[1:] == cols[:-1]) & (faces[1:] <= faces[:-1])):
-                raise ComplexError(f"dimension {d} face rows are not ascending")
-            late = np.flatnonzero(below[faces] > filt[cols])
-            if late.size:
-                raise ComplexError(f"a face of dimension-{d} cell {cols[late[0]]} enters after it")
-            if d >= 2:
-                col = _first_nonzero_square(self.dims[d - 1], cols, faces, data,
-                                            len(self.dims[d - 2].filtration))
-                if col is not None:
-                    raise ComplexError(f"boundary of boundary of dimension-{d} cell "
-                                       f"{col} is nonzero")
-            below = filt
-
     def dump_lines(self) -> list[str]:
         """Debug format, one cell per line: id dim filtration boundary label."""
         out = []
@@ -183,25 +150,6 @@ class FilteredComplex:
     def __repr__(self) -> str:
         return (f"FilteredComplex(cells={len(self)}, top_dim={self.top_dim}, "
                 f"complete={self.complete})")
-
-
-def _first_nonzero_square(lower: Dimension, cols: np.ndarray, faces: np.ndarray,
-                          data: np.ndarray, n_rows: int) -> int | None:
-    """The first column of the composed boundary that is nonzero over Z, if any.
-
-    The boundary entry (face f, coefficient c) of column j in `cols`, `faces`,
-    `data` adds c times column f of `lower` to column j of the composition.
-    """
-    counts = np.diff(lower.indptr)[faces]
-    entry = np.repeat(np.arange(len(faces)), counts)
-    # The place in `lower`'s arrays of each term: its face column's start
-    # plus its rank within that column.
-    pos = np.arange(len(entry)) + np.repeat(lower.indptr[faces] - np.cumsum(counts) + counts,
-                                            counts)
-    keys, inverse = np.unique(cols[entry] * n_rows + lower.indices[pos], return_inverse=True)
-    sums = np.bincount(inverse, weights=data[entry].astype(np.int64) * lower.data[pos])
-    nonzero = keys[sums != 0]
-    return int(nonzero[0] // n_rows) if nonzero.size else None
 
 
 def _check_cap(what: str, needed: int, cell_cap: int) -> None:

@@ -182,9 +182,18 @@ def parse_barcode_document(doc: Any, where: str = "barcode document") -> tuple[G
 
 def read_barcode_json(path: str | Path) -> tuple[GradedBarcode, int]:
     """Read a barcode document; returns (barcode, field characteristic), the
-    arguments write_barcode_json took."""
+    arguments write_barcode_json took.  A repeated key is a format error:
+    json.loads keeps its last value and silently drops the first."""
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise FormatError(f"{path}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON or bytes, or int() refusing 4300+ digits

@@ -198,10 +198,9 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
     if not len(partner[d + 1]):
         # No cofaces: every column not cleared reduces to zero as it is.
         if stats is not None:
-            columns, cleared = len(partner[d]), int(np.count_nonzero(_cleared(partner, d)))
-            stats[d] = {"columns": columns, "cleared": cleared, "apparent": 0,
-                        "looped": columns - cleared, "additions": 0, "pairs": 0,
-                        "zero_length": 0, "essential": columns - cleared}
+            cleared = _cleared(partner, d)
+            stats[d] = _dimension_stats(cx, d, partner, cleared, 0,
+                                        int(np.count_nonzero(~cleared)), 0)
         return
     cleared = _cleared(partner, d)
     col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
@@ -250,18 +249,26 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
                 else:
                     del col[r]
     if stats is not None:
-        born = np.flatnonzero(partner[d] >= 0)
-        deaths = cx.dims[d + 1].filtration[partner[d][born]]
-        stats[d] = {
-            "columns": len(cleared),
-            "cleared": int(np.count_nonzero(cleared)),
-            "apparent": len(apparent),
-            "looped": len(looped),
-            "additions": additions,
-            "pairs": len(born),
-            "zero_length": int(np.count_nonzero(cx.dims[d].filtration[born] == deaths)),
-            "essential": len(looped) - (len(born) - len(apparent)),
-        }
+        stats[d] = _dimension_stats(cx, d, partner, cleared, len(apparent), len(looped),
+                                    additions)
+
+
+def _dimension_stats(cx: FilteredComplex, d: int, partner: list[np.ndarray],
+                     cleared: np.ndarray, apparent: int, looped: int,
+                     additions: int) -> dict[str, int]:
+    """The stats `reduce` reports for dimension d, once its partners are set."""
+    born = np.flatnonzero(partner[d] >= 0)
+    deaths = cx.dims[d + 1].filtration[partner[d][born]]
+    return {
+        "columns": len(cleared),
+        "cleared": int(np.count_nonzero(cleared)),
+        "apparent": apparent,
+        "looped": looped,
+        "additions": additions,
+        "pairs": len(born),
+        "zero_length": int(np.count_nonzero(cx.dims[d].filtration[born] == deaths)),
+        "essential": looped - (len(born) - apparent),
+    }
 
 
 def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,

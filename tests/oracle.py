@@ -7,7 +7,8 @@ elimination on boundary matrices, bottleneck distances from exhaustive
 matching enumeration, bipartite covers from Hall's condition, the edge
 collapse from each level's neighbourhoods recomputed as sets, Rips cells from
 every subset of points, and the product filtration bounds from every pair of
-each cell's projected points.
+each cell's projected points, and a complex's invariants from its cells one
+at a time.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -52,6 +54,44 @@ def gf_rank(matrix, p: int) -> int:
 def critical_values(cx: FilteredComplex) -> list[float]:
     """The distinct filtration values of the cells of cx, ascending."""
     return sorted({cell.filtration for cell in cx.cells})
+
+
+def complex_violations(cx: FilteredComplex) -> list[str]:
+    """Each broken invariant of cx, named by its kind.
+
+    The arrays are checked first, so that building `cx.cells` cannot fail:
+    each dimension is in filtration order, has one boundary offset per cell
+    plus one, and names faces inside the dimension below.  Then every cell
+    has no zero coefficient, ascending faces, no face entering after it, and
+    a boundary whose boundary is zero over Z.
+    """
+    bad = []
+    for d, dim in enumerate(cx.dims):
+        filt = dim.filtration.tolist()
+        below = len(cx.dims[d - 1].filtration) if d else 0
+        if filt != sorted(filt):
+            bad.append(f"dimension {d}: not in filtration order")
+        if len(dim.indptr) != len(filt) + 1:
+            bad.append(f"dimension {d}: indptr does not have one entry per cell plus one")
+        if any(not 0 <= f < below for f in dim.indices.tolist()):
+            bad.append(f"dimension {d}: face out of range")
+    if bad:
+        return bad
+    cells = cx.cells
+    for j, cell in enumerate(cells):
+        faces = [f for f, _ in cell.boundary]
+        square = Counter()
+        for f, c in cell.boundary:
+            for g, e in cells[f].boundary:
+                square[g] += c * e
+        for kind, broken in (("zero coefficient", any(c == 0 for _, c in cell.boundary)),
+                             ("faces not ascending", faces != sorted(set(faces))),
+                             ("late face", any(cells[f].filtration > cell.filtration
+                                               for f in faces)),
+                             ("nonzero boundary of boundary", any(square.values()))):
+            if broken:
+                bad.append(f"cell {j}: {kind}")
+    return bad
 
 
 def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:

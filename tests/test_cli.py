@@ -244,6 +244,18 @@ def test_bottleneck_refuses_noncanonical_dimension_keys(tmp_path, capsys):
     assert out == "" and "dimension key '01'" in err
 
 
+def test_bottleneck_refuses_repeated_keys(tmp_path, capsys):
+    """Read by its last "0" only, the first document seemed to hold the
+    second's one bar, and the distance printed was 0.0 with exit 0."""
+    one = tmp_path / "one.json"
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, INF)])}), one, field=2)
+    path = tmp_path / "a.json"
+    path.write_text(one.read_text().replace('"0": [', '"0": [[0, "inf"], [0, 1]], "0": ['))
+    assert main(["bottleneck", "--a", str(path), "--b", str(one), "--dim", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "repeated key '0'" in err
+
+
 @pytest.mark.parametrize("death", [pytest.param("9" * 400, id="400-digits"), "1e400", "Infinity"])
 def test_bottleneck_refuses_endpoints_that_are_not_finite_floats(death, tmp_path, capsys):
     """Against a document whose bar dies at "inf", these once gave a traceback

@@ -23,7 +23,6 @@ from sumrips import (
 from sumrips.complexes import (
     BYTES_PER_CELL,
     DEFAULT_CELL_CAP,
-    ComplexError,
     Dimension,
     _collapse,
     rips_cell_count,
@@ -40,7 +39,7 @@ def test_interval_complex_cells():
         (0, 0.0, "0"), (0, 0.0, "1"), (1, 1.0, "0,1")]
     assert cx.cells[2].boundary == ((0, -1), (1, 1))
     assert cx.top_dim == 1 and cx.complete and cx.reliable_dim == 1
-    cx.validate()
+    assert oracle.complex_violations(cx) == []
 
 
 def test_square_complex_hand_enumeration():
@@ -57,7 +56,7 @@ def test_square_complex_hand_enumeration():
     }
     assert {label: cell.filtration for label, cell in by_label.items()} == want
     assert not cx.complete and cx.reliable_dim == 1
-    cx.validate()
+    assert oracle.complex_violations(cx) == []
 
 
 def test_cells_sorted_by_filtration_dimension_key():
@@ -88,7 +87,7 @@ def test_positive_diagonal_delays_vertices():
     # vertex 0 waits for its self-distance; the edge waits for the max of all
     # pairs, diagonal included
     assert [(c.dim, c.filtration) for c in cx.cells] == [(0, 0.0), (0, 2.0), (1, 2.0)]
-    cx.validate()
+    assert oracle.complex_violations(cx) == []
 
 
 def test_rips_boundaries_drop_one_point_with_alternating_signs():
@@ -143,7 +142,7 @@ def _assert_is_the_cut(space, maxdim):
     assert _cell_rows(cut) == _cell_rows(full, enclosing_radius(space))
     assert (cut.top_dim, cut.complete, cut.reliable_dim) == \
         (full.top_dim, full.complete, full.reliable_dim)
-    cut.validate()
+    assert oracle.complex_violations(cut) == []
     return full, cut
 
 
@@ -170,7 +169,7 @@ def _assert_cut_matches_full(space, maxdim, p):
     """The cut alone keeps every reliable barcode: -0.0 keeps the collapse off."""
     space = _signed(space)
     full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, barcode_only=True)
-    cut.validate()
+    assert oracle.complex_violations(cut) == []
     assert reduce(cut, p) == reduce(full, p), (space, maxdim, p)
 
 
@@ -241,7 +240,7 @@ def test_collapsed_complexes_are_valid_subcomplexes_with_the_oracle_barcode():
     for space, maxdim in _float_spaces(count=60, seed=2207):
         full = vietoris_rips(space, maxdim)
         collapsed = vietoris_rips(space, maxdim, barcode_only=True)
-        collapsed.validate()
+        assert oracle.complex_violations(collapsed) == []
         assert _cell_set(collapsed) <= _cell_set(full)
         assert (collapsed.top_dim, collapsed.complete) == (full.top_dim, full.complete)
         if len(collapsed) <= 150:
@@ -370,7 +369,7 @@ def test_empty_dimensions_keep_their_dtypes_and_shapes():
             if want is not None:
                 assert (got.dtype, got.shape, got.tobytes()) == \
                     (want.dtype, want.shape, want.tobytes())
-    cx.validate()
+    assert oracle.complex_violations(cx) == []
 
 
 @pytest.mark.slow
@@ -387,20 +386,37 @@ def _replaced(cx, d, **arrays):
     return FilteredComplex(tuple(dims), cx.complete, cx.source)
 
 
-def test_validate_catches_corruption():
-    cx = vietoris_rips(hamming_cube(2), 2)
+def _changed(cx, d, **edits):
+    """cx with copies of some arrays of dimension d, each edited by
+    `name=(where, values)` as array[where] = values."""
+    arrays = {}
+    for name, (where, values) in edits.items():
+        arrays[name] = getattr(cx.dims[d], name).copy()
+        arrays[name][where] = values
+    return _replaced(cx, d, **arrays)
 
-    # break d^2 = 0 by flipping one coefficient of a 2-cell
-    data = cx.dims[2].data.copy()
-    data[0] *= -1
-    with pytest.raises(ComplexError, match="boundary of boundary"):
-        _replaced(cx, 2, data=data).validate()
 
-    # face entering after its coface
-    filtration = cx.dims[0].filtration.copy()
-    filtration[0] = 99.0
-    with pytest.raises(ComplexError):
-        _replaced(cx, 0, filtration=filtration).validate()
+def test_oracle_reports_each_corruption_by_kind():
+    rips = vietoris_rips(hamming_cube(2), 2)
+    tensor = tensor_complex(vietoris_rips(INTERVAL, 1), vietoris_rips(hamming_cube(2), 3), 2)
+    for cx in (rips, tensor):
+        assert oracle.complex_violations(cx) == []
+        n0, top = len(cx.dims[0].filtration), cx.dims[2]
+        corrupted = {
+            # the first edge moved to 99, before later edges
+            "not in filtration order": _changed(cx, 1, filtration=(0, 99.0)),
+            "face out of range": _changed(cx, 1, indices=(0, n0)),
+            "zero coefficient": _changed(cx, 2, data=(0, 0)),
+            # the first two faces of a 2-cell swapped with their coefficients
+            "faces not ascending": _changed(cx, 2, indices=([0, 1], top.indices[[1, 0]]),
+                                            data=([0, 1], top.data[[1, 0]])),
+            # the last vertex moved to 99 stays in order, after its edges
+            "late face": _changed(cx, 0, filtration=(-1, 99.0)),
+            "nonzero boundary of boundary": _changed(cx, 2, data=(0, -top.data[0])),
+        }
+        for kind, bad in corrupted.items():
+            violations = oracle.complex_violations(bad)
+            assert kind in {v.split(": ", 1)[1] for v in violations}, (kind, violations)
 
 
 def test_tensor_unit_law():
@@ -411,7 +427,7 @@ def test_tensor_unit_law():
            [(c.dim, c.filtration) for c in left.cells]
     assert [c.boundary for c in prod.cells] == [c.boundary for c in left.cells]
     assert prod.complete
-    prod.validate()
+    assert oracle.complex_violations(prod) == []
 
 
 def test_tensor_cell_count_identity():
@@ -426,7 +442,7 @@ def test_tensor_cell_count_identity():
         want = sum(nl * nr for dl, nl in counts_l.items() for dr, nr in counts_r.items()
                    if dl + dr <= top)
         assert len(prod) == want == tensor_cell_count(left, right, maxdim)
-        prod.validate()
+        assert oracle.complex_violations(prod) == []
 
 
 def test_tensor_filtration_is_sum():
@@ -444,7 +460,7 @@ def test_tensor_rejects_truncated_factors():
     with pytest.raises(InputError, match="truncated"):
         tensor_complex(shallow, deep, 3)
     # fine when the requested dimension stays within the shallow factor
-    tensor_complex(shallow, deep, 1).validate()
+    assert oracle.complex_violations(tensor_complex(shallow, deep, 1)) == []
 
 
 def test_tensor_cell_cap():

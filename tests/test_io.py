@@ -169,6 +169,25 @@ def test_parse_rejects_noncanonical_dimension_keys(key):
         parse_barcode_document(doc)
 
 
+HEAD = '"format": "sumrips-barcode", "convention": "half-open"'
+
+
+@pytest.mark.parametrize("body, key", [
+    ('"field": 2, "dims": {"0": [[0, "inf"], [0, 1]], "0": [[0, "inf"]]}', "'0'"),
+    ('"field": 3, "field": 2, "dims": {"0": [[0, "inf"]]}', "'field'"),
+])
+def test_read_refuses_repeated_keys(body, key, tmp_path):
+    """json keeps the last of two equal keys: the first one's bars or field
+    must not vanish without a word."""
+    path = tmp_path / "a.json"
+    path.write_text(f"{{{HEAD}, {body}}}")
+    with pytest.raises(FormatError, match=f"repeated key {key}"):
+        read_barcode_json(path)
+    # the same document with one of each key reads as before
+    path.write_text(f'{{{HEAD}, "field": 2, "dims": {{"0": [[0, "inf"]]}}}}')
+    assert read_barcode_json(path) == (GradedBarcode({0: Barcode([Bar(0, INF)])}), 2)
+
+
 @pytest.mark.parametrize("text", [pytest.param("9" * 400, id="400-digits"), "1e400", "Infinity",
                                   "-Infinity", "NaN", pytest.param("9" * 5000, id="5000-digits")])
 def test_parse_refuses_endpoints_that_are_not_finite_floats(text, tmp_path):

@@ -206,7 +206,7 @@ def test_truncation_drops_cut_dimension():
 
 def test_reduce_agrees_with_rank_nullity_oracle():
     for cx in corpus.random_complexes(count=8, seed=909):
-        cx.validate()
+        assert oracle.complex_violations(cx) == []
         for p in (2, 3):
             code = reduce(cx, p)
             for n in range(cx.reliable_dim + 1):
@@ -317,7 +317,7 @@ def generalized_metrics(draw):
 def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
     cx = vietoris_rips(space, maxdim)
     cut = vietoris_rips(space, maxdim, barcode_only=True)
-    cut.validate()
+    assert oracle.complex_violations(cut) == []
     for p in (2, 3):
         code = reduce(cx, p)
         assert reduce(cut, p) == code, p
