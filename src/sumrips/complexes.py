@@ -30,10 +30,10 @@ from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 97 B per cell (CPython 3.11, numpy
-# 2.4, x86-64), of which the build takes about 80 B; for the 251,175 cells of
-# 50 random points in the unit cube at maxdim 3 it is 85 and 72 B.  The
-# largest boundary's transpose takes 21 B per cell of output and 7 B per cell
+# maxdim 4 grows the resident set by about 91 B per cell (CPython 3.11, numpy
+# 2.4, x86-64), of which the build takes about 71 B; for the 251,175 cells of
+# 50 random points in the unit cube at maxdim 3 it is 72 and 58 B.  The
+# largest boundary's transpose takes 21 B per cell of output and 6 B per cell
 # beyond it; one argsort of all its entries took 63 B.
 # The figure below is the 760 B per cell that a homology reduction with bitset
 # columns took, kept so that the default cap admits no complex it refused
@@ -66,8 +66,13 @@ class Dimension(NamedTuple):
     The boundary into dimension d - 1 is three arrays: the faces of cell j are
     the rows `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
     coefficients at the same places of `data`.  Rips cells carry `vertices`
-    (one ascending row of point indices per cell), tensor cells `factors`
-    (global ids in the left and right factor complexes).
+    (one ascending int32 row of point indices per cell), tensor cells
+    `factors` (global ids in the left and right factor complexes).
+
+    `indptr` is int32, or int64 from 2^31 entries on.  A Rips boundary's
+    `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
+    int32, or int64 from 2^30 cells on; dimension 0, empty dimensions and
+    tensor boundaries have int32 `indices`.
     """
 
     filtration: np.ndarray
@@ -205,8 +210,10 @@ def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
     # C(c_i, i) over those after it, which move one place down.  Sorting each
     # cell's keys orders its faces and keeps the parity of pos, the sign
     # (-1)^pos, in the low bit.  Each step works in place, which keeps the
-    # build's peak low.
-    keys = np.empty(verts.shape, dtype=_index_dtype(2 * len(faces)))
+    # build's peak low.  Up to 2^15 faces the keys fit 16 unsigned bits, and
+    # the rows left once they are shifted fit int16.
+    narrow = len(faces) <= 2**15
+    keys = np.empty(verts.shape, dtype=np.uint16 if narrow else _index_dtype(2 * len(faces)))
     before = sum(binom[verts[:, i], i + 1] for i in range(k - 1))
     after = 0
     for pos in reversed(range(k)):
@@ -223,6 +230,8 @@ def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
     data *= -2
     data += 1
     keys >>= 1
+    if narrow:
+        keys = keys.view(np.int16)
     return np.arange(0, keys.size + 1, k, dtype=_index_dtype(keys.size)), keys, data
 
 
@@ -369,8 +378,10 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     _check_cap("Rips complex", rips_cell_count(m, maxdim), cell_cap)
 
     # Only columns k <= top are used, so every entry is at most a cell count.
-    binom = np.array([[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)],
-                     dtype=np.int64)
+    # Every colex rank is below the largest, so ranks and their partial sums
+    # take binom's dtype: int32 unless that entry needs more.
+    binom = [[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)]
+    binom = np.array(binom, dtype=_index_dtype(max(binom[-1])))
     radius = enclosing_radius(space) if barcode_only else math.inf
     dist, dims = space.dist, []
     diag = np.diagonal(dist)
@@ -378,14 +389,15 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     near = (dist <= radius) & (diag <= radius)
     if barcode_only and top >= 2 and not np.signbit(dist).any():
         _collapse(near, dist)
-    # Point indices and face rows are int32, like the `indices` of a boundary.
+    # Point indices are int32, as `Dimension.vertices` says.
     subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
     filt = diag[subsets[:, 0]]
     # _extend and _rips_boundary free their temporaries on return, and the top
     # dimension's lexicographic rows go before its boundary is built: under
-    # tracemalloc a build peaks at about 1.3 times what its complex retains
-    # (72 and 55 B per cell on the whole 5-cube at maxdim 4, 66 and 47 B on
-    # 50 random points in the unit cube at maxdim 3).
+    # tracemalloc a build peaks at about 1.2 times what its complex retains
+    # (61 and 54 B per cell on the whole 5-cube at maxdim 4, 54 and 39 B on
+    # 50 random points in the unit cube at maxdim 3, 59 and 45 B on the
+    # 5-cube as a product at maxdim 4).
     for d in range(top + 1):
         if d and len(filt):
             subsets, filt = _extend(subsets, filt, near, dist)

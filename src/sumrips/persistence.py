@@ -23,25 +23,27 @@ recorded without reducing it.  On the product corpus about 93 % of the pairs
 are apparent, and only the columns that are neither cleared nor apparent go
 through the column loop.
 
-Between dimensions the reduction keeps one partner array per dimension: each
-cell's pivot in the dimension above, or -1.  Clearing reads the partners: the
-cells cleared in dimension d are those recorded in dimension d-1, and the
-essential cells are those with no partner either way.  Within a dimension the
-owner of each pivot, the inverse of the partner array, is one int32 array
-indexed by coface; an unmodified owner's coboundary is rebuilt from the
-boundary matrix only when it is added.  Only columns that additions changed
-are stored, each as an int32 array of cofaces and an int64 array of
-coefficients.  Owners are not rescaled: adding one multiplies it by
-col[pivot] / owner[pivot] mod p.  Memory beyond the complex therefore grows
-with the cells, at four bytes per coface, with the few modified columns, at
-twelve bytes per entry, and with the coboundaries of one dimension at a time:
-its boundary transposed, at five bytes per entry (an int32 coface and an int8
-coefficient).  Each dimension is reduced in a call of its own, so all of its
-state is freed before the next dimension's transpose.  The transpose sorts at
-most CHUNK entries at a time, so beyond that output it holds O(CHUNK + cells)
-bytes, not a permutation of every entry.  Under tracemalloc, reducing the
-whole 5-cube at maxdim 4 over F_2 holds 34 B per cell beyond the complex, and
-reducing 50 random points in the unit cube at maxdim 3 holds 28 B.
+Between dimensions the reduction keeps one partner array per dimension,
+allocated when the dimension is reached: each cell's pivot in the dimension
+above, or -1.  Clearing reads the partners: the cells cleared in dimension d
+are those recorded in dimension d-1, and the essential cells are those with
+no partner either way.  Within a dimension the owner of each pivot, the
+inverse of the partner array, is one int32 array indexed by coface; an
+unmodified owner's coboundary is rebuilt from the boundary matrix only when it
+is added.  Only columns that additions changed are stored, each as an int32
+array of cofaces and an int64 array of coefficients.  Owners are not
+rescaled: adding one multiplies it by col[pivot] / owner[pivot] mod p.
+Memory beyond the complex therefore grows with the cells, at four bytes per
+coface, with the few modified columns, at twelve bytes per entry, and with
+the coboundaries of one dimension at a time: its boundary transposed, at five
+bytes per entry (an int32 coface and an int8 coefficient, whatever the width
+of the face rows).  Each dimension is reduced in a call of its own, so all of
+its state is freed before the next dimension's transpose.  The transpose
+sorts at most CHUNK entries at a time, so beyond that output it holds
+O(CHUNK + cells) bytes, not a permutation of every entry.  Under tracemalloc,
+reducing the whole 5-cube at maxdim 4 over F_2 holds 31 B per cell beyond the
+complex, and reducing 50 random points in the unit cube at maxdim 3 holds
+24 B.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -126,76 +128,100 @@ def _column_cuts(indptr: np.ndarray) -> list[int]:
     while cuts[-1] < n:
         lo = cuts[-1]
         end = int(indptr[lo]) + CHUNK
-        hi = n if indptr[n] <= end else int(np.searchsorted(indptr, end, side="right")) - 1
+        if indptr[n] <= end:
+            hi = n
+        else:
+            # A Python int would make numpy copy all of indptr to int64 first.
+            hi = int(np.searchsorted(indptr, indptr.dtype.type(end), side="right")) - 1
         cuts.append(max(hi, lo + 1))
     return cuts
 
 
 def _sorted_chunk(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, lo: int, hi: int,
-                  n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column and coefficient of each entry of columns lo..hi-1, stably
-    sorted by row, so each row's columns ascend."""
+                  n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order that sorts the entries of columns lo..hi-1 by row,
+    and their int32 columns and coefficients in that order, so each row's
+    columns ascend."""
     a, b = indptr[lo], indptr[hi]
     rows = indices[a:b]
     # numpy radix-sorts 16-bit keys, which cover every dimension of up to
     # 65,536 cells.
     by_row = np.argsort(rows.astype(np.uint16) if n_rows <= 2**16 else rows, kind="stable")
-    cols = np.repeat(np.arange(lo, hi, dtype=indices.dtype), indptr[lo + 1:hi + 1] - indptr[lo:hi])
-    return cols[by_row], data[a:b][by_row]
+    cols = np.repeat(np.arange(lo, hi, dtype=np.int32), indptr[lo + 1:hi + 1] - indptr[lo:hi])
+    return by_row, cols[by_row], data[a:b][by_row]
 
 
 def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a boundary as (indptr, indices, data), each row's columns ascending.
+    """The rows of a boundary as (indptr, indices, data), each row's columns
+    ascending; the columns are int32, whatever the dtype of the rows.
 
     The columns are taken in chunks of at most CHUNK entries (`_column_cuts`).
-    Each row's entries are counted chunk by chunk, since `np.bincount` counts
-    in 8-byte integers.  Then each chunk's entries, stably sorted by row, go to
-    their rows' next free slots, chunk after chunk, so each row lists its
-    columns in order.  Beyond the output, this holds O(CHUNK + n_rows) bytes.
-    A boundary of one chunk is the sorted chunk itself.
+    Each row's entries are counted chunk by chunk with `np.add.at`, since
+    counting all entries at once would first cast them to 8-byte integers.
+    Then each chunk's entries, stably sorted by row, go to their rows' next
+    free slots, chunk after chunk, so each row lists its columns in order.
+    A chunk touches only the rows it holds, so the work is O(entries +
+    n_rows); the counts and free slots are int64, into which `np.add.at` is
+    many times faster than into int32.  Beyond the output, this holds
+    O(CHUNK + n_rows) bytes.  A boundary of one chunk is the sorted chunk
+    itself, counted with `np.bincount`.
     """
     cuts = _column_cuts(indptr)
     ptr = np.zeros(n_rows + 1, dtype=indptr.dtype)
-    np.cumsum(sum(np.bincount(indices[indptr[lo]:indptr[hi]], minlength=n_rows)
-                  for lo, hi in zip(cuts, cuts[1:])), out=ptr[1:])
     if len(cuts) == 2:
-        return (ptr, *_sorted_chunk(indptr, indices, data, 0, cuts[1], n_rows))
-    cofaces, coeffs = np.empty_like(indices), np.empty_like(data)
-    free = ptr[:-1].copy()
+        np.cumsum(np.bincount(indices[indptr[0]:indptr[-1]], minlength=n_rows), out=ptr[1:])
+        return (ptr, *_sorted_chunk(indptr, indices, data, 0, cuts[1], n_rows)[1:])
+    count = np.zeros(n_rows, dtype=np.int64)
     for lo, hi in zip(cuts, cuts[1:]):
-        count = np.bincount(indices[indptr[lo]:indptr[hi]], minlength=n_rows)
-        # The sorted chunk lists its rows ascending, count[r] entries each;
-        # the k-th entry of row r goes to slot free[r] + k.
-        first = free - np.cumsum(count)
-        first += count
-        slot = np.repeat(first, count)
-        slot += np.arange(len(slot))
-        cofaces[slot], coeffs[slot] = _sorted_chunk(indptr, indices, data, lo, hi, n_rows)
-        free += count
+        np.add.at(count, indices[indptr[lo]:indptr[hi]], 1)
+    np.cumsum(count, out=ptr[1:])
+    del count
+    cofaces, coeffs = np.empty(len(indices), dtype=np.int32), np.empty_like(data)
+    free = ptr[:-1].astype(np.int64)
+    for lo, hi in zip(cuts, cuts[1:]):
+        by_row, cols, vals = _sorted_chunk(indptr, indices, data, lo, hi, n_rows)
+        rows = indices[indptr[lo]:indptr[hi]][by_row]
+        del by_row
+        # The chunk lists its rows ascending, in runs of equal rows; the entry
+        # k places after the start of its row's run goes to slot free[row] + k.
+        slot = np.arange(len(rows))
+        start = np.where(np.r_[True, rows[1:] != rows[:-1]], slot, 0)
+        np.maximum.accumulate(start, out=start)
+        slot -= start
+        del start
+        slot += free[rows]
+        cofaces[slot], coeffs[slot] = cols, vals
+        np.add.at(free, rows, 1)
     return ptr, cofaces, coeffs
 
 
 def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> list[np.ndarray]:
     """Run the reduction; return per dimension each cell's partner in the
     dimension above, or -1 for none.  Fill `stats`, if given, as `reduce` says."""
-    partner = [np.full(len(dim.filtration), -1, dtype=np.int32) for dim in cx.dims]
-    for d in range(cx.top_dim):
-        _reduce_dimension(cx, d, p, partner, stats)
+    partner = []
+    for d, dim in enumerate(cx.dims):
+        # Each array is allocated when its dimension is reached, so the top
+        # dimension's comes after every transpose has been freed.
+        partner.append(np.full(len(dim.filtration), -1, dtype=np.int32))
+        if d < cx.top_dim:
+            _reduce_dimension(cx, d, p, partner, stats)
     return partner
 
 
 def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndarray],
                       stats: dict | None) -> None:
     """Pair the cells of dimension d with their pivots in dimension d + 1 in
-    `partner[d]`, and fill `stats[d]` if `stats` is a dict.
+    `partner[d]`, and fill `stats[d]` if `stats` is a dict.  `partner` holds
+    the arrays of dimensions 0 to d only.
 
     `owner` maps each pivot to the cell whose column holds it; `modified` keeps
     the reduced column only where additions changed it, as an int32 array of
     cofaces and an int64 array of coefficients.  All of it, the transposed
     boundary included, is freed on return, before the next dimension's.
     """
-    if not len(partner[d + 1]):
+    n_cofaces = len(cx.dims[d + 1].filtration)
+    if not n_cofaces:
         # No cofaces: every column not cleared reduces to zero as it is.
         if stats is not None:
             cleared = _cleared(partner, d)
@@ -217,7 +243,7 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
     apparent = rows[is_apparent]
     partner[d][apparent] = earliest[is_apparent]
     del rows, earliest, is_apparent
-    owner = np.full(len(partner[d + 1]), -1, dtype=np.int32)
+    owner = np.full(n_cofaces, -1, dtype=np.int32)
     owner[partner[d][apparent]] = apparent
 
     todo = ~cleared

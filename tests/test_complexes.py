@@ -1,7 +1,9 @@
 """Complex constructors: Rips enumeration, tensor products, structural checks."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from sumrips.complexes import (
     DEFAULT_CELL_CAP,
     Dimension,
     _collapse,
+    _rips_boundary,
     rips_cell_count,
     tensor_cell_count,
 )
@@ -109,6 +112,51 @@ def test_rips_boundaries_drop_one_point_with_alternating_signs():
                     assert list(zip(rows, dim.data[lo:hi].tolist())) == sorted(
                         (row_of[tuple(verts[:pos] + verts[pos + 1:])], (-1) ** pos)
                         for pos in range(len(verts)))
+
+
+@pytest.mark.parametrize("m, dtype", [(256, np.int16), (257, np.int32)])
+def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
+    """The edges of 256 points, 32,640 faces, get int16 rows; the 32,896 of
+    257 points get int32 rows.  Either way each triangle's faces are its
+    vertex sets with one point removed, in ascending rows, with the signs
+    (-1)^pos: the edges listed in a shuffled order, and triangles through
+    the first and last rows included."""
+    rng = np.random.default_rng(m)
+    edges = np.array(list(itertools.combinations(range(m), 2)), dtype=np.int32)
+    edges = edges[rng.permutation(len(edges))]
+    triangles = [rng.choice(m, 3, replace=False) for _ in range(2000)]
+    for a, b in (edges[0], edges[-1], edges[len(edges) // 2]):
+        triangles += [[a, b, c] for c in range(m) if c not in (a, b)][::37]
+    verts = np.sort(np.array(triangles, dtype=np.int32), axis=1)
+    binom = np.array([[math.comb(a, k) for k in range(3)] for a in range(m + 1)], dtype=np.int32)
+    indptr, indices, data = _rips_boundary(binom, verts, edges)
+    assert (indices.dtype, data.dtype) == (dtype, np.int8)
+    row_of = {v: r for r, v in enumerate(map(tuple, edges.tolist()))}
+    rows_seen = set()
+    for j, tri in enumerate(verts.tolist()):
+        lo, hi = indptr[j], indptr[j + 1]
+        rows = indices[lo:hi].tolist()
+        rows_seen.update(rows)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert list(zip(rows, data[lo:hi].tolist())) == sorted(
+            (row_of[tuple(tri[:pos] + tri[pos + 1:])], (-1) ** pos) for pos in range(3))
+    assert {0, len(edges) - 1} <= rows_seen
+
+
+def test_five_cube_split_retains_at_most_48_bytes_per_cell():
+    """The 5-cube as a product at maxdim 4 keeps 177,979 cells, 143,416 in
+    the top dimension, whose 29,540 faces get int16 rows.  Under tracemalloc
+    the complex retains about 45.5 B per cell; with int32 face rows it
+    retained 55.0."""
+    space = product_sum(hamming_cube(4), hamming_cube(1))
+    tracemalloc.start()
+    try:
+        cx = vietoris_rips(space, 4, barcode_only=True)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cx) == 177_979
+    assert retained <= 48 * len(cx)
 
 
 def test_rips_cell_cap():
