@@ -14,7 +14,7 @@ always point at strictly smaller ids and the order is reproducible bit for bit.
 
 Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
 key), so the global order is a stable merge by filtration, computed only on
-request (`global_ids`), as is the per-cell `cells` view.
+request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
 """
 
 from __future__ import annotations
@@ -43,21 +43,12 @@ BYTES_PER_CELL = 800
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """One cell as rendered by `FilteredComplex.cells`.
-
-    boundary holds (face id, integer coefficient) pairs in ascending id order.
-    `vertices` (Rips: point indices, ascending) or `factors` (tensor: ids in
-    the two factor complexes) is set, whichever its `Dimension` carries.
-    """
+class Cell(NamedTuple):
+    """The dimension and filtration of one cell, as `FilteredComplex.cells`
+    lists them by global id: a Python int and float."""
 
     dim: int
     filtration: float
-    boundary: tuple[tuple[int, int], ...]
-    label: str
-    vertices: tuple[int, ...] | None = None
-    factors: tuple[int, int] | None = None
 
 
 class Dimension(NamedTuple):
@@ -113,43 +104,50 @@ class FilteredComplex:
     def dim_counts(self) -> dict[int, int]:
         return {d: len(dim.filtration) for d, dim in enumerate(self.dims) if len(dim.filtration)}
 
+    def _order(self) -> np.ndarray:
+        """The global order, as positions in the concatenated dimensions."""
+        return np.argsort(np.concatenate([dim.filtration for dim in self.dims]), kind="stable")
+
     def global_ids(self) -> list[np.ndarray]:
         """Per dimension, each cell's position in the global order."""
         sizes = [len(dim.filtration) for dim in self.dims]
-        order = np.argsort(np.concatenate([dim.filtration for dim in self.dims]), kind="stable")
-        return np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+        return np.split(np.argsort(self._order()), np.cumsum(sizes)[:-1])
 
     def _labels(self, dim: Dimension) -> list[str]:
         """Point labels joined by commas (Rips) or factor labels joined by '|'."""
         if dim.vertices is not None:
             return [",".join([self.source[v] for v in row]) for row in dim.vertices.tolist()]
         if dim.factors is not None:
-            left, right = ([cell.label for cell in factor.cells] for factor in self.source)
+            left, right = (factor._labels_by_id() for factor in self.source)
             return [f"{left[i]}|{right[j]}" for i, j in dim.factors.tolist()]
         return [""] * len(dim.filtration)
 
+    def _labels_by_id(self) -> list[str]:
+        """Every cell's label, by global id."""
+        labels = [label for dim in self.dims for label in self._labels(dim)]
+        return [labels[i] for i in self._order().tolist()]
+
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
-        """Read-only `Cell` per global id, built on first access for tests and
-        debugging; the builders and the reduction never read it."""
+        """`Cell` (dim, filtration) per global id, built on first access for
+        tests and tracing; the builders and the reduction never read it."""
+        order = self._order()
+        dims = np.repeat(np.arange(len(self.dims)), [len(dim.filtration) for dim in self.dims])
+        filt = np.concatenate([dim.filtration for dim in self.dims])
+        return tuple(map(Cell, dims[order].tolist(), filt[order].tolist()))
+
+    def dump_lines(self) -> list[str]:
+        """Debug format, one cell per line: id dim filtration boundary label,
+        the boundary as face:coefficient pairs by global id, or '-'."""
         ids = self.global_ids()
-        cells: list[Cell] = [None] * len(self)  # type: ignore[list-item]
+        out: list[str] = [""] * len(self)
         for d, dim in enumerate(self.dims):
             faces = ids[d - 1][dim.indices].tolist() if d else []
             coeffs, ptr = dim.data.tolist(), dim.indptr.tolist()
-            keys = [[None] * len(dim.filtration) if a is None else list(map(tuple, a.tolist()))
-                    for a in (dim.vertices, dim.factors)]
-            for g, f, label, lo, hi, v, ij in zip(ids[d].tolist(), dim.filtration.tolist(),
-                                                  self._labels(dim), ptr, ptr[1:], *keys):
-                cells[g] = Cell(d, f, tuple(zip(faces[lo:hi], coeffs[lo:hi])), label, v, ij)
-        return tuple(cells)
-
-    def dump_lines(self) -> list[str]:
-        """Debug format, one cell per line: id dim filtration boundary label."""
-        out = []
-        for j, cell in enumerate(self.cells):
-            pairs = ",".join(f"{i}:{c}" for i, c in cell.boundary) or "-"
-            out.append(f"{j} {cell.dim} {cell.filtration!r} {pairs} {cell.label}")
+            for g, f, label, lo, hi in zip(ids[d].tolist(), dim.filtration.tolist(),
+                                           self._labels(dim), ptr, ptr[1:]):
+                pairs = ",".join([f"{i}:{c}" for i, c in zip(faces[lo:hi], coeffs[lo:hi])]) or "-"
+                out[g] = f"{g} {d} {f!r} {pairs} {label}"
         return out
 
     def __repr__(self) -> str:

@@ -7,16 +7,18 @@ elimination on boundary matrices, bottleneck distances from exhaustive
 matching enumeration, bipartite covers from Hall's condition, the edge
 collapse from each level's neighbourhoods recomputed as sets, Rips cells from
 every subset of points, and the product filtration bounds from every pair of
-each cell's projected points, and a complex's invariants from its cells one
-at a time.
+each cell's projected points, a complex's invariants from its boundary
+arrays with numpy code of its own, and the per-cell view (`cells`) from the
+arrays by a global order sorted here.
 Deliberately slow and simple; feed small inputs only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,47 +53,119 @@ def gf_rank(matrix, p: int) -> int:
     return r
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One cell of `cells`: boundary holds (face id, coefficient) pairs by
+    global id, in stored order; `vertices` (Rips) or `factors` (tensor: global
+    ids in the two factors) is set, whichever its dimension carries."""
+
+    dim: int
+    filtration: float
+    boundary: tuple[tuple[int, int], ...]
+    label: str
+    vertices: tuple[int, ...] | None = None
+    factors: tuple[int, int] | None = None
+
+
+def _global_ids(cx: FilteredComplex) -> list[list[int]]:
+    """Per dimension, each cell's id in the order by (filtration, dimension,
+    stored position)."""
+    filt = np.concatenate([dim.filtration for dim in cx.dims])
+    ids = np.empty(len(filt), dtype=np.int64)
+    ids[np.argsort(filt, kind="stable")] = np.arange(len(filt))
+    return [part.tolist() for part in
+            np.split(ids, np.cumsum([len(dim.filtration) for dim in cx.dims])[:-1])]
+
+
+# betti_at reads the view once per (degree, value), so the last few are kept.
+@functools.lru_cache(maxsize=8)
+def cells(cx: FilteredComplex) -> tuple[Cell, ...]:
+    """Every cell of cx by global id, with its boundary, label and key.
+
+    A label is the cell's point labels joined by commas (Rips), or its factor
+    cells' labels joined by '|' (tensor), as the complex dump prints it."""
+    ids = _global_ids(cx)
+    if cx.dims[0].factors is not None:
+        left, right = ([c.label for c in cells(factor)] for factor in cx.source)
+    out: list[Cell] = [None] * len(cx)  # type: ignore[list-item]
+    for d, dim in enumerate(cx.dims):
+        ptr, coeffs = dim.indptr.tolist(), dim.data.tolist()
+        faces = [ids[d - 1][i] for i in dim.indices.tolist()]
+        keys = (dim.vertices if dim.vertices is not None else dim.factors).tolist()
+        for r, (f, key) in enumerate(zip(dim.filtration.tolist(), keys)):
+            boundary = tuple(zip(faces[ptr[r]:ptr[r + 1]], coeffs[ptr[r]:ptr[r + 1]]))
+            if dim.vertices is not None:
+                label = ",".join(cx.source[v] for v in key)
+                out[ids[d][r]] = Cell(d, f, boundary, label, vertices=tuple(key))
+            else:
+                label = f"{left[key[0]]}|{right[key[1]]}"
+                out[ids[d][r]] = Cell(d, f, boundary, label, factors=tuple(key))
+    return tuple(out)
+
+
 def critical_values(cx: FilteredComplex) -> list[float]:
     """The distinct filtration values of the cells of cx, ascending."""
-    return sorted({cell.filtration for cell in cx.cells})
+    return sorted({f for dim in cx.dims for f in dim.filtration.tolist()})
+
+
+def _square_is_nonzero(cx: FilteredComplex, d: int) -> np.ndarray:
+    """Per cell of dimension d >= 2, whether its boundary's boundary is
+    nonzero over Z.  Each entry (cell, face, c) expands into the entries
+    (face, g, e) of its face, and the products c * e are summed per
+    (cell, g)."""
+    dim, below, n_below = cx.dims[d], cx.dims[d - 1], len(cx.dims[d - 2].filtration)
+    cell = np.repeat(np.arange(len(dim.filtration)), np.diff(dim.indptr))
+    starts = below.indptr.astype(np.int64)
+    width = np.diff(starts)[dim.indices]
+    offset = np.cumsum(width) - width
+    entry = np.repeat(starts[dim.indices] - offset, width) + np.arange(width.sum())
+    keys, where = np.unique(np.repeat(cell, width) * n_below + below.indices[entry],
+                            return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, where, np.repeat(dim.data.astype(np.int64), width) * below.data[entry])
+    nonzero = np.zeros(len(dim.filtration), dtype=bool)
+    nonzero[keys[sums != 0] // n_below] = True
+    return nonzero
 
 
 def complex_violations(cx: FilteredComplex) -> list[str]:
     """Each broken invariant of cx, named by its kind.
 
-    The arrays are checked first, so that building `cx.cells` cannot fail:
+    The arrays are checked first, so that the per-cell checks can index them:
     each dimension is in filtration order, has one boundary offset per cell
-    plus one, and names faces inside the dimension below.  Then every cell
-    has no zero coefficient, ascending faces, no face entering after it, and
-    a boundary whose boundary is zero over Z.
+    plus one, running up from 0 to its number of faces, and names faces
+    inside the dimension below.  Then every cell has no zero coefficient,
+    ascending faces, no face entering after it, and a boundary whose boundary
+    is zero over Z; these are named by the cell's global id.
     """
     bad = []
     for d, dim in enumerate(cx.dims):
-        filt = dim.filtration.tolist()
+        filt, ptr = dim.filtration, dim.indptr
         below = len(cx.dims[d - 1].filtration) if d else 0
-        if filt != sorted(filt):
+        if np.any(filt[1:] < filt[:-1]):
             bad.append(f"dimension {d}: not in filtration order")
-        if len(dim.indptr) != len(filt) + 1:
+        if (len(ptr) != len(filt) + 1 or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
+                or ptr[-1] != len(dim.indices) or len(dim.data) != len(dim.indices)):
             bad.append(f"dimension {d}: indptr does not have one entry per cell plus one")
-        if any(not 0 <= f < below for f in dim.indices.tolist()):
+        if np.any((dim.indices < 0) | (dim.indices >= below)):
             bad.append(f"dimension {d}: face out of range")
     if bad:
         return bad
-    cells = cx.cells
-    for j, cell in enumerate(cells):
-        faces = [f for f, _ in cell.boundary]
-        square = Counter()
-        for f, c in cell.boundary:
-            for g, e in cells[f].boundary:
-                square[g] += c * e
-        for kind, broken in (("zero coefficient", any(c == 0 for _, c in cell.boundary)),
-                             ("faces not ascending", faces != sorted(set(faces))),
-                             ("late face", any(cells[f].filtration > cell.filtration
-                                               for f in faces)),
-                             ("nonzero boundary of boundary", any(square.values()))):
-            if broken:
-                bad.append(f"cell {j}: {kind}")
-    return bad
+    ids, found = _global_ids(cx), []
+    for d, dim in enumerate(cx.dims[1:], 1):
+        cell = np.repeat(np.arange(len(dim.filtration)), np.diff(dim.indptr))
+        faces, same = dim.indices, cell[1:] == cell[:-1]
+        kinds = {
+            "zero coefficient": np.unique(cell[dim.data == 0]),
+            "faces not ascending": np.unique(cell[1:][same & (faces[1:] <= faces[:-1])]),
+            "late face": np.unique(cell[cx.dims[d - 1].filtration[faces]
+                                        > dim.filtration[cell]]),
+            "nonzero boundary of boundary": (np.flatnonzero(_square_is_nonzero(cx, d))
+                                             if d >= 2 else []),
+        }
+        for k, (kind, broken) in enumerate(kinds.items()):
+            found += [(ids[d][c], k, kind) for c in np.asarray(broken).tolist()]
+    return [f"cell {j}: {kind}" for j, _, kind in sorted(found)]
 
 
 def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:
@@ -108,7 +182,7 @@ def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:
         return max(dist[a][b] for a in points for b in points)
 
     bad = []
-    for j, cell in enumerate(product.cells):
+    for j, cell in enumerate(cells(product)):
         lx = diameter(dx, {v // ny for v in cell.vertices})
         ly = diameter(dy, {v % ny for v in cell.vertices})
         if not max(lx, ly) <= cell.filtration <= lx + ly:
@@ -118,19 +192,19 @@ def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:
 
 def _boundary_matrix_at(cx: FilteredComplex, n: int, t: float):
     """Dense integer matrix of the degree-n boundary on the subcomplex at time t."""
-    rows = [j for j, c in enumerate(cx.cells) if c.dim == n - 1 and c.filtration <= t]
-    cols = [j for j, c in enumerate(cx.cells) if c.dim == n and c.filtration <= t]
+    rows = [j for j, c in enumerate(cells(cx)) if c.dim == n - 1 and c.filtration <= t]
+    cols = [j for j, c in enumerate(cells(cx)) if c.dim == n and c.filtration <= t]
     row_index = {gid: k for k, gid in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for k, gid in enumerate(cols):
-        for face, coeff in cx.cells[gid].boundary:
+        for face, coeff in cells(cx)[gid].boundary:
             mat[row_index[face], k] = coeff
     return mat
 
 
 def betti_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:
     """dim H_n of the subcomplex of cells with filtration <= t, over F_p."""
-    n_cells = sum(1 for c in cx.cells if c.dim == n and c.filtration <= t)
+    n_cells = sum(1 for c in cells(cx) if c.dim == n and c.filtration <= t)
     rank_n = gf_rank(_boundary_matrix_at(cx, n, t), p) if n >= 1 else 0
     rank_up = gf_rank(_boundary_matrix_at(cx, n + 1, t), p)
     return n_cells - rank_n - rank_up
@@ -140,28 +214,28 @@ def standard_barcode(cx: FilteredComplex, p: int) -> dict[int, Barcode]:
     """Barcodes in degrees 0..reliable_dim by the standard algorithm: reduce
     the dense boundary matrix of the whole complex, in global order, column by
     column from left to right, with no clearing and no cohomology."""
-    cells = cx.cells
-    mat = np.zeros((len(cells), len(cells)), dtype=np.int64)
-    for j, cell in enumerate(cells):
+    all_cells = cells(cx)
+    mat = np.zeros((len(all_cells), len(all_cells)), dtype=np.int64)
+    for j, cell in enumerate(all_cells):
         for face, coeff in cell.boundary:
             mat[face, j] = coeff % p
     owner: dict[int, int] = {}
     paired = set()
     bars: dict[int, list[Bar]] = {n: [] for n in range(cx.reliable_dim + 1)}
-    for j in range(len(cells)):
+    for j in range(len(all_cells)):
         col = mat[:, j]
         while col.any():
             low = int(np.flatnonzero(col)[-1])
             if low not in owner:
                 owner[low] = j
                 paired.update((low, j))
-                birth, death = cells[low].filtration, cells[j].filtration
-                if birth != death and cells[low].dim in bars:
-                    bars[cells[low].dim].append(Bar(birth, death))
+                birth, death = all_cells[low].filtration, all_cells[j].filtration
+                if birth != death and all_cells[low].dim in bars:
+                    bars[all_cells[low].dim].append(Bar(birth, death))
                 break
             other = mat[:, owner[low]]
             col[:] = (col - col[low] * pow(int(other[low]), p - 2, p) * other) % p
-    for j, cell in enumerate(cells):
+    for j, cell in enumerate(all_cells):
         if j not in paired and cell.dim in bars:
             bars[cell.dim].append(Bar(cell.filtration, INF))
     return {n: Barcode(b) for n, b in bars.items()}
