@@ -18,9 +18,9 @@ from typing import Any
 
 from .bars import INF, Bar, Barcode, GradedBarcode
 from .complexes import FilteredComplex
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .kunneth import ComparisonReport
-from .metric import FiniteMetricSpace, validate
+from .metric import DEFAULT_POINT_CAP, FiniteMetricSpace, validate
 from .persistence import _check_field
 
 BARCODE_FORMAT = "sumrips-barcode"
@@ -38,7 +38,9 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     other bytes are a format error.
 
     The first row is a header exactly when any of its entries fails to parse
-    as a number.  Parse errors report 1-based line and column.
+    as a number.  Parse errors report 1-based line and column.  A first row
+    of more than `DEFAULT_POINT_CAP` entries is refused with CapExceeded
+    before any other row is parsed.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
@@ -54,6 +56,10 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
         return [tok.strip() for tok in line.split(",")]
 
     first = split(rows[0])
+    n = len(first)
+    # Refused before the n^2 entries are parsed, with the message of `validate`.
+    if n > DEFAULT_POINT_CAP:
+        raise CapExceeded(f"{n} points exceeds the point cap {DEFAULT_POINT_CAP}")
     labels: list[str] | None = None
     start = 0
     try:
@@ -61,7 +67,6 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     except ValueError:
         labels = first
         start = 1
-    n = len(first)
     data_rows = rows[start:]
     if len(data_rows) != n:
         raise FormatError(f"{path}: expected {n} data rows to match {n} columns, "

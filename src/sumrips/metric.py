@@ -125,13 +125,23 @@ def product_sum(x: FiniteMetricSpace, y: FiniteMetricSpace,
     """Product space X x Y under the sum metric d((x,y),(x',y')) = dx + dy.
 
     Points are ordered x-major: index (i, j) maps to i * len(y) + j, and labels
-    combine as "(lx,ly)".
+    combine as "(lx,ly)".  A sum that overflows float64 is a ValidationError
+    naming the first such pair.  Every endpoint `compare_product` predicts is
+    the sum of one X entry and one Y entry, so this check covers them too.
     """
     nx, ny = len(x), len(y)
     if point_cap is not None and nx * ny > point_cap:
         raise CapExceeded(f"product has {nx * ny} points, exceeding the point cap {point_cap}")
     n = nx * ny
-    dist = np.add.outer(x.dist, y.dist).transpose(0, 2, 1, 3).reshape(n, n).copy()
+    with np.errstate(over="ignore"):
+        dist = np.add.outer(x.dist, y.dist).transpose(0, 2, 1, 3).reshape(n, n).copy()
+    bad = np.argwhere(~np.isfinite(dist))
+    if bad.size:
+        (a, b), (c, e) = (divmod(int(k), ny) for k in bad[0])
+        raise ValidationError(
+            f"product distance overflows: dX[{a},{c}] + dY[{b},{e}] = "
+            f"{float(x.dist[a, c])!r} + {float(y.dist[b, e])!r} is not finite"
+        )
     dist.setflags(write=False)
     labels = tuple(f"({lx},{ly})" for lx in x.labels for ly in y.labels)
     return FiniteMetricSpace(dist, labels)

@@ -19,31 +19,37 @@ column.  Entries that vanish mod p are dropped before either lookup.  The
 pairing of a fixed total order is unique, and the columns reduced before j
 combine coboundaries of cells later than j, none of which has c as a coface;
 so j's column would reach pivot c without an addition, and the pair is
-recorded without reducing it.  On the product corpus about 93 % of the pairs
-are apparent, and only the columns that are neither cleared nor apparent go
-through the column loop.
+recorded without reducing it.  Only the columns that are neither cleared nor
+apparent go through the column loop.  Over F_2, on the 150 barcode-only
+complexes that `compare_product` builds for the 50 corpus pairs at maxn 3,
+8,099 of the 9,676 pairs are apparent (84 %), and 1,727 of the 15,563 columns
+are looped (11 %).
 
-Between dimensions the reduction keeps one partner array per dimension,
-allocated when the dimension is reached: each cell's pivot in the dimension
-above, or -1.  Clearing reads the partners: the cells cleared in dimension d
-are those recorded in dimension d-1, and the essential cells are those with
-no partner either way.  Within a dimension the owner of each pivot, the
-inverse of the partner array, is one int32 array indexed by coface; an
-unmodified owner's coboundary is rebuilt from the boundary matrix only when it
-is added.  Only columns that additions changed are stored, each as an int32
-array of cofaces and an int64 array of coefficients.  Owners are not
-rescaled: adding one multiplies it by col[pivot] / owner[pivot] mod p.
-Memory beyond the complex therefore grows with the cells, at four bytes per
-coface, with the few modified columns, at twelve bytes per entry, and with
-the coboundaries of one dimension at a time: its boundary transposed, at five
-bytes per entry (an int32 coface and an int8 coefficient, whatever the width
-of the face rows).  Each dimension is reduced in a call of its own, so all of
-its state is freed before the next dimension's transpose.  The transpose
-sorts at most CHUNK entries at a time, so beyond that output it holds
-O(CHUNK + cells) bytes, not a permutation of every entry.  Under tracemalloc,
-reducing the whole 5-cube at maxdim 4 over F_2 holds 31 B per cell beyond the
-complex, and reducing 50 random points in the unit cube at maxdim 3 holds
-24 B.
+`reduce` makes one pass over the dimensions, bottom up, and between two
+dimensions it keeps one array: each cell's partner, its pivot in the dimension
+above, or -1.  Dimension d builds its clearing mask from the partners of
+dimension d-1, allocates and fills its own partners, reads out its bars and
+stats, and keeps only its partners for dimension d+1; the essential cells are
+those with no partner either way.  A complete complex's top dimension is only
+read out, as it has no cofaces; a cut one is not visited.  Within a dimension
+the owner of each pivot, the inverse of the partner array, is one int32 array
+indexed by coface; an unmodified owner's coboundary is rebuilt from the
+boundary matrix only when it is added.  Only columns that additions changed
+are stored, each as an int32 array of cofaces and an int64 array of
+coefficients.  Owners are not rescaled: adding one multiplies it by
+col[pivot] / owner[pivot] mod p.  Memory beyond the complex therefore grows
+with the cells of two adjacent dimensions, at five bytes per cell (its
+clearing flag and partner) and four per coface (its owner), with the few
+modified columns, at twelve bytes per entry, and with the coboundaries of one
+dimension at a time: its boundary transposed, at five bytes per entry (an
+int32 coface and an int8 coefficient, whatever the width of the face rows).
+Each dimension is reduced in a call of its own, so all of its state is freed
+before the next dimension's partners and transpose are allocated.  The
+transpose sorts at most CHUNK entries at a time, so beyond that output it
+holds O(CHUNK + cells) bytes, not a permutation of every entry.  Under
+tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2 holds 31 B per
+cell beyond the complex, and reducing 50 random points in the unit cube at
+maxdim 3 holds 24 B.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -72,8 +78,6 @@ CHUNK = 2**15
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
     if p % 2 == 0:
         return p == 2
     f = 3
@@ -93,15 +97,6 @@ def _check_field(p: int) -> int:
     if q is None or not 2 <= q < MAX_FIELD or not _is_prime(q):
         raise InputError(f"field characteristic must be a prime below 2^31, got {p!r}")
     return q
-
-
-def _cleared(partner: list[np.ndarray], d: int) -> np.ndarray:
-    """Mask of the cells of dimension d that are partners of dimension d-1."""
-    mask = np.zeros(len(partner[d]), dtype=bool)
-    if d:
-        below = partner[d - 1]
-        mask[below[below >= 0]] = True
-    return mask
 
 
 def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,24 +191,11 @@ def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return ptr, cofaces, coeffs
 
 
-def _reduction_pairs(cx: FilteredComplex, p: int, stats: dict | None = None) -> list[np.ndarray]:
-    """Run the reduction; return per dimension each cell's partner in the
-    dimension above, or -1 for none.  Fill `stats`, if given, as `reduce` says."""
-    partner = []
-    for d, dim in enumerate(cx.dims):
-        # Each array is allocated when its dimension is reached, so the top
-        # dimension's comes after every transpose has been freed.
-        partner.append(np.full(len(dim.filtration), -1, dtype=np.int32))
-        if d < cx.top_dim:
-            _reduce_dimension(cx, d, p, partner, stats)
-    return partner
-
-
-def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndarray],
-                      stats: dict | None) -> None:
-    """Pair the cells of dimension d with their pivots in dimension d + 1 in
-    `partner[d]`, and fill `stats[d]` if `stats` is a dict.  `partner` holds
-    the arrays of dimensions 0 to d only.
+def _reduce_dimension(cx: FilteredComplex, d: int, p: int, cleared: np.ndarray,
+                      partner: np.ndarray) -> tuple[int, int, int]:
+    """Pair the cells of dimension d that `cleared` leaves with their pivots
+    in dimension d + 1, in `partner`; return the counts (apparent, looped,
+    additions) that `reduce` reports.
 
     `owner` maps each pivot to the cell whose column holds it; `modified` keeps
     the reduced column only where additions changed it, as an int32 array of
@@ -221,14 +203,8 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
     boundary included, is freed on return, before the next dimension's.
     """
     n_cofaces = len(cx.dims[d + 1].filtration)
-    if not n_cofaces:
-        # No cofaces: every column not cleared reduces to zero as it is.
-        if stats is not None:
-            cleared = _cleared(partner, d)
-            stats[d] = _dimension_stats(cx, d, partner, cleared, 0,
-                                        int(np.count_nonzero(~cleared)), 0)
-        return
-    cleared = _cleared(partner, d)
+    if not n_cofaces:  # every column not cleared reduces to zero as it is
+        return 0, int(np.count_nonzero(~cleared)), 0
     col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
     ptr, cofaces, coeffs = _transpose(col_ptr, faces, data, len(cleared))
 
@@ -241,10 +217,10 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
     earliest = cofaces[ptr[rows]]
     is_apparent = faces[col_ptr[earliest + 1] - 1] == rows
     apparent = rows[is_apparent]
-    partner[d][apparent] = earliest[is_apparent]
+    partner[apparent] = earliest[is_apparent]
     del rows, earliest, is_apparent
     owner = np.full(n_cofaces, -1, dtype=np.int32)
-    owner[partner[d][apparent]] = apparent
+    owner[partner[apparent]] = apparent
 
     todo = ~cleared
     todo[apparent] = False
@@ -258,7 +234,7 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
             piv = min(col)
             k = owner[piv]
             if k < 0:
-                owner[piv], partner[d][j] = j, piv
+                owner[piv], partner[j] = j, piv
                 if added:
                     modified[piv] = (np.fromiter(col, np.int32, len(col)),
                                      np.fromiter(col.values(), np.int64, len(col)))
@@ -274,27 +250,7 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, partner: list[np.ndar
                     col[r] = nv
                 else:
                     del col[r]
-    if stats is not None:
-        stats[d] = _dimension_stats(cx, d, partner, cleared, len(apparent), len(looped),
-                                    additions)
-
-
-def _dimension_stats(cx: FilteredComplex, d: int, partner: list[np.ndarray],
-                     cleared: np.ndarray, apparent: int, looped: int,
-                     additions: int) -> dict[str, int]:
-    """The stats `reduce` reports for dimension d, once its partners are set."""
-    born = np.flatnonzero(partner[d] >= 0)
-    deaths = cx.dims[d + 1].filtration[partner[d][born]]
-    return {
-        "columns": len(cleared),
-        "cleared": int(np.count_nonzero(cleared)),
-        "apparent": apparent,
-        "looped": looped,
-        "additions": additions,
-        "pairs": len(born),
-        "zero_length": int(np.count_nonzero(cx.dims[d].filtration[born] == deaths)),
-        "essential": looped - (len(born) - apparent),
-    }
+    return len(apparent), len(looped), additions
 
 
 def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
@@ -318,25 +274,43 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     essential = columns - cleared, every other count 0).  A degree without
     cells gets an empty barcode.
     """
-    partner = _reduction_pairs(cx, _check_field(p), stats)
-
+    p = _check_field(p)
     codes = {}
-    for n in range(cx.reliable_dim + 1):
-        filt = cx.dims[n].filtration
-        if not len(filt):
-            codes[n] = Barcode()
+    # Each cell's partner in the dimension above, or -1; only the last
+    # dimension's is kept, as clearing reads no further back.
+    partner = np.empty(0, dtype=np.int32)
+    for d in range(cx.reliable_dim + 1):
+        filt = cx.dims[d].filtration
+        if not len(filt) and stats is None:
+            # No bars, and no stats to count.  The partners kept, which had no
+            # cofaces to pair with, are all -1 and clear nothing above, as this
+            # dimension's would.
+            codes[d] = Barcode()
             continue
+        cleared = np.zeros(len(filt), dtype=bool)
+        cleared[partner[partner >= 0]] = True
+        # Allocated only now, after the dimension below has freed its transpose.
+        partner = np.full(len(filt), -1, dtype=np.int32)
+        reduced = d < cx.top_dim
+        if reduced:
+            apparent, looped, additions = _reduce_dimension(cx, d, p, cleared, partner)
         # Finite bars in the order of their death cells, then essential bars:
         # Barcode's stable sort keeps that order among equal bars, so 0.0 and
         # -0.0 births print in a fixed order.
-        born = np.flatnonzero(partner[n] >= 0)
-        born = born[np.argsort(partner[n][born])]
+        born = np.flatnonzero(partner >= 0)
+        born = born[np.argsort(partner[born])]
         births = filt[born]
-        deaths = cx.dims[n + 1].filtration[partner[n][born]] if n < cx.top_dim else births
+        deaths = cx.dims[d + 1].filtration[partner[born]] if reduced else births
         finite = births != deaths
-        bars = [Bar(b, d) for b, d in zip(births[finite].tolist(), deaths[finite].tolist())]
-        essential = filt[(partner[n] < 0) & ~_cleared(partner, n)]
-        bars.extend(Bar(f, INF) for f in essential.tolist())
-        codes[n] = Barcode(bars)
+        essential = filt[(partner < 0) & ~cleared].tolist()
+        codes[d] = Barcode([*map(Bar, births[finite].tolist(), deaths[finite].tolist()),
+                            *(Bar(f, INF) for f in essential)])
+        if stats is not None and reduced:
+            stats[d] = {"columns": len(filt), "cleared": int(np.count_nonzero(cleared)),
+                        "apparent": apparent, "looped": looped, "additions": additions,
+                        "pairs": len(born),
+                        "zero_length": len(born) - int(np.count_nonzero(finite)),
+                        "essential": len(essential)}
+        # Freed before the next dimension's transpose is allocated.
+        del born, births, deaths, finite
     return GradedBarcode(codes)
-

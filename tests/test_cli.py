@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -208,6 +209,8 @@ def test_bottleneck_checks_dim_before_reading(tmp_path, capsys):
     assert main(["bottleneck", "--a", absent, "--b", absent, "--dim", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: --dim must be >= 0, got -1\n"
+    assert main(["bottleneck", "--a", absent, "--b", absent, "--dim", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {absent}: No such file or directory\n")
 
 
 def test_bottleneck_missing_dimension_is_input_error(tmp_path, capsys):
@@ -381,10 +384,32 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert json.loads((tmp_path / "code.json").read_text(encoding="utf-8"))["field"] == 2
 
 
+def test_kunneth_refuses_product_distances_that_overflow(tmp_path, capsys):
+    """X = Y = [[0, 1e308], [1e308, 0]]: the product's 1e308 + 1e308 is inf, so
+    the run exits 2 with no warning, instead of reporting the Tor_1 bar
+    [1e308, 2e308) as an essential bar on both sides."""
+    x = tmp_path / "x.csv"
+    x.write_text("0,1e308\n1e308,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kunneth", "--x", str(x), "--y", str(x), "--maxn", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: product distance overflows: "
+                                   "dX[0,1] + dY[0,1] = 1e+308 + 1e+308 is not finite\n")
+
+
 def test_caps_exit_3(capsys):
     assert main(["hamming", "--k", "3", "--maxdim", "4", "--cell-cap", "5"]) == 3
     assert main(["hamming", "--k", "9", "--maxdim", "2"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_csv_over_the_point_cap_exits_3_before_its_rows_are_parsed(tmp_path, capsys):
+    """300 columns are refused from the first row alone: the unparsable row
+    after it would exit 2 if it were read."""
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["0"] * 300) + "\nx\n")
+    assert main(["vr", "--input", str(path), "--maxdim", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: 300 points exceeds the point cap 256\n")
 
 
 def test_hamming_mismatch_exits_1(monkeypatch, capsys):

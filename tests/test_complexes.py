@@ -544,6 +544,12 @@ def test_tensor_rejects_truncated_factors():
     assert oracle.complex_violations(tensor_complex(shallow, deep, 1)) == []
 
 
+def test_tensor_rejects_negative_maxdim():
+    left = vietoris_rips(INTERVAL, 1)
+    with pytest.raises(InputError, match="maxdim must be >= 0, got -1"):
+        tensor_complex(left, left, -1)
+
+
 def test_tensor_cell_cap():
     left = vietoris_rips(hamming_cube(2), 3)
     with pytest.raises(CapExceeded):

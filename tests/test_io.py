@@ -141,6 +141,7 @@ def test_parse_rejects_malformed_documents(tmp_path):
     reject(lambda d: d.update(dims=[]), "dims")
     reject(lambda d: d["dims"].update({"-1": []}), "dimension key")
     reject(lambda d: d["dims"].update({"x": []}), "dimension key")
+    reject(lambda d: d["dims"].update({"2": {"0": [0.0, 1.0]}}), r"dims\['2'\] must be a list")
     reject(lambda d: d["dims"].update({"2": [[0.0]]}), r"\[birth, death\]")
     reject(lambda d: d["dims"].update({"2": [[0.0, "infinity"]]}), "endpoint")
     reject(lambda d: d["dims"].update({"2": [[2.0, 1.0]]}), "birth < death")
@@ -152,6 +153,8 @@ def test_parse_rejects_malformed_documents(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError, match="invalid JSON"):
         read_barcode_json(path)
+    with pytest.raises(FormatError, match="absent.json: No such file"):
+        read_barcode_json(tmp_path / "absent.json")
 
 
 @pytest.mark.parametrize("key", ["01", "\u0661", "\u00b2",

@@ -65,6 +65,18 @@ def test_space_is_immutable():
         space.labels = ("x", "y")
 
 
+def test_space_equality_hash_and_repr():
+    space = validate([[0, 1], [1, 2]], ["a", "b"])
+    same = validate(np.array([[0.0, 1.0], [1.0, 2.0]]), ("a", "b"))
+    assert space == same and hash(space) == hash(same)
+    assert len({space, same}) == 1
+    assert space != validate([[0, 1], [1, 2]])  # other labels
+    assert space != validate([[0, 1], [1, 0]], ["a", "b"])  # other distances
+    assert space.__eq__(space.dist) is NotImplemented and space != space.dist.tolist()
+    assert repr(space) == "FiniteMetricSpace(n=2, diameter=2)"
+    assert repr(hamming_cube(3)) == "FiniteMetricSpace(n=8, diameter=3)"
+
+
 def test_point_cap():
     with pytest.raises(CapExceeded):
         validate(np.zeros((300, 300)))
@@ -111,6 +123,21 @@ def test_product_sum_matches_hamming_cube():
     assert np.array_equal(square.dist, hamming_cube(2).dist)
     cube = product_sum(interval, hamming_cube(2))
     assert np.array_equal(cube.dist, hamming_cube(3).dist)
+
+
+def test_product_sum_refuses_sums_that_overflow():
+    """1e308 + 1e308 is inf in float64: the product is refused, naming the
+    first pair, without numpy's overflow warning (an error under pytest)."""
+    x = validate([[0, 1e308], [1e308, 0]], ["a", "b"])
+    with pytest.raises(ValidationError) as info:
+        product_sum(x, x)
+    assert str(info.value) == \
+        "product distance overflows: dX[0,1] + dY[0,1] = 1e+308 + 1e+308 is not finite"
+    # Row-major: the first pair that overflows here meets Y's diagonal.
+    top = float(np.finfo(np.float64).max)
+    with pytest.raises(ValidationError, match=r"dX\[0,1\] \+ dY\[1,1\] = 1e\+308 \+ 1.79"):
+        product_sum(x, validate([[0, 2], [2, top]]))
+    assert product_sum(x, validate([[0, 1], [1, 0]])).dist.max() == 1e308 + 1
 
 
 def test_product_cap():
