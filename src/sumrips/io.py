@@ -40,26 +40,37 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     The first row is a header exactly when any of its entries fails to parse
     as a number.  Parse errors report 1-based line and column.  A first row
     of more than `DEFAULT_POINT_CAP` entries is refused with CapExceeded
-    before any other row is parsed.
+    before the rest of the file is read.
     """
+    def split(line: str) -> list[str]:
+        return [tok.strip() for tok in line.split(",")]
+
+    def rows_of(data: bytearray) -> list[str]:
+        lines = (raw.strip() for raw in data.decode("utf-8-sig").splitlines())
+        return [line for line in lines if line]
+
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
+        with Path(path).open("rb") as file:
+            # The first row ends by the first line with more than blanks and byte-order marks.
+            head = bytearray()
+            for line in file:
+                head += line
+                if line.decode("utf-8", "replace").replace("\ufeff", "").strip():
+                    break
+            rows = rows_of(head)
+            if not rows:  # the whole file was read
+                raise FormatError(f"{path}: no data rows")
+            first = split(rows[0])
+            n = len(first)
+            # Refused before the n^2 entries are read, with the message of `validate`.
+            if n > DEFAULT_POINT_CAP:
+                raise CapExceeded(f"{n} points exceeds the point cap {DEFAULT_POINT_CAP}")
+            head += file.read()
+            rows = rows_of(head)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    rows = [line for line in (raw.strip() for raw in text.splitlines()) if line]
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-
-    def split(line: str) -> list[str]:
-        return [tok.strip() for tok in line.split(",")]
-
-    first = split(rows[0])
-    n = len(first)
-    # Refused before the n^2 entries are parsed, with the message of `validate`.
-    if n > DEFAULT_POINT_CAP:
-        raise CapExceeded(f"{n} points exceeds the point cap {DEFAULT_POINT_CAP}")
     labels: list[str] | None = None
     start = 0
     try:
@@ -198,7 +209,7 @@ def read_barcode_json(path: str | Path) -> tuple[GradedBarcode, int]:
         return doc
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON or bytes, or int() refusing 4300+ digits

@@ -25,29 +25,26 @@ complexes that `compare_product` builds for the 50 corpus pairs at maxn 3,
 8,099 of the 9,676 pairs are apparent (84 %), and 1,727 of the 15,563 columns
 are looped (11 %).
 
-`reduce` makes one pass over the dimensions, bottom up, and between two
-dimensions it keeps one array: each cell's partner, its pivot in the dimension
-above, or -1.  Dimension d builds its clearing mask from the partners of
-dimension d-1, allocates and fills its own partners, reads out its bars and
-stats, and keeps only its partners for dimension d+1; the essential cells are
-those with no partner either way.  A complete complex's top dimension is only
-read out, as it has no cofaces; a cut one is not visited.  Within a dimension
-the owner of each pivot, the inverse of the partner array, is one int32 array
-indexed by coface; an unmodified owner's coboundary is rebuilt from the
-boundary matrix only when it is added.  Only columns that additions changed
-are stored, each as an int32 array of cofaces and an int64 array of
-coefficients.  Owners are not rescaled: adding one multiplies it by
-col[pivot] / owner[pivot] mod p.  Memory beyond the complex therefore grows
-with the cells of two adjacent dimensions, at five bytes per cell (its
-clearing flag and partner) and four per coface (its owner), with the few
+`reduce` makes one pass over the dimensions, bottom up, and keeps one array
+per dimension: the owner of each coface, the cell whose pivot it is, or -1.
+Dimension d's bars are read from it in the order of their death cells, its
+essential cells are those neither cleared nor owners, and dimension d + 1
+clears the cofaces that have an owner.  A complete complex's top dimension
+has no cofaces, and a cut one is not visited.  An unmodified owner's
+coboundary is rebuilt from the boundary matrix only when it is added.  Only
+columns that additions changed are stored, each as an int32 array of cofaces
+and an int64 array of coefficients.  Owners are not rescaled: adding one
+multiplies it by col[pivot] / owner[pivot] mod p.  Memory beyond the complex
+therefore grows with the cells of two adjacent dimensions, at one byte per
+cell (its clearing flag) and four per coface (its owner), with the few
 modified columns, at twelve bytes per entry, and with the coboundaries of one
 dimension at a time: its boundary transposed, at five bytes per entry (an
 int32 coface and an int8 coefficient, whatever the width of the face rows).
-Each dimension is reduced in a call of its own, so all of its state is freed
-before the next dimension's partners and transpose are allocated.  The
+Each dimension is reduced in a call of its own, which frees all of its state
+but the owners before the next dimension's transpose is allocated.  The
 transpose sorts at most CHUNK entries at a time, so beyond that output it
 holds O(CHUNK + cells) bytes, not a permutation of every entry.  Under
-tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2 holds 31 B per
+tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2 holds 30 B per
 cell beyond the complex, and reducing 50 random points in the unit cube at
 maxdim 3 holds 24 B.
 
@@ -191,20 +188,17 @@ def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return ptr, cofaces, coeffs
 
 
-def _reduce_dimension(cx: FilteredComplex, d: int, p: int, cleared: np.ndarray,
-                      partner: np.ndarray) -> tuple[int, int, int]:
+def _reduce_dimension(cx: FilteredComplex, d: int, p: int,
+                      cleared: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Pair the cells of dimension d that `cleared` leaves with their pivots
-    in dimension d + 1, in `partner`; return the counts (apparent, looped,
-    additions) that `reduce` reports.
-
-    `owner` maps each pivot to the cell whose column holds it; `modified` keeps
-    the reduced column only where additions changed it, as an int32 array of
-    cofaces and an int64 array of coefficients.  All of it, the transposed
-    boundary included, is freed on return, before the next dimension's.
+    in dimension d + 1: return `owner`, each coface's partner or -1, and the
+    counts (apparent, looped, additions) that `reduce` reports.  All other
+    state, the transposed boundary included, is freed on return.
     """
-    n_cofaces = len(cx.dims[d + 1].filtration)
+    # A complete complex's top dimension has no cofaces either.
+    n_cofaces = len(cx.dims[d + 1].filtration) if d < cx.top_dim else 0
     if not n_cofaces:  # every column not cleared reduces to zero as it is
-        return 0, int(np.count_nonzero(~cleared)), 0
+        return np.empty(0, dtype=np.int32), (0, int(np.count_nonzero(~cleared)), 0)
     col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
     ptr, cofaces, coeffs = _transpose(col_ptr, faces, data, len(cleared))
 
@@ -216,11 +210,11 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, cleared: np.ndarray,
     rows = np.flatnonzero((ptr[1:] > ptr[:-1]) & ~cleared)
     earliest = cofaces[ptr[rows]]
     is_apparent = faces[col_ptr[earliest + 1] - 1] == rows
-    apparent = rows[is_apparent]
-    partner[apparent] = earliest[is_apparent]
-    del rows, earliest, is_apparent
+    apparent, earliest = rows[is_apparent], earliest[is_apparent]
+    del rows, is_apparent
     owner = np.full(n_cofaces, -1, dtype=np.int32)
-    owner[partner[apparent]] = apparent
+    owner[earliest] = apparent
+    del earliest
 
     todo = ~cleared
     todo[apparent] = False
@@ -234,7 +228,7 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, cleared: np.ndarray,
             piv = min(col)
             k = owner[piv]
             if k < 0:
-                owner[piv], partner[j] = j, piv
+                owner[piv] = j
                 if added:
                     modified[piv] = (np.fromiter(col, np.int32, len(col)),
                                      np.fromiter(col.values(), np.int64, len(col)))
@@ -250,7 +244,7 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int, cleared: np.ndarray,
                     col[r] = nv
                 else:
                     del col[r]
-    return len(apparent), len(looped), additions
+    return owner, (len(apparent), len(looped), additions)
 
 
 def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
@@ -266,51 +260,43 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     `apparent` and `looped` (the rest, reduced one by one); `additions` (column
     additions); `pairs` (cells paired with a coface), of which `zero_length`
     contribute no bar; and `essential` (looped columns that reduced to zero).
+    Whether `stats` is given changes no step of the reduction.
 
-    A dimension whose cofaces are empty, as the top dimensions of a collapsed
-    Rips complex often are, is neither transposed nor searched for apparent
-    pairs: each of its columns that is not cleared is essential as it
-    stands, and its stats read as the column loop would leave them (looped =
-    essential = columns - cleared, every other count 0).  A degree without
-    cells gets an empty barcode.
+    A dimension without cofaces, as the top dimensions of a collapsed Rips
+    complex often are, is not transposed: its columns that are not cleared
+    are essential as they stand, and its stats read looped = essential =
+    columns - cleared, every other count 0.  A degree without cells gets an
+    empty barcode.
     """
     p = _check_field(p)
     codes = {}
-    # Each cell's partner in the dimension above, or -1; only the last
-    # dimension's is kept, as clearing reads no further back.
-    partner = np.empty(0, dtype=np.int32)
+    # The cells clearing skips, the pivots in the dimension below.  A complex
+    # without dimensions has no reliable degree.
+    cleared = np.zeros(len(cx.dims[0].filtration) if cx.dims else 0, dtype=bool)
     for d in range(cx.reliable_dim + 1):
         filt = cx.dims[d].filtration
-        if not len(filt) and stats is None:
-            # No bars, and no stats to count.  The partners kept, which had no
-            # cofaces to pair with, are all -1 and clear nothing above, as this
-            # dimension's would.
-            codes[d] = Barcode()
-            continue
-        cleared = np.zeros(len(filt), dtype=bool)
-        cleared[partner[partner >= 0]] = True
-        # Allocated only now, after the dimension below has freed its transpose.
-        partner = np.full(len(filt), -1, dtype=np.int32)
         reduced = d < cx.top_dim
-        if reduced:
-            apparent, looped, additions = _reduce_dimension(cx, d, p, cleared, partner)
+        owner, (apparent, looped, additions) = _reduce_dimension(cx, d, p, cleared)
         # Finite bars in the order of their death cells, then essential bars:
         # Barcode's stable sort keeps that order among equal bars, so 0.0 and
         # -0.0 births print in a fixed order.
-        born = np.flatnonzero(partner >= 0)
-        born = born[np.argsort(partner[born])]
+        died = np.flatnonzero(owner >= 0)
+        born = owner[died]
         births = filt[born]
-        deaths = cx.dims[d + 1].filtration[partner[born]] if reduced else births
+        deaths = cx.dims[d + 1].filtration[died] if reduced else births
         finite = births != deaths
-        essential = filt[(partner < 0) & ~cleared].tolist()
+        unpaired = ~cleared
+        unpaired[born] = False
+        essential = filt[unpaired].tolist()
         codes[d] = Barcode([*map(Bar, births[finite].tolist(), deaths[finite].tolist()),
                             *(Bar(f, INF) for f in essential)])
         if stats is not None and reduced:
             stats[d] = {"columns": len(filt), "cleared": int(np.count_nonzero(cleared)),
                         "apparent": apparent, "looped": looped, "additions": additions,
-                        "pairs": len(born),
-                        "zero_length": len(born) - int(np.count_nonzero(finite)),
+                        "pairs": len(died),
+                        "zero_length": len(died) - int(np.count_nonzero(finite)),
                         "essential": len(essential)}
+        cleared = owner >= 0
         # Freed before the next dimension's transpose is allocated.
-        del born, births, deaths, finite
+        del owner, died, born, births, deaths, finite, unpaired
     return GradedBarcode(codes)

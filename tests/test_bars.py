@@ -121,6 +121,24 @@ def test_barcode_canonical_order_and_equality():
     assert not Barcode() and len(Barcode()) == 0
 
 
+def test_barcodes_leave_other_comparisons_to_the_other_type():
+    code = Barcode([Bar(0, 1)])
+    graded = GradedBarcode({0: code})
+    for other in (None, [Bar(0, 1)], {0: code}):
+        assert code.__eq__(other) is NotImplemented and code != other
+        assert graded.__eq__(other) is NotImplemented and graded != other
+    assert code.__eq__(graded) is NotImplemented and graded.__eq__(code) is NotImplemented
+
+
+def test_barcode_reprs():
+    code = Barcode([Bar(0.5, INF), Bar(0, 1)])
+    assert repr(code) == "Barcode([[0,1), [0.5,inf)])"
+    assert repr(Barcode()) == "Barcode([])"
+    assert repr(GradedBarcode({1: Barcode(), 0: code})) == \
+        "GradedBarcode({0: Barcode([[0,1), [0.5,inf)]), 1: Barcode([])})"
+    assert repr(GradedBarcode()) == "GradedBarcode({})"
+
+
 def test_barcode_rejects_non_bars():
     with pytest.raises(TypeError):
         Barcode([(0, 1)])

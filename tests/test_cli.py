@@ -187,6 +187,15 @@ def test_bottleneck_plain_and_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["distance"] == 1.0
 
 
+def test_bottleneck_reads_documents_with_a_byte_order_mark(tmp_path, capsys):
+    a, b, marked = (tmp_path / f"{name}.json" for name in ("a", "b", "marked"))
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, 2)])}), a, field=2)
+    write_barcode_json(GradedBarcode({0: Barcode([Bar(0, 3)])}), b, field=2)
+    marked.write_bytes(b"\xef\xbb\xbf" + a.read_bytes())
+    assert main(["bottleneck", "--a", str(marked), "--b", str(b), "--dim", "0"]) == 0
+    assert capsys.readouterr() == ("1.0\n", "")
+
+
 def test_bottleneck_reads_each_document_through_read_barcode_json(tmp_path, monkeypatch,
                                                                   capsys):
     """The benchmark's tracer books a document read by rebinding this one reader."""

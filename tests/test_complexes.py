@@ -595,6 +595,20 @@ def test_dump_lines_format():
     ]
 
 
+def test_dump_lines_of_cells_without_labels():
+    """A dimension built by hand, with neither vertices nor factors, labels
+    each of its cells with the empty string."""
+    points = Dimension(np.zeros(2), np.zeros(3, np.int32), np.empty(0, np.int32),
+                       np.empty(0, np.int8))
+    edge = Dimension(np.ones(1), np.array([0, 2], np.int32), np.array([0, 1], np.int32),
+                     np.array([-1, 1], np.int8))
+    cx = FilteredComplex((points, edge), complete=True)
+    assert cx.dump_lines() == ["0 0 0.0 - ", "1 0 0.0 - ", "2 1 1.0 0:-1,1:1 "]
+    assert repr(cx) == "FilteredComplex(cells=3, top_dim=1, complete=True)"
+    assert repr(vietoris_rips(hamming_cube(2), 2)) == \
+        "FilteredComplex(cells=14, top_dim=2, complete=False)"
+
+
 # Full dumps recorded from the tuple-sorting builders that preceded the array
 # layout.  Each has ties in filtration inside a dimension, so a change in how
 # ties are broken reorders lines here.

@@ -2,11 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sumrips import Bar, Barcode, GradedBarcode, InputError, compare_product, hamming_cube
+from sumrips import (
+    Bar,
+    Barcode,
+    CapExceeded,
+    GradedBarcode,
+    InputError,
+    compare_product,
+    hamming_cube,
+)
 from sumrips.io import (
     FormatError,
     barcode_document,
@@ -81,6 +90,42 @@ def test_read_csv_skips_a_byte_order_mark(tmp_path):
     assert read_metric_csv(path).labels == ("a", "b")
 
 
+def test_read_csv_finds_the_first_row_as_splitlines_does(tmp_path):
+    """The first row may follow lines that are blank only as text, or end at
+    a carriage return; a byte-order mark after the first byte is a row of its
+    own; a decode error past the first row reports the byte a decode of the
+    whole file reports, counted from the end of the byte-order mark."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbf\n \t\n\xe2\x80\xa8\n0,1\r1,0\r")
+    space = read_metric_csv(path)
+    assert space.labels == ("0", "1") and space.dist[0, 1] == 1.0
+    path.write_bytes(b"\n\xef\xbb\xbf\na,b\n0,1\n1,0\n")
+    with pytest.raises(FormatError, match="expected 1 data rows to match 1 columns, got 3$"):
+        read_metric_csv(path)
+    path.write_bytes(b"\xef\xbb\xbf\n0,1\n1,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8 text: invalid start byte at byte 7$"):
+        read_metric_csv(path)
+    path.write_bytes(b"\xc2\x85\n\x1c\n")
+    with pytest.raises(FormatError, match="no data rows"):
+        read_metric_csv(path)
+
+
+def test_refusing_an_over_cap_csv_reads_only_its_first_row(tmp_path):
+    """A 2,000-point CSV of 8 MB is refused at its first row; reading the
+    whole file first peaked at 16.2 MB."""
+    path = tmp_path / "wide.csv"
+    path.write_text(("0," * 1999 + "0\n") * 2000)
+    assert path.stat().st_size == 8_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^2000 points exceeds the point cap 256$"):
+            read_metric_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_read_csv_applies_metric_validation(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0,1\n2,0\n")
@@ -111,6 +156,13 @@ def test_barcode_roundtrip(tmp_path):
     back, field = read_barcode_json(path)
     assert back == code and field == 3
     assert back.dims() == code.dims()  # explicit empty dim survives
+
+
+def test_read_barcode_json_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "code.json"
+    write_barcode_json(_sample_code(), path, field=3)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_barcode_json(path) == (_sample_code(), 3)
 
 
 def test_serialization_is_canonical():

@@ -250,6 +250,26 @@ def test_reduce_stats_tie_out():
     assert all(s["apparent"] > 0 for s in stats.values())
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stats_change_no_step_of_the_reduction(p):
+    """Asking for stats reduces every complex the same way, empty dimensions
+    included: the factors and products of the small pairs, built whole and
+    barcode-only, give the same document bytes with and without them."""
+    complexes = [vietoris_rips(space, 3, barcode_only=barcode_only)
+                 for x, y in corpus.small_pairs() for space in (x, y, product_sum(x, y))
+                 for barcode_only in (False, True)]
+    assert any(not len(dim.filtration) for cx in complexes for dim in cx.dims[:cx.top_dim])
+    for cx in complexes:
+        plain = dumps_document(barcode_document(reduce(cx, p), p))
+        assert dumps_document(barcode_document(reduce(cx, p, stats={}), p)) == plain, cx
+
+
+def test_a_complex_without_dimensions_has_no_bars():
+    stats = {}
+    code = reduce(FilteredComplex((), True), stats=stats)
+    assert code == GradedBarcode() and code.dims() == () and stats == {}
+
+
 def _empty_stats(columns, cleared):
     """The stats of a dimension without cofaces: every column not cleared is
     looped and essential."""
