@@ -14,7 +14,9 @@ always point at strictly smaller ids and the order is reproducible bit for bit.
 
 Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
 key), so the global order is a stable merge by filtration, computed only on
-request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
+request (`global_ids`, `cells`, `dump_lines`); no cell is an object.  The
+dump streams its lines a chunk of global ids at a time, so the cap's price per
+cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.
 """
 
 from __future__ import annotations
@@ -22,25 +24,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius
 
-# Building and reducing over F_2 the 242,824-cell Rips complex of the 5-cube at
-# maxdim 4 grows the resident set by about 91 B per cell (CPython 3.11, numpy
-# 2.4, x86-64), of which the build takes about 71 B; for the 251,175 cells of
-# 50 random points in the unit cube at maxdim 3 it is 72 and 58 B.  The
-# largest boundary's transpose takes 21 B per cell of output and 6 B per cell
-# beyond it; one argsort of all its entries took 63 B.
-# The figure below is the 760 B per cell that a homology reduction with bitset
-# columns took, kept so that the default cap admits no complex it refused
-# before.
-BYTES_PER_CELL = 800
-# The default cap keeps a build and its reduction within about 4 GB.
+# The resident set grows, per cell of the uncut complex (ru_maxrss, CPython
+# 3.11, numpy 2.4, x86-64), by 74-95 B to build and reduce a Rips complex (the
+# whole 5-cube and the 6-cube at maxdim 4, 60 random points and 80 points on a
+# circle at maxdim 3), by 87 B to build, reduce and dump the whole 6-cube at
+# maxdim 4, and by 160-169 B to build, reduce and dump a tensor complex of
+# 1.1-1.2 million cells.  The price leaves 1.5 times headroom on the largest.
+BYTES_PER_CELL = 256
+# The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
+# Global ids that `FilteredComplex.dump_lines` renders at a time.
+DUMP_CHUNK = 2**10
 
 
 class Cell(NamedTuple):
@@ -62,8 +63,8 @@ class Dimension(NamedTuple):
 
     `indptr` is int32, or int64 from 2^31 entries on.  A Rips boundary's
     `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
-    int32, or int64 from 2^30 cells on; dimension 0, empty dimensions and
-    tensor boundaries have int32 `indices`.
+    int32, or int64 from 2^30 cells on; dimension 0 and empty dimensions have
+    int32 `indices`, and tensor boundaries int32, or int64 from 2^31 faces on.
     """
 
     filtration: np.ndarray
@@ -113,18 +114,30 @@ class FilteredComplex:
         sizes = [len(dim.filtration) for dim in self.dims]
         return np.split(np.argsort(self._order()), np.cumsum(sizes)[:-1])
 
-    def _labels(self, dim: Dimension) -> list[str]:
-        """Point labels joined by commas (Rips) or factor labels joined by '|'."""
+    def _label_source(self) -> tuple | None:
+        """What `_labels` reads: the point labels of a Rips complex, or each
+        factor's labels by global id for a tensor complex."""
+        if self.dims and self.dims[0].factors is not None:
+            return tuple(factor._labels_by_id() for factor in self.source)
+        return self.source
+
+    @staticmethod
+    def _labels(dim: Dimension, lo: int, hi: int, source: tuple | None) -> list[str]:
+        """Labels of the cells lo to hi - 1 of `dim`: point labels joined by
+        commas (Rips) or factor labels joined by '|' (tensor), from `source`
+        as `_label_source` gives it."""
         if dim.vertices is not None:
-            return [",".join([self.source[v] for v in row]) for row in dim.vertices.tolist()]
+            return [",".join([source[v] for v in row]) for row in dim.vertices[lo:hi].tolist()]
         if dim.factors is not None:
-            left, right = (factor._labels_by_id() for factor in self.source)
-            return [f"{left[i]}|{right[j]}" for i, j in dim.factors.tolist()]
-        return [""] * len(dim.filtration)
+            left, right = source
+            return [f"{left[i]}|{right[j]}" for i, j in dim.factors[lo:hi].tolist()]
+        return [""] * (hi - lo)
 
     def _labels_by_id(self) -> list[str]:
         """Every cell's label, by global id."""
-        labels = [label for dim in self.dims for label in self._labels(dim)]
+        source = self._label_source()
+        labels = [label for dim in self.dims
+                  for label in self._labels(dim, 0, len(dim.filtration), source)]
         return [labels[i] for i in self._order().tolist()]
 
     @cached_property
@@ -136,19 +149,29 @@ class FilteredComplex:
         filt = np.concatenate([dim.filtration for dim in self.dims])
         return tuple(map(Cell, dims[order].tolist(), filt[order].tolist()))
 
-    def dump_lines(self) -> list[str]:
+    def dump_lines(self) -> Iterator[str]:
         """Debug format, one cell per line: id dim filtration boundary label,
-        the boundary as face:coefficient pairs by global id, or '-'."""
+        the boundary as face:coefficient pairs by global id, or '-'.
+
+        Lines are yielded in global order, rendered `DUMP_CHUNK` ids at a time.
+        Each dimension's global ids ascend, so a run of ids is one slice of
+        each dimension.  Only one chunk's lines, faces and labels are held as
+        Python objects at a time, beside a tensor complex's factor labels."""
         ids = self.global_ids()
-        out: list[str] = [""] * len(self)
-        for d, dim in enumerate(self.dims):
-            faces = ids[d - 1][dim.indices].tolist() if d else []
-            coeffs, ptr = dim.data.tolist(), dim.indptr.tolist()
-            for g, f, label, lo, hi in zip(ids[d].tolist(), dim.filtration.tolist(),
-                                           self._labels(dim), ptr, ptr[1:]):
-                pairs = ",".join([f"{i}:{c}" for i, c in zip(faces[lo:hi], coeffs[lo:hi])]) or "-"
-                out[g] = f"{g} {d} {f!r} {pairs} {label}"
-        return out
+        source = self._label_source()
+        for lo in range(0, len(self), DUMP_CHUNK):
+            out = [""] * (min(lo + DUMP_CHUNK, len(self)) - lo)
+            for d, dim in enumerate(self.dims):
+                a, b = np.searchsorted(ids[d], (lo, lo + DUMP_CHUNK)).tolist()
+                ptr = dim.indptr[a:b + 1]
+                start, stop = ptr[0], ptr[-1]
+                faces = ids[d - 1][dim.indices[start:stop]].tolist() if d else []
+                coeffs, ptr = dim.data[start:stop].tolist(), (ptr - start).tolist()
+                for g, f, label, s, e in zip(ids[d][a:b].tolist(), dim.filtration[a:b].tolist(),
+                                             self._labels(dim, a, b, source), ptr, ptr[1:]):
+                    pairs = ",".join([f"{i}:{c}" for i, c in zip(faces[s:e], coeffs[s:e])]) or "-"
+                    out[g - lo] = f"{g} {d} {f!r} {pairs} {label}"
+            yield from out
 
     def __repr__(self) -> str:
         return (f"FilteredComplex(cells={len(self)}, top_dim={self.top_dim}, "
@@ -445,6 +468,11 @@ def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np
     face (f, t) in part a - 1 of dimension n - 1, and a face g of t the face
     (s, g) in part a, with the sign (-1)^a.
     """
+    # Each part's entries go straight to sorted positions in the narrowest
+    # index dtype, and each array is freed once read: a build of 1.1 million
+    # cells peaks at about 142 B per cell under tracemalloc, where int64
+    # entries held to the end took 287.
+    col_of, row_of = _inverse(order), _inverse(below_order)
     cols, rows, data = [], [], []
     col_at, row_at = _part_starts(cx, cy, n), _part_starts(cx, cy, n - 1)
     for a, start in col_at.items():
@@ -453,21 +481,33 @@ def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np
         if a:
             s = np.repeat(np.arange(nx), np.diff(x.indptr))[:, None]
             t = np.arange(ny)
-            cols.append((start + s * ny + t).ravel())
-            rows.append((row_at[a - 1] + x.indices[:, None].astype(np.int64) * ny + t).ravel())
+            cols.append(col_of[(start + s * ny + t).ravel()])
+            rows.append(row_of[(row_at[a - 1] + x.indices[:, None].astype(np.int64) * ny + t).ravel()])
             data.append(np.repeat(x.data, ny))
         if a < n:
             s = np.arange(nx)[:, None]
             t = np.repeat(np.arange(ny), np.diff(y.indptr))
-            cols.append((start + s * ny + t).ravel())
-            rows.append((row_at[a] + s * len(cy.dims[n - a - 1].filtration) + y.indices).ravel())
+            cols.append(col_of[(start + s * ny + t).ravel()])
+            rows.append(row_of[(row_at[a] + s * len(cy.dims[n - a - 1].filtration) + y.indices).ravel()])
             data.append(np.tile(-y.data if a % 2 else y.data, nx))
-    col = np.argsort(order)[np.concatenate(cols)]
-    row = np.argsort(below_order)[np.concatenate(rows)]
-    by_cell = np.argsort(col * len(below_order) + row)
+    col, row = np.concatenate(cols), np.concatenate(rows)
+    del cols, rows
     indptr = np.zeros(len(order) + 1, dtype=_index_dtype(len(col)))
     np.cumsum(np.bincount(col, minlength=len(order)), out=indptr[1:])
-    return indptr, row[by_cell].astype(np.int32), np.concatenate(data)[by_cell]
+    key = col.astype(np.int64)
+    del col
+    key *= len(below_order)
+    key += row
+    by_cell = np.argsort(key)
+    del key
+    return indptr, row[by_cell], np.concatenate(data)[by_cell]
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The permutation that undoes `order`, in `_index_dtype`."""
+    inverse = np.empty(len(order), dtype=_index_dtype(len(order)))
+    inverse[order] = np.arange(len(order), dtype=inverse.dtype)
+    return inverse
 
 
 def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None = None,

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .bars import INF, Bar, Barcode, GradedBarcode
 from .complexes import FilteredComplex
@@ -46,7 +46,9 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
         return [tok.strip() for tok in line.split(",")]
 
     def rows_of(data: bytearray) -> list[str]:
-        lines = (raw.strip() for raw in data.decode("utf-8-sig").splitlines())
+        # The mark goes after decoding, so a decode error's position counts its bytes.
+        text = data.decode("utf-8").removeprefix("\ufeff")
+        lines = (raw.strip() for raw in text.splitlines())
         return [line for line in lines if line]
 
     try:
@@ -122,11 +124,13 @@ def dumps_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def write_text(text: str, path: str | Path) -> None:
-    """Write text to path as UTF-8, whatever the locale; a path that cannot be
-    written is an input error that names it."""
+def write_text(text: str | Iterable[str], path: str | Path) -> None:
+    """Write text, or each string of an iterable as it comes, to path as
+    UTF-8, whatever the locale; a path that cannot be written is an input
+    error that names it."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as file:
+            file.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
@@ -250,5 +254,7 @@ def report_document(report: ComparisonReport) -> dict[str, Any]:
 
 
 def write_complex_dump(cx: FilteredComplex, path: str | Path) -> None:
-    """One cell per line: id dim filtration boundary label."""
-    write_text("\n".join(cx.dump_lines()) + "\n", path)
+    """One cell per line: id dim filtration boundary label, written as
+    `FilteredComplex.dump_lines` yields them, so the whole dump is never held
+    in memory.  A complex without cells writes an empty file."""
+    write_text((f"{line}\n" for line in cx.dump_lines()), path)

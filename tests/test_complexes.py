@@ -25,6 +25,7 @@ from sumrips import (
 from sumrips.complexes import (
     BYTES_PER_CELL,
     DEFAULT_CELL_CAP,
+    DUMP_CHUNK,
     Dimension,
     _collapse,
     _rips_boundary,
@@ -161,17 +162,19 @@ def test_five_cube_split_retains_at_most_48_bytes_per_cell():
 
 def test_dump_lines_peaks_below_the_priced_bytes_per_cell():
     """The cap prices BYTES_PER_CELL per cell, so `--dump-complex` must cost
-    less.  Rendering the 6,884 cells of the whole 4-cube at maxdim 4 from the
-    arrays peaks at about 410 B per cell under tracemalloc; through per-cell
-    objects with rendered boundaries and labels it took 852."""
+    less.  Streaming the 6,884 cells of the whole 4-cube at maxdim 4 in chunks
+    of global ids peaks at about 94 B per cell under tracemalloc, most of it
+    one chunk's lines, face ids and labels (16 B per cell on the whole
+    5-cube); rendering every line into one list took 410, and rendering
+    through per-cell objects with boundaries and labels 852."""
     cx = vietoris_rips(hamming_cube(4), 4)
     tracemalloc.start()
     try:
-        lines = cx.dump_lines()
+        count = sum(1 for _ in cx.dump_lines())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(lines) == len(cx) == 6_884
+    assert count == len(cx) == 6_884
     assert peak < BYTES_PER_CELL * len(cx)
 
 
@@ -205,6 +208,13 @@ def test_cap_message_estimates_bytes():
     with pytest.raises(CapExceeded, match=rf"needs {needed} cells, about {mb:.1f} MB to build"):
         vietoris_rips(hamming_cube(4), 4, cell_cap=100)
     assert DEFAULT_CELL_CAP * BYTES_PER_CELL <= 4 * 10**9
+
+
+def test_default_cap_admits_the_six_cube_at_maxdim_4():
+    """The cap counts the uncut complex: the 6-cube at maxdim 4, whose degree
+    3 is the first where the paper's Hamming family fails Kunneth, runs
+    under the default cap."""
+    assert rips_cell_count(64, 4) == 8_303_632 <= DEFAULT_CELL_CAP
 
 
 def _cell_rows(cx, radius=math.inf):
@@ -588,7 +598,7 @@ def test_filtration_inequality_detects_corruption():
 
 def test_dump_lines_format():
     cx = vietoris_rips(INTERVAL, 1)
-    assert cx.dump_lines() == [
+    assert list(cx.dump_lines()) == [
         "0 0 0.0 - 0",
         "1 0 0.0 - 1",
         "2 1 1.0 0:-1,1:1 0,1",
@@ -603,7 +613,7 @@ def test_dump_lines_of_cells_without_labels():
     edge = Dimension(np.ones(1), np.array([0, 2], np.int32), np.array([0, 1], np.int32),
                      np.array([-1, 1], np.int8))
     cx = FilteredComplex((points, edge), complete=True)
-    assert cx.dump_lines() == ["0 0 0.0 - ", "1 0 0.0 - ", "2 1 1.0 0:-1,1:1 "]
+    assert list(cx.dump_lines()) == ["0 0 0.0 - ", "1 0 0.0 - ", "2 1 1.0 0:-1,1:1 "]
     assert repr(cx) == "FilteredComplex(cells=3, top_dim=1, complete=True)"
     assert repr(vietoris_rips(hamming_cube(2), 2)) == \
         "FilteredComplex(cells=14, top_dim=2, complete=False)"
@@ -777,10 +787,35 @@ FIRST_SMALL_PAIR_TENSOR = [
 ]
 
 
+def test_dump_lines_streams_chunks_as_the_oracle_renders_cells():
+    """`dump_lines` renders DUMP_CHUNK global ids at a time.  Across chunk
+    edges that cut through a dimension, and in a complex of one cell or
+    none, its lines are those the per-cell oracle renders."""
+    rng = random.Random(31)
+    space = corpus.random_space(rng, 12, 12, allow_diagonal=True)
+    assert (np.diagonal(space.dist) > 0).any()
+    x, y = (vietoris_rips(corpus.random_space(rng, 6, 6, allow_diagonal=True), 4)
+            for _ in range(2))
+    cube = vietoris_rips(hamming_cube(4), 4)
+    assert len(cube) == 6_884
+    for cx in (cube, vietoris_rips(space, 4), tensor_complex(x, y, 4),
+               vietoris_rips(validate([[0.0]]), 0)):
+        cells = oracle.cells(cx)
+        expected = [f"{g} {c.dim} {c.filtration!r} "
+                    f"{','.join(f'{i}:{k}' for i, k in c.boundary) or '-'} {c.label}"
+                    for g, c in enumerate(cells)]
+        assert list(cx.dump_lines()) == expected
+        edges = range(DUMP_CHUNK, len(cx), DUMP_CHUNK)
+        assert len(cx) == 1 or any(cells[g - 1].dim == cells[g].dim for g in edges)
+    no_cells = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
+                         np.empty(0, np.int8))
+    assert list(FilteredComplex((no_cells,), complete=True).dump_lines()) == []
+
+
 def test_golden_dumps_pin_tie_order():
-    assert vietoris_rips(hamming_cube(2), 3).dump_lines() == SQUARE_MAXDIM_3
+    assert list(vietoris_rips(hamming_cube(2), 3).dump_lines()) == SQUARE_MAXDIM_3
     diag = validate([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    assert vietoris_rips(diag, 2).dump_lines() == POSITIVE_DIAGONAL
+    assert list(vietoris_rips(diag, 2).dump_lines()) == POSITIVE_DIAGONAL
     x, y = corpus.small_pairs()[0]
     prod = tensor_complex(vietoris_rips(x, 2), vietoris_rips(y, 2), 2)
-    assert prod.dump_lines() == FIRST_SMALL_PAIR_TENSOR
+    assert list(prod.dump_lines()) == FIRST_SMALL_PAIR_TENSOR

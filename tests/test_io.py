@@ -94,7 +94,7 @@ def test_read_csv_finds_the_first_row_as_splitlines_does(tmp_path):
     """The first row may follow lines that are blank only as text, or end at
     a carriage return; a byte-order mark after the first byte is a row of its
     own; a decode error past the first row reports the byte a decode of the
-    whole file reports, counted from the end of the byte-order mark."""
+    whole file reports, counted from the start of the file."""
     path = tmp_path / "m.csv"
     path.write_bytes(b"\xef\xbb\xbf\n \t\n\xe2\x80\xa8\n0,1\r1,0\r")
     space = read_metric_csv(path)
@@ -103,7 +103,7 @@ def test_read_csv_finds_the_first_row_as_splitlines_does(tmp_path):
     with pytest.raises(FormatError, match="expected 1 data rows to match 1 columns, got 3$"):
         read_metric_csv(path)
     path.write_bytes(b"\xef\xbb\xbf\n0,1\n1,\xff\n")
-    with pytest.raises(FormatError, match="not UTF-8 text: invalid start byte at byte 7$"):
+    with pytest.raises(FormatError, match="not UTF-8 text: invalid start byte at byte 10$"):
         read_metric_csv(path)
     path.write_bytes(b"\xc2\x85\n\x1c\n")
     with pytest.raises(FormatError, match="no data rows"):
@@ -289,6 +289,22 @@ def test_write_complex_dump(tmp_path):
     path = tmp_path / "complex.txt"
     write_complex_dump(cx, path)
     assert path.read_text() == "0 0 0.0 - 0\n1 0 0.0 - 1\n2 1 1.0 0:-1,1:1 0,1\n"
+
+
+def test_write_complex_dump_writes_the_stream(tmp_path):
+    """The file holds each streamed line and its newline, across chunks of
+    global ids; a complex without cells writes an empty file."""
+    from sumrips import vietoris_rips
+    from sumrips.complexes import Dimension, FilteredComplex
+    cx = vietoris_rips(hamming_cube(4), 3)
+    path = tmp_path / "complex.txt"
+    write_complex_dump(cx, path)
+    assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in cx.dump_lines())
+    assert path.read_text().count("\n") == len(cx) == 2_516
+    empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
+                      np.empty(0, np.int8))
+    write_complex_dump(FilteredComplex((empty,), complete=True), path)
+    assert path.read_bytes() == b""
 
 
 def test_barcode_documents_carry_prime_fields(tmp_path):
