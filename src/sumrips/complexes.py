@@ -35,8 +35,8 @@ from .metric import FiniteMetricSpace, enclosing_radius
 # 3.11, numpy 2.4, x86-64), by 74-95 B to build and reduce a Rips complex (the
 # whole 5-cube and the 6-cube at maxdim 4, 60 random points and 80 points on a
 # circle at maxdim 3), by 87 B to build, reduce and dump the whole 6-cube at
-# maxdim 4, and by 160-169 B to build, reduce and dump a tensor complex of
-# 1.1-1.2 million cells.  The price leaves 1.5 times headroom on the largest.
+# maxdim 4, and by 157 B to build, reduce and dump a tensor complex of 1.1
+# million cells.  The price leaves 1.6 times headroom on the largest.
 BYTES_PER_CELL = 256
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
@@ -64,7 +64,8 @@ class Dimension(NamedTuple):
     `indptr` is int32, or int64 from 2^31 entries on.  A Rips boundary's
     `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
     int32, or int64 from 2^30 cells on; dimension 0 and empty dimensions have
-    int32 `indices`, and tensor boundaries int32, or int64 from 2^31 faces on.
+    int32 `indices`.  Tensor `indices`, and `factors` (the factors' global ids,
+    `FilteredComplex.global_ids`), are int32, or int64 from 2^31 faces or cells on.
     """
 
     filtration: np.ndarray
@@ -107,12 +108,13 @@ class FilteredComplex:
 
     def _order(self) -> np.ndarray:
         """The global order, as positions in the concatenated dimensions."""
-        return np.argsort(np.concatenate([dim.filtration for dim in self.dims]), kind="stable")
+        filt = np.concatenate([np.empty(0), *(dim.filtration for dim in self.dims)])
+        return np.argsort(filt, kind="stable")
 
     def global_ids(self) -> list[np.ndarray]:
-        """Per dimension, each cell's position in the global order."""
-        sizes = [len(dim.filtration) for dim in self.dims]
-        return np.split(np.argsort(self._order()), np.cumsum(sizes)[:-1])
+        """Per dimension, each cell's position in the global order, in `_index_dtype`."""
+        ids, ends = _inverse(self._order()), np.cumsum([len(dim.filtration) for dim in self.dims])
+        return [ids[end - len(dim.filtration):end] for dim, end in zip(self.dims, ends)]
 
     def _label_source(self) -> tuple | None:
         """What `_labels` reads: the point labels of a Rips complex, or each
@@ -146,7 +148,7 @@ class FilteredComplex:
         tests and tracing; the builders and the reduction never read it."""
         order = self._order()
         dims = np.repeat(np.arange(len(self.dims)), [len(dim.filtration) for dim in self.dims])
-        filt = np.concatenate([dim.filtration for dim in self.dims])
+        filt = np.concatenate([np.empty(0), *(dim.filtration for dim in self.dims)])
         return tuple(map(Cell, dims[order].tolist(), filt[order].tolist()))
 
     def dump_lines(self) -> Iterator[str]:
@@ -459,10 +461,10 @@ def _part_starts(cx: FilteredComplex, cy: FilteredComplex, n: int) -> dict[int, 
     return starts
 
 
-def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np.ndarray,
-                     below_order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary (indptr, indices, data) of dimension n >= 1 of the tensor
-    complex, whose cells and faces are sorted by `order` and `below_order`.
+def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, cells: tuple,
+                     faces: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary (indptr, indices, data) of tensor dimension n >= 1; `cells` and
+    `faces` are (`_part_starts`, `_inverse` of the order) of dimensions n and n - 1.
 
     d(s x t) = ds x t + (-1)^a s x dt for dim s = a: a face f of s gives the
     face (f, t) in part a - 1 of dimension n - 1, and a face g of t the face
@@ -470,11 +472,10 @@ def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np
     """
     # Each part's entries go straight to sorted positions in the narrowest
     # index dtype, and each array is freed once read: a build of 1.1 million
-    # cells peaks at about 142 B per cell under tracemalloc, where int64
+    # cells peaks at about 133 B per cell under tracemalloc, where int64
     # entries held to the end took 287.
-    col_of, row_of = _inverse(order), _inverse(below_order)
+    (col_at, col_of), (row_at, row_of) = cells, faces
     cols, rows, data = [], [], []
-    col_at, row_at = _part_starts(cx, cy, n), _part_starts(cx, cy, n - 1)
     for a, start in col_at.items():
         x, y = cx.dims[a], cy.dims[n - a]
         nx, ny = len(x.filtration), len(y.filtration)
@@ -492,11 +493,11 @@ def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, order: np
             data.append(np.tile(-y.data if a % 2 else y.data, nx))
     col, row = np.concatenate(cols), np.concatenate(rows)
     del cols, rows
-    indptr = np.zeros(len(order) + 1, dtype=_index_dtype(len(col)))
-    np.cumsum(np.bincount(col, minlength=len(order)), out=indptr[1:])
+    indptr = np.zeros(len(col_of) + 1, dtype=_index_dtype(len(col)))
+    np.cumsum(np.bincount(col, minlength=len(col_of)), out=indptr[1:])
     key = col.astype(np.int64)
     del col
-    key *= len(below_order)
+    key *= len(row_of)
     key += row
     by_cell = np.argsort(key)
     del key
@@ -540,9 +541,8 @@ def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None 
         factors = np.concatenate([np.stack(np.meshgrid(gx[a], gy[n - a], indexing="ij"),
                                            -1).reshape(-1, 2) for a in parts])
         order = np.lexsort((factors[:, 1], factors[:, 0], filt))
-        boundary = (_koszul_boundary(cx, cy, n, order, below_order) if n
-                    else _no_boundary(len(filt)))
+        cells = parts, _inverse(order)
+        boundary = _koszul_boundary(cx, cy, n, cells, faces) if n else _no_boundary(len(filt))
         dims.append(Dimension(filt[order], *boundary, factors=factors[order]))
-        below_order = order
-    complete = cx.complete and cy.complete and top == full
-    return FilteredComplex(tuple(dims), complete, source=(cx, cy))
+        faces = cells
+    return FilteredComplex(tuple(dims), cx.complete and cy.complete and top == full, source=(cx, cy))

@@ -38,18 +38,20 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
     other bytes are a format error.
 
     The first row is a header exactly when any of its entries fails to parse
-    as a number.  Parse errors report 1-based line and column.  A first row
-    of more than `DEFAULT_POINT_CAP` entries is refused with CapExceeded
-    before the rest of the file is read.
+    as a number.  Parse errors report 1-based line and column, lines counted
+    as `str.splitlines` counts them, blank ones included.  A first row of more
+    than `DEFAULT_POINT_CAP` entries is refused with CapExceeded before the
+    rest of the file is read.
     """
     def split(line: str) -> list[str]:
         return [tok.strip() for tok in line.split(",")]
 
-    def rows_of(data: bytearray) -> list[str]:
+    def rows_of(data: bytearray) -> list[tuple[int, str]]:
+        """The non-blank lines, each with its 1-based line number."""
         # The mark goes after decoding, so a decode error's position counts its bytes.
         text = data.decode("utf-8").removeprefix("\ufeff")
-        lines = (raw.strip() for raw in text.splitlines())
-        return [line for line in lines if line]
+        lines = enumerate((raw.strip() for raw in text.splitlines()), 1)
+        return [(number, line) for number, line in lines if line]
 
     try:
         with Path(path).open("rb") as file:
@@ -62,7 +64,7 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
             rows = rows_of(head)
             if not rows:  # the whole file was read
                 raise FormatError(f"{path}: no data rows")
-            first = split(rows[0])
+            first = split(rows[0][1])
             n = len(first)
             # Refused before the n^2 entries are read, with the message of `validate`.
             if n > DEFAULT_POINT_CAP:
@@ -85,16 +87,16 @@ def read_metric_csv(path: str | Path) -> FiniteMetricSpace:
         raise FormatError(f"{path}: expected {n} data rows to match {n} columns, "
                           f"got {len(data_rows)}")
     matrix = []
-    for r, line in enumerate(data_rows):
+    for number, line in data_rows:
         toks = split(line)
         if len(toks) != n:
-            raise FormatError(f"{path}: line {start + r + 1} has {len(toks)} values, expected {n}")
+            raise FormatError(f"{path}: line {number} has {len(toks)} values, expected {n}")
         parsed = []
         for c, tok in enumerate(toks):
             try:
                 parsed.append(float(tok))
             except ValueError:
-                raise FormatError(f"{path}: line {start + r + 1}, column {c + 1}: "
+                raise FormatError(f"{path}: line {number}, column {c + 1}: "
                                   f"could not parse {tok!r} as a number") from None
         matrix.append(parsed)
     return validate(matrix, labels)

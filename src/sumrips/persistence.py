@@ -136,9 +136,11 @@ def _sorted_chunk(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, lo:
     columns ascend."""
     a, b = indptr[lo], indptr[hi]
     rows = indices[a:b]
-    # numpy radix-sorts 16-bit keys, which cover every dimension of up to
-    # 65,536 cells.
-    by_row = np.argsort(rows.astype(np.uint16) if n_rows <= 2**16 else rows, kind="stable")
+    # numpy radix-sorts 16-bit keys: int16 rows as they are, and wider rows
+    # cast to uint16 while the dimension has at most 65,536 cells.
+    if rows.itemsize > 2 and n_rows <= 2**16:
+        rows = rows.astype(np.uint16)
+    by_row = np.argsort(rows, kind="stable")
     cols = np.repeat(np.arange(lo, hi, dtype=np.int32), indptr[lo + 1:hi + 1] - indptr[lo:hi])
     return by_row, cols[by_row], data[a:b][by_row]
 

@@ -69,6 +69,13 @@ def small_pairs(count: int = 20, seed: int = SMALL_PAIRS_SEED):
     return [(random_space(rng, 2, 4), random_space(rng, 2, 4)) for _ in range(count)]
 
 
+def cycle_graph(n: int) -> FiniteMetricSpace:
+    """The cycle graph C_n with its shortest-path metric: d(i, j) is the
+    shorter way round, min(|i - j|, n - |i - j|)."""
+    return validate([[float(min(abs(i - j), n - abs(i - j))) for j in range(n)]
+                     for i in range(n)])
+
+
 def random_bar(rng: random.Random, infinite_rate: float = 0.15) -> Bar:
     """Quarter-grid bar: birth in [0, 6], persistence in [0.25, 6] or infinite."""
     birth = rng.randint(0, 24) / 4

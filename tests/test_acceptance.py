@@ -20,6 +20,7 @@ from sumrips import (
     Barcode,
     hamming_cube,
     kunneth_predict,
+    product_sum,
     reduce,
     tensor_complex,
     validate,
@@ -27,9 +28,24 @@ from sumrips import (
 )
 from sumrips.cli import main
 from sumrips.io import write_barcode_json
-from sumrips.kunneth import VERDICT_DOMINATED, VERDICT_EQUAL, compare_product
+from sumrips.kunneth import VERDICT_DOMINATED, VERDICT_EQUAL, VERDICT_VIOLATED, compare_product
 
 INF = math.inf
+
+# Bar counts of C_n x C_m at maxn 3 (C_2 is the two-point space {0, 1}): per
+# degree 2 and 3, (t, predicted, actual) at each critical value t.  The
+# predicted counts are checked against the oracles of tensor and Tor_1, and
+# the actual ones against rank-nullity where the product is small below t.
+CYCLE_COUNTS = {
+    (8, 4): {2: [(2, 8, 0), (3, 3, 3), (4, 0, 0)],
+             3: [(2, 0, 8), (3, 4, 4), (4, 1, 0), (5, 0, 0)]},
+    (9, 4): {2: [(2, 9, 0), (3, 11, 11), (4, 0, 0)],
+             3: [(2, 0, 9), (3, 0, 0), (4, 9, 1), (5, 0, 0)]},
+    (10, 2): {2: [(4, 1, 0), (5, 0, 0)],
+              3: [(4, 0, 1), (5, 0, 0)]},
+    (10, 5): {2: [(2, 10, 10), (3, 0, 0), (4, 4, 0), (5, 0, 0)],
+              3: [(4, 0, 6), (5, 1, 0), (6, 0, 0)]},
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +59,14 @@ def cube_reports():
     interval, square = hamming_cube(1), hamming_cube(2)
     return [(interval, square, compare_product(interval, square, 3)),
             (square, square, compare_product(square, square, 3))]
+
+
+@pytest.fixture(scope="module")
+def cycle_reports():
+    """compare_product at maxn 3 on the cycle products of well under a second
+    each: C_8 x C_4, C_9 x C_4 and C_10 x {0, 1}."""
+    pairs = [(corpus.cycle_graph(n), corpus.cycle_graph(m)) for n, m in ((8, 4), (9, 4), (10, 2))]
+    return [(x, y, compare_product(x, y, 3)) for x, y in pairs]
 
 
 def test_criterion_1_hamming_golden_table():
@@ -86,18 +110,20 @@ def test_criterion_1_six_cube_at_maxdim_4():
     assert code[3] == Barcode([Bar(2, 3)] * betti3)
 
 
-def test_criterion_2_products_equal_in_degrees_0_and_1(product_reports):
-    """Prediction = computation exactly at n = 0, 1 on all 50 corpus pairs."""
-    for x, y, report in product_reports:
+def test_criterion_2_products_equal_in_degrees_0_and_1(product_reports, cycle_reports):
+    """Prediction = computation exactly at n = 0, 1 on all 50 corpus pairs and
+    the cycle products."""
+    for x, y, report in [*product_reports, *cycle_reports]:
         for n in (0, 1):
             entry = report.dims[n]
             assert entry.verdict == VERDICT_EQUAL, (x, y, n)
             assert entry.predicted == entry.actual
 
 
-def test_criterion_3_domination_in_degree_2(product_reports, cube_reports):
-    """Prediction dominates computation pointwise at n = 2, corpus and cubes."""
-    for x, y, report in [*product_reports, *cube_reports]:
+def test_criterion_3_domination_in_degree_2(product_reports, cube_reports, cycle_reports):
+    """Prediction dominates computation pointwise at n = 2, corpus, cubes and
+    cycles."""
+    for x, y, report in [*product_reports, *cube_reports, *cycle_reports]:
         entry = report.dims[2]
         assert entry.verdict in (VERDICT_EQUAL, VERDICT_DOMINATED), (x, y)
         for t in sorted({*entry.predicted.endpoints(), *entry.actual.endpoints()}):
@@ -115,6 +141,62 @@ def test_criterion_4_interval_times_square_discrepancy(cube_reports):
     assert report.ok  # structured report, assertions limited to degrees 0..2
 
 
+def _predicted_dim_at(bx, by, n: int, t: float) -> int:
+    """Degree n of the predicted module at t, from the grid oracles of the
+    tensor product and of Tor_1 over every pair of factor bars."""
+    return (sum(oracle.tensor_dim_at(a, b, t, 1.0)
+                for i in range(n + 1) for a in bx[i] for b in by[n - i])
+            + sum(oracle.tor1_dim_at(a, b, t)
+                  for i in range(n) for a in bx[i] for b in by[n - 1 - i]))
+
+
+def _check_cycle_product(x, y, report):
+    """Degrees 0 and 1 equal, 2 strictly dominated, 3 violated, each degree
+    that differs at bottleneck 0.5, and the bar counts of CYCLE_COUNTS."""
+    assert report.ok
+    assert [entry.verdict for entry in report.dims] == \
+        [VERDICT_EQUAL, VERDICT_EQUAL, VERDICT_DOMINATED, VERDICT_VIOLATED]
+    assert [entry.bottleneck for entry in report.dims] == [0, 0, 0.5, 0.5]
+    bx, by = (reduce(vietoris_rips(space, 4)) for space in (x, y))
+    counts = {}
+    for entry in report.dims[2:]:
+        values = sorted({*entry.predicted.endpoints(), *entry.actual.endpoints()})
+        counts[entry.n] = [(t, entry.predicted.dim_at(t), entry.actual.dim_at(t)) for t in values]
+        for t, predicted, _ in counts[entry.n]:
+            assert predicted == _predicted_dim_at(bx, by, entry.n, t), (len(x), len(y), t)
+    assert counts == CYCLE_COUNTS[len(x), len(y)]
+
+
+def test_criterion_4_cycle_products_discrepancy(cycle_reports):
+    """Cycle graphs have bars in degrees 2 and 3, and their products show
+    both sides of the paper's result: degree 2 is strictly dominated (C_8 x
+    C_4 predicts 11 bars and has 3) and degree 3 violated (5 against 12)."""
+    for x, y, report in cycle_reports:
+        _check_cycle_product(x, y, report)
+
+
+@pytest.mark.slow
+def test_criterion_4_cycle_product_c10_c5():
+    """C_10 x C_5, 50 points, takes about 2 s."""
+    x, y = corpus.cycle_graph(10), corpus.cycle_graph(5)
+    _check_cycle_product(x, y, compare_product(x, y, 3))
+
+
+@pytest.mark.slow
+def test_criterion_4_cycle_counts_match_rank_nullity():
+    """The actual counts of CYCLE_COUNTS equal brute-force rank-nullity over
+    F_2 at the critical values where the product below t has at most a few
+    thousand cells per dimension: dense elimination of C_8 x C_4 at t = 4
+    would hold matrices of 11,752 x 29,760 entries."""
+    for (n, m), values in {(8, 4): (2, 3), (10, 2): (4,)}.items():
+        cx = vietoris_rips(product_sum(corpus.cycle_graph(n), corpus.cycle_graph(m)), 4,
+                           barcode_only=True)
+        for degree in (2, 3):
+            for t, _, actual in CYCLE_COUNTS[n, m][degree]:
+                if t in values:
+                    assert oracle.betti_at(cx, 2, degree, t) == actual, (n, m, degree, t)
+
+
 def test_criterion_5_chain_level_product_matches_prediction():
     """Tensor-complex persistence equals the barwise prediction for n <= 2."""
     for x, y in corpus.small_pairs():
@@ -125,9 +207,9 @@ def test_criterion_5_chain_level_product_matches_prediction():
             assert got[n] == kunneth_predict(bx, by, n), (x, y, n)
 
 
-def test_criterion_6_interleaving_bound(product_reports, cube_reports):
+def test_criterion_6_interleaving_bound(product_reports, cube_reports, cycle_reports):
     """bottleneck(predicted, actual) <= min(diam X, diam Y) for all n <= 3."""
-    for x, y, report in [*product_reports, *cube_reports]:
+    for x, y, report in [*product_reports, *cube_reports, *cycle_reports]:
         for entry in report.dims:
             assert entry.bottleneck < INF, (x, y, entry.n)
             assert entry.bottleneck <= entry.diameter_bound, (x, y, entry.n)

@@ -545,6 +545,22 @@ def test_tensor_filtration_is_sum():
     assert prod.top_dim == 2 and prod.complete
 
 
+def test_global_ids_and_factors_are_int32():
+    """Global ids invert the global order in the int32 of every index array,
+    so the tensor factors built from them are int32 too; a complex without
+    dimensions has no ids and no cells."""
+    left = vietoris_rips(hamming_cube(2), 3)
+    right = vietoris_rips(corpus.random_space(random.Random(5), 3, 3), 2)
+    prod = tensor_complex(left, right, 3)
+    for cx in (left, right, prod):
+        ids = cx.global_ids()
+        assert [part.dtype for part in ids] == [np.dtype(np.int32)] * len(cx.dims)
+        assert [part.tolist() for part in ids] == oracle._global_ids(cx)
+    assert [dim.factors.dtype for dim in prod.dims] == [np.dtype(np.int32)] * 4
+    empty = FilteredComplex((), complete=True)
+    assert empty.global_ids() == [] and empty.cells == () and len(empty) == 0
+
+
 def test_tensor_rejects_truncated_factors():
     shallow = vietoris_rips(hamming_cube(2), 1)  # truncated at dim 1
     deep = vietoris_rips(INTERVAL, 1)
@@ -809,7 +825,8 @@ def test_dump_lines_streams_chunks_as_the_oracle_renders_cells():
         assert len(cx) == 1 or any(cells[g - 1].dim == cells[g].dim for g in edges)
     no_cells = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
                          np.empty(0, np.int8))
-    assert list(FilteredComplex((no_cells,), complete=True).dump_lines()) == []
+    for cx in (FilteredComplex((no_cells,), complete=True), FilteredComplex((), complete=True)):
+        assert list(cx.dump_lines()) == []
 
 
 def test_golden_dumps_pin_tie_order():

@@ -56,6 +56,13 @@ def test_read_csv_reports_line_and_column(tmp_path):
     path.write_text("a,b\n0,oops\n1,0\n")
     with pytest.raises(FormatError, match="line 2, column 2.*'oops'"):
         read_metric_csv(path)
+    # Blank lines count, as str.splitlines counts them.
+    for text, where in [("0,1\n\n1,x\n", "line 3, column 2"),
+                        ("\n\na,b\n0,1\n\r\n \n1,x\n", "line 7, column 2"),
+                        ("\na,b\n\n0,1,2\n1,0\n", "line 4 has 3 values")]:
+        path.write_text(text, newline="")
+        with pytest.raises(FormatError, match=where):
+            read_metric_csv(path)
 
 
 def test_read_csv_shape_errors(tmp_path):
@@ -303,8 +310,10 @@ def test_write_complex_dump_writes_the_stream(tmp_path):
     assert path.read_text().count("\n") == len(cx) == 2_516
     empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
                       np.empty(0, np.int8))
-    write_complex_dump(FilteredComplex((empty,), complete=True), path)
-    assert path.read_bytes() == b""
+    for no_cells in (FilteredComplex((empty,), complete=True), FilteredComplex((), complete=True)):
+        path.write_text("stale")
+        write_complex_dump(no_cells, path)
+        assert path.read_bytes() == b""
 
 
 def test_barcode_documents_carry_prime_fields(tmp_path):

@@ -85,6 +85,31 @@ def test_field_independence_on_cube():
     assert codes[0] == codes[1] == codes[2]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_cycle_graph_golden_table(p):
+    """C_n with its shortest-path metric at maxdim 4, n = 5 to 12.  For an
+    integer r < n/2, VR(C_n; r) is S^(2l+1) when l/(2l+1) < r/n < (l+1)/(2l+3)
+    and a wedge of n - 2r - 1 spheres S^(2l) when r/n = l/(2l+1) (Adamaszek
+    and Adams, "The Vietoris-Rips complexes of a circle", Pacific J. Math. 290
+    (2017)).  So degree 1 has one bar [1, ceil(n/3)); degree 2 has r - 1 bars
+    [r, r + 1) when n = 3r; degree 3 has one bar [r, r + 1) when 1/3 < r/n <
+    2/5, for C_8 and C_11.  The spheres carry no torsion, so F_2 and F_3
+    agree.  The standard algorithm gives the same barcodes on C_6, C_8, C_9."""
+    for n in range(5, 13):
+        cx = vietoris_rips(corpus.cycle_graph(n), 4)
+        code = reduce(cx, p)
+        r = n // 3
+        assert code == GradedBarcode({
+            0: Barcode([Bar(0, 1)] * (n - 1) + [Bar(0, INF)]),
+            1: Barcode([Bar(1, math.ceil(n / 3))]),
+            2: Barcode([Bar(r, r + 1)] * (r - 1) if n == 3 * r else []),
+            3: Barcode([Bar(s, s + 1) for s in range(1, n) if n < 3 * s and 5 * s < 2 * n]),
+        }), n
+        assert code.dims() == tuple(range(cx.reliable_dim + 1))
+        if n in (6, 8, 9):
+            assert {d: code[d] for d in code.dims()} == oracle.standard_barcode(cx, p)
+
+
 def _with_entry(dim, row, col, value):
     """dim with the boundary entry `value` stored at (row, col), a face that
     column col does not have yet."""
