@@ -32,9 +32,9 @@ from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius
 
 # The resident set grows, per cell of the uncut complex (ru_maxrss, CPython
-# 3.11, numpy 2.4, x86-64), by 74-95 B to build and reduce a Rips complex (the
+# 3.11, numpy 2.4, x86-64), by 60-78 B to build and reduce a Rips complex (the
 # whole 5-cube and the 6-cube at maxdim 4, 60 random points and 80 points on a
-# circle at maxdim 3), by 87 B to build, reduce and dump the whole 6-cube at
+# circle at maxdim 3), by 72 B to build, reduce and dump the whole 6-cube at
 # maxdim 4, and by 157 B to build, reduce and dump a tensor complex of 1.1
 # million cells.  The price leaves 1.6 times headroom on the largest.
 BYTES_PER_CELL = 256
@@ -58,8 +58,10 @@ class Dimension(NamedTuple):
     The boundary into dimension d - 1 is three arrays: the faces of cell j are
     the rows `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
     coefficients at the same places of `data`.  Rips cells carry `vertices`
-    (one ascending int32 row of point indices per cell), tensor cells
-    `factors` (global ids in the left and right factor complexes).
+    (one ascending row of point indices per cell, in the narrowest unsigned
+    dtype that holds the largest point index: uint8 up to 256 points, uint16
+    up to 65,536), tensor cells `factors` (global ids in the left and right
+    factor complexes).
 
     `indptr` is int32, or int64 from 2^31 entries on.  A Rips boundary's
     `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
@@ -373,7 +375,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     it; those are stored empty without being enumerated, and no empty
     dimension gets a boundary computed.  Each has the dtypes and shapes an
     enumerated empty dimension had: a float64 filtration, int32 `indptr` [0]
-    and `indices`, int8 `data` and a (0, d + 1) int32 vertex matrix.
+    and `indices`, int8 `data` and a (0, d + 1) vertex matrix in the point
+    dtype of `Dimension.vertices`.
 
     Second, dominated edges leave the graph before it is expanded
     (`_collapse`).  A point w != u, v dominates the edge uv when N[u] & N[v]
@@ -412,22 +415,24 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     near = (dist <= radius) & (diag <= radius)
     if barcode_only and top >= 2 and not np.signbit(dist).any():
         _collapse(near, dist)
-    # Point indices are int32, as `Dimension.vertices` says.
-    subsets = np.flatnonzero(diag <= radius).astype(np.int32)[:, None]
+    # Point indices take the narrowest unsigned dtype that holds m - 1, as
+    # `Dimension.vertices` says; `_extend` keeps it.
+    point = np.min_scalar_type(m - 1)
+    subsets = np.flatnonzero(diag <= radius).astype(point)[:, None]
     filt = diag[subsets[:, 0]]
     # _extend and _rips_boundary free their temporaries on return, and the top
     # dimension's lexicographic rows go before its boundary is built: under
-    # tracemalloc a build peaks at about 1.2 times what its complex retains
-    # (61 and 54 B per cell on the whole 5-cube at maxdim 4, 54 and 39 B on
-    # 50 random points in the unit cube at maxdim 3, 59 and 45 B on the
-    # 5-cube as a product at maxdim 4).
+    # tracemalloc a build peaks at 1.2 to 1.3 times what its complex retains
+    # (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28 B on
+    # 50 random points in the unit cube at maxdim 3, 38 and 31 B on the
+    # 5-cube as a product at maxdim 4, barcode-only).
     for d in range(top + 1):
         if d and len(filt):
             subsets, filt = _extend(subsets, filt, near, dist)
         if not len(filt):
             # No subset has d + 1 points, so none has more.
             dims.append(Dimension(np.empty(0), *_no_boundary(0),
-                                  vertices=np.empty((0, d + 1), dtype=np.int32)))
+                                  vertices=np.empty((0, d + 1), dtype=point)))
             continue
         order = np.argsort(filt, kind="stable")
         verts, filt_sorted = subsets[order], filt[order]

@@ -276,8 +276,10 @@ def collapse_reference(near: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 def rips_rows(dist: np.ndarray, maxdim: int, near: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per dimension d up to min(maxdim, points - 1), the int32 vertex rows
-    and float64 filtration of the flag complex of the graph `near`.
+    """Per dimension d up to min(maxdim, points - 1), the vertex rows and
+    float64 filtration of the flag complex of the graph `near`.  The rows are
+    uint8 up to 256 points, uint16 up to 65,536 and uint32 above, the
+    smallest unsigned width whose range reaches the last point.
 
     Every (d + 1)-subset whose ordered pairs, u = v included, are all near is
     a cell.  Its filtration is its largest distance, diagonal included; at 0
@@ -285,6 +287,7 @@ def rips_rows(dist: np.ndarray, maxdim: int, near: np.ndarray) -> list[tuple[np.
     d(v, v).  Cells are sorted by (filtration, vertices).
     """
     m, d = len(dist), dist.tolist()
+    point = next(t for t in (np.uint8, np.uint16, np.uint32) if m <= np.iinfo(t).max + 1)
     rows = []
     for k in range(1, min(maxdim, m - 1) + 2):
         cells = []
@@ -293,7 +296,7 @@ def rips_rows(dist: np.ndarray, maxdim: int, near: np.ndarray) -> list[tuple[np.
                 f = max(d[u][v] for u in s for v in s)
                 cells.append((f if f else d[s[-1]][s[-1]], s))
         cells.sort()
-        rows.append((np.array([s for _, s in cells], dtype=np.int32).reshape(-1, k),
+        rows.append((np.array([s for _, s in cells], dtype=point).reshape(-1, k),
                      np.array([f for f, _ in cells], dtype=np.float64)))
     return rows
 

@@ -121,14 +121,21 @@ def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
     257 points get int32 rows.  Either way each triangle's faces are its
     vertex sets with one point removed, in ascending rows, with the signs
     (-1)^pos: the edges listed in a shuffled order, and triangles through
-    the first and last rows included."""
+    the first and last rows included.  The same point count sets the vertex
+    rows a build gives: uint8 for 256 points, uint16 for 257, where point 256
+    needs the ninth bit; the boundary is taken from rows of that dtype."""
+    point = np.uint8 if m == 256 else np.uint16
+    path = validate([[abs(i - j) for j in range(m)] for i in range(m)], point_cap=None)
+    cx = vietoris_rips(path, 1)
+    assert [dim.vertices.dtype for dim in cx.dims] == [point, point]
+    assert (cx.dims[1].vertices.max(), cx.dims[1].vertices.shape) == (m - 1, (m * (m - 1) // 2, 2))
     rng = np.random.default_rng(m)
-    edges = np.array(list(itertools.combinations(range(m), 2)), dtype=np.int32)
+    edges = np.array(list(itertools.combinations(range(m), 2)), dtype=point)
     edges = edges[rng.permutation(len(edges))]
     triangles = [rng.choice(m, 3, replace=False) for _ in range(2000)]
     for a, b in (edges[0], edges[-1], edges[len(edges) // 2]):
         triangles += [[a, b, c] for c in range(m) if c not in (a, b)][::37]
-    verts = np.sort(np.array(triangles, dtype=np.int32), axis=1)
+    verts = np.sort(np.array(triangles, dtype=point), axis=1)
     binom = np.array([[math.comb(a, k) for k in range(3)] for a in range(m + 1)], dtype=np.int32)
     indptr, indices, data = _rips_boundary(binom, verts, edges)
     assert (indices.dtype, data.dtype) == (dtype, np.int8)
@@ -146,9 +153,9 @@ def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
 
 def test_five_cube_split_retains_at_most_48_bytes_per_cell():
     """The 5-cube as a product at maxdim 4 keeps 177,979 cells, 143,416 in
-    the top dimension, whose 29,540 faces get int16 rows.  Under tracemalloc
-    the complex retains about 45.5 B per cell; with int32 face rows it
-    retained 55.0."""
+    the top dimension, whose 29,540 faces get int16 rows, and uint8 vertex
+    rows.  Under tracemalloc the complex retains about 31.1 B per cell; with
+    int32 vertex rows it retained 45.5, and with int32 face rows too 55.0."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     tracemalloc.start()
     try:
@@ -419,6 +426,26 @@ def test_rips_rows_match_every_subset_bit_for_bit():
     assert signed >= 30
 
 
+def test_rips_rows_of_300_points_are_uint16():
+    """Above 256 points the vertex rows widen to uint16, whole and
+    barcode-only, and keep the brute-force enumeration's values: 300 points
+    in the unit square at maxdim 1, the barcode-only build cut at the
+    enclosing radius (no collapse below dimension 2)."""
+    points = np.random.default_rng(300).random((300, 2))
+    space = validate(np.linalg.norm(points[:, None] - points, axis=2), point_cap=None)
+    radius = enclosing_radius(space)
+    for near, barcode_only in ((np.ones((300, 300), bool), False), (space.dist <= radius, True)):
+        cx = vietoris_rips(space, 1, barcode_only=barcode_only)
+        want = oracle.rips_rows(space.dist, 1, near)
+        assert len(cx.dims) == len(want) == 2
+        for dim, (verts, filt) in zip(cx.dims, want):
+            assert dim.vertices.dtype == verts.dtype == np.uint16
+            assert (dim.vertices.shape, dim.vertices.tobytes()) == (verts.shape, verts.tobytes())
+            assert dim.filtration.tobytes() == filt.tobytes()
+        assert oracle.complex_violations(cx) == []
+    assert 0 < len(cx.dims[1].filtration) < 300 * 299 // 2
+
+
 # Each of the edges (0, 1), (1, 2) and (1, 5) is dominated by some w at its
 # entry and at each later level where N[u] & N[v] grows, but by no one w at
 # all of those levels, so the collapse keeps these three edges.
@@ -454,7 +481,7 @@ def test_empty_dimensions_keep_their_dtypes_and_shapes():
     assert cx.dim_counts() == {0: 5, 1: 4} and cx.top_dim == 4 and cx.complete
     for d in (2, 3, 4):
         empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
-                          np.empty(0, np.int8), vertices=np.empty((0, d + 1), np.int32))
+                          np.empty(0, np.int8), vertices=np.empty((0, d + 1), np.uint8))
         for got, want in zip(cx.dims[d], empty):
             assert (got is None) == (want is None)
             if want is not None:
