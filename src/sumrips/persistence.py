@@ -20,10 +20,14 @@ pairing of a fixed total order is unique, and the columns reduced before j
 combine coboundaries of cells later than j, none of which has c as a coface;
 so j's column would reach pivot c without an addition, and the pair is
 recorded without reducing it.  Only the columns that are neither cleared nor
-apparent go through the column loop.  Over F_2, on the 150 barcode-only
-complexes that `compare_product` builds for the 50 corpus pairs at maxn 3,
-8,099 of the 9,676 pairs are apparent (84 %), and 1,727 of the 15,563 columns
-are looped (11 %).
+apparent go through the column loop.
+
+Dimension 0 goes through neither: as in Ripser, its cells are paired by a
+union-find over the edges in filtration order, which needs no transpose and
+no column addition.  Over F_2, on the 150 barcode-only complexes that
+`compare_product` builds for the 50 corpus pairs at maxn 3, 8,099 of the 9,676
+pairs are apparent (84 %), and dimensions 1 to 3 loop 1,187 of their 14,394
+columns (8 %) with 1,588 additions.
 
 `reduce` makes one pass over the dimensions, bottom up, and keeps one array
 per dimension: the owner of each coface, the cell whose pivot it is, or -1.
@@ -40,13 +44,14 @@ cell (its clearing flag) and four per coface (its owner), with the few
 modified columns, at twelve bytes per entry, and with the coboundaries of one
 dimension at a time: its boundary transposed, at five bytes per entry (an
 int32 coface and an int8 coefficient, whatever the width of the face rows).
-Each dimension is reduced in a call of its own, which frees all of its state
-but the owners before the next dimension's transpose is allocated.  The
-transpose sorts at most CHUNK entries at a time, so beyond that output it
-holds O(CHUNK + cells) bytes, not a permutation of every entry.  Under
-tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2 holds 30 B per
-cell beyond the complex, and reducing 50 random points in the unit cube at
-maxdim 3 holds 24 B.
+Dimension 0 holds a Python list of its edges' faces instead, and one parent
+per vertex.  Each dimension is reduced in a call of its own, which frees all
+of its state but the owners before the next dimension's transpose is
+allocated.  The transpose sorts at most CHUNK entries at a time, so beyond
+that output it holds O(CHUNK + cells) bytes, not a permutation of every
+entry.  Under tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2
+holds 30 B per cell beyond the complex, and reducing 50 random points in the
+unit cube at maxdim 3 holds 24 B.
 
 Boundary coefficients are stored as integers by the builders and only reduced
 mod p here, so the same complex can be reduced over several primes.  A pair
@@ -190,6 +195,66 @@ def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return ptr, cofaces, coeffs
 
 
+def _pair_vertices(cx: FilteredComplex, p: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Pair the vertices with the edges that merge their components: return
+    `owner`, each edge's younger vertex or -1, and the counts (apparent,
+    looped, additions), as `_reduce_dimension` does for the dimensions above.
+
+    The edges are walked once in stored order, a union-find (path halving)
+    over the vertex rows, which are in the global order: a merging edge owns
+    the younger of its endpoints' roots, the larger row, which is linked under
+    the older one.  This is the coboundary reduction's pairing, the unique one
+    of the total order, provided each edge's boundary is c (v - u) mod p.
+    Every Rips and tensor edge has that form; any other raises InputError.
+    """
+    n = len(cx.dims[0].filtration)
+    n_edges = len(cx.dims[1].filtration) if cx.top_dim else 0
+    if not n_edges:  # every vertex is essential as it is
+        return np.empty(0, dtype=np.int32), (0, n, 0)
+    ptr, faces, data = _live_boundary(cx.dims[1], p)
+    # Two faces per edge, whose coefficients sum to 0 mod p.  Comparing lists
+    # takes fewer steps than numpy on the few edges of most complexes.
+    if ptr.tolist() == list(range(0, 2 * n_edges + 1, 2)):
+        coeffs = data.astype(np.int64) % p
+        bad = (coeffs[0::2] + coeffs[1::2]) % p != 0
+    else:
+        bad = np.diff(ptr) != 2
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        lo, hi = ptr[k], ptr[k + 1]
+        raise InputError(f"edge {k} of dimension 1 has the boundary "
+                         f"{list(zip(faces[lo:hi].tolist(), data[lo:hi].tolist()))} over F_{p}, "
+                         f"not c (v - u); its vertices cannot be paired by union-find")
+    parent = list(range(n))
+    joined = bytearray(n)  # whether a vertex has left its singleton component
+    edges, roots = [], []
+    apparent = 0
+    ends = iter(faces.tolist())
+    for c, (u, v) in enumerate(zip(ends, ends)):
+        a, b = u, v
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        # The edge (u, v), u < v, is apparent when it is v's earliest coface,
+        # that is, when v is still a singleton (an edge that merges nothing
+        # has both ends joined already); v is then the younger root.
+        apparent += not joined[v]
+        joined[u] = joined[v] = 1
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        edges.append(c)
+        roots.append(b)
+        if len(edges) == n - 1:
+            break
+    owner = np.full(n_edges, -1, dtype=np.int32)
+    owner[edges] = roots
+    return owner, (apparent, n - apparent, 0)
+
+
 def _reduce_dimension(cx: FilteredComplex, d: int, p: int,
                       cleared: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Pair the cells of dimension d that `cleared` leaves with their pivots
@@ -264,6 +329,13 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     contribute no bar; and `essential` (looped columns that reduced to zero).
     Whether `stats` is given changes no step of the reduction.
 
+    Dimension 0 is paired by a union-find over the edges (`_pair_vertices`),
+    not by the column loop.  Its `apparent` counts the edges that are the
+    earliest coface of their later vertex, as the array lookups would;
+    `looped` is every other vertex, though none is reduced, and `additions`
+    is 0.  Every edge's boundary must be c (v - u) mod p, as Rips and tensor
+    edges are; any other raises InputError.
+
     A dimension without cofaces, as the top dimensions of a collapsed Rips
     complex often are, is not transposed: its columns that are not cleared
     are essential as they stand, and its stats read looped = essential =
@@ -278,7 +350,8 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     for d in range(cx.reliable_dim + 1):
         filt = cx.dims[d].filtration
         reduced = d < cx.top_dim
-        owner, (apparent, looped, additions) = _reduce_dimension(cx, d, p, cleared)
+        owner, (apparent, looped, additions) = (_reduce_dimension(cx, d, p, cleared) if d
+                                                else _pair_vertices(cx, p))
         # Finite bars in the order of their death cells, then essential bars:
         # Barcode's stable sort keeps that order among equal bars, so 0.0 and
         # -0.0 births print in a fixed order.

@@ -7,6 +7,7 @@ approximate.  Seeds are fixed constants; the corpora are part of the contract.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from sumrips import Bar, Barcode, FilteredComplex, FiniteMetricSpace, validate
@@ -74,6 +75,28 @@ def cycle_graph(n: int) -> FiniteMetricSpace:
     shorter way round, min(|i - j|, n - |i - j|)."""
     return validate([[float(min(abs(i - j), n - abs(i - j))) for j in range(n)]
                      for i in range(n)])
+
+
+def rp2_subdivision() -> FiniteMetricSpace:
+    """The shortest-path metric on the barycentric subdivision of the
+    six-vertex projective plane, the antipodal quotient of the icosahedron:
+    31 points (6 vertices, 15 edges, 10 triangles), one edge per face
+    relation, diameter 3.  The subdivision is flag, so its Rips complex at 1
+    is the subdivided RP^2, whose homology depends on the field."""
+    triangles = [(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+                 (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+    edges = sorted({pair for t in triangles for pair in itertools.combinations(t, 2)})
+    faces = [frozenset([v]) for v in range(6)] + [frozenset(e) for e in edges] + \
+        [frozenset(t) for t in triangles]
+    n = len(faces)
+    inf = float("inf")
+    dist = [[0.0 if i == j else 1.0 if faces[i] < faces[j] or faces[j] < faces[i] else inf
+             for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return validate(dist)
 
 
 def random_bar(rng: random.Random, infinite_rate: float = 0.15) -> Bar:

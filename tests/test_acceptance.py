@@ -167,6 +167,38 @@ def _check_cycle_product(x, y, report):
     assert counts == CYCLE_COUNTS[len(x), len(y)]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_criteria_2_and_3_on_a_product_whose_barcode_depends_on_the_field(p):
+    """RP^2 subdivided times {0, 1} is equal to its prediction in degrees 0
+    to 2 over both fields, from each field's own factor barcodes: degree 1
+    has 32 bars over F_2 and 30 over F_3, degree 2 has 5 and none.  The
+    predicted counts at each critical value agree with the grid oracles of
+    tensor and Tor_1."""
+    x, y = corpus.rp2_subdivision(), hamming_cube(1)
+    report = compare_product(x, y, 2, p=p)
+    assert report.ok
+    assert [entry.verdict for entry in report.dims] == [VERDICT_EQUAL] * 3
+    assert [len(entry.actual) for entry in report.dims] == {2: [62, 32, 5], 3: [62, 30, 0]}[p]
+    bx, by = (reduce(vietoris_rips(space, 3, barcode_only=True), p) for space in (x, y))
+    for entry in report.dims:
+        for t in range(5):
+            assert entry.predicted.dim_at(t) == _predicted_dim_at(bx, by, entry.n, t), (entry.n, t)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_dependent_product_counts_match_rank_nullity(p):
+    """The actual counts of RP^2 subdivided times {0, 1} equal rank-nullity
+    at the critical values t = 0 and 1; at t = 2, dense elimination would
+    hold 2,570 x 4,350 entries."""
+    x, y = corpus.rp2_subdivision(), hamming_cube(1)
+    report = compare_product(x, y, 2, p=p)
+    product = vietoris_rips(product_sum(x, y), 3, barcode_only=True)
+    for entry in report.dims:
+        for t in (0, 1):
+            assert entry.actual.dim_at(t) == oracle.betti_at(product, p, entry.n, t), (entry.n, t)
+
+
 def test_criterion_4_cycle_products_discrepancy(cycle_reports):
     """Cycle graphs have bars in degrees 2 and 3, and their products show
     both sides of the paper's result: degree 2 is strictly dominated (C_8 x

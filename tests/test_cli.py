@@ -131,6 +131,23 @@ def test_kunneth_positive_diagonal_exits_0(tmp_path, capsys):
         [("dominated", False, True), ("violated", False, True)]
 
 
+def test_kunneth_predicts_from_each_fields_own_barcodes(interval_csv, tmp_path, capsys):
+    """The subdivided projective plane has bars in degrees 1 and 2 over F_2
+    and none over F_3, so the two fields predict different products."""
+    rp2 = tmp_path / "rp2.csv"
+    rp2.write_text(corpus.space_to_csv(corpus.rp2_subdivision()))
+    predicted = {}
+    for field in ("2", "3"):
+        assert main(["kunneth", "--x", str(rp2), "--y", str(interval_csv), "--maxn", "2",
+                     "--field", field, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [d["verdict"] for d in doc["dims"]] == ["equal"] * 3
+        predicted[field] = [d["predicted"] for d in doc["dims"]]
+    assert predicted["2"][0] == predicted["3"][0]
+    assert predicted["2"][1] == [[1.0, 2.0]] * 32 and predicted["3"][1] == [[1.0, 2.0]] * 30
+    assert predicted["2"][2] == [[1.0, 2.0]] * 2 + [[2.0, 3.0]] * 3 and predicted["3"][2] == []
+
+
 @pytest.mark.parametrize("field", ["2", "3", "5"])
 def test_kunneth_survives_bars_that_rounding_empties(field, tmp_path, capsys):
     """X's bar [0.1, 1) times Y's bar [0.3, 0.1 + 0.2) rounds to the empty

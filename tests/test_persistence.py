@@ -110,6 +110,71 @@ def test_cycle_graph_golden_table(p):
             assert {d: code[d] for d in code.dims()} == oracle.standard_barcode(cx, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_rp2_barcode_depends_on_the_field(p):
+    """The subdivided projective plane is born at 1: over F_2 it has H_1 and
+    H_2, over F_3 neither, while degree 0 is the same over both fields.  The
+    counts agree with rank-nullity at every critical value."""
+    space = corpus.rp2_subdivision()
+    cx = vietoris_rips(space, 3, barcode_only=True)
+    code = reduce(cx, p)
+    holes = {2: ([Bar(1, 2)], [Bar(1, 2), Bar(2, 3)]), 3: ([], [])}[p]
+    assert code == GradedBarcode({0: Barcode([Bar(0, 1)] * 30 + [Bar(0, INF)]),
+                                  1: Barcode(holes[0]), 2: Barcode(holes[1])})
+    assert code == reduce(vietoris_rips(space, 3), p)
+    for n in code.dims():
+        for t in oracle.critical_values(cx):
+            assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (n, t)
+
+
+def test_vertices_are_paired_without_additions():
+    """Five points on a line, listed out of order at positions 0, 2, 4, 1, 3:
+    the edges (0, 3) and (1, 4) are their later vertex's earliest coface, so
+    apparent; (1, 3) and (2, 4) merge vertices 1 and 2 into older components.
+    The union-find adds no column (the coboundary reduction took 4)."""
+    pos = [0, 2, 4, 1, 3]
+    cx = vietoris_rips(validate([[abs(a - b) for b in pos] for a in pos]), 1)
+    stats = {}
+    code = reduce(cx, stats=stats)
+    assert code == GradedBarcode({0: Barcode([Bar(0, 1)] * 4 + [Bar(0, INF)])})
+    assert stats == {0: {"columns": 5, "cleared": 0, "apparent": 2, "looped": 3,
+                         "additions": 0, "pairs": 4, "zero_length": 0, "essential": 1}}
+
+
+def test_vertices_are_not_transposed(monkeypatch):
+    """Dimension 0 is paired from the edges as stored: a complex of top
+    dimension 1 is never transposed, and the square up to its 2-cells only
+    has its 2-cells' boundary transposed."""
+    calls = []
+
+    def recording(indptr, indices, data, n_rows):
+        calls.append(n_rows)
+        return _transpose(indptr, indices, data, n_rows)
+
+    monkeypatch.setattr(persistence, "_transpose", recording)
+    for space in (INTERVAL, hamming_cube(2), hamming_cube(3)):
+        reduce(vietoris_rips(space, 1))
+    assert calls == []
+    square = vietoris_rips(hamming_cube(2), 2)
+    reduce(square)
+    assert calls == [len(square.dims[1].filtration)]
+
+
+def test_edges_must_have_boundary_c_times_v_minus_u():
+    """Union-find pairs the vertices only for edges whose boundary is
+    c (v - u) mod p.  The coefficients [1, 1] are that over F_2 but not over
+    F_3, where they are refused, naming the edge; so is an edge with one face
+    left mod p."""
+    cx = vietoris_rips(validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]]), 1)
+    edges = cx.dims[1]
+    for data, p in (([1, 1], 3), ([3, 1], 3), ([2, -1], 2)):
+        broken = edges._replace(data=np.r_[edges.data[:2], data, edges.data[4:]].astype(np.int8))
+        with pytest.raises(InputError, match=f"edge 1 of dimension 1 .* over F_{p}"):
+            reduce(FilteredComplex((cx.dims[0], broken), cx.complete, cx.source), p)
+    summed = edges._replace(data=np.ones_like(edges.data))
+    assert reduce(FilteredComplex((cx.dims[0], summed), cx.complete, cx.source), 2) == reduce(cx, 2)
+
+
 def _with_entry(dim, row, col, value):
     """dim with the boundary entry `value` stored at (row, col), a face that
     column col does not have yet."""
