@@ -15,7 +15,7 @@ from .bars import (
 from .complexes import (
     Cell,
     FilteredComplex,
-    tensor_complex,
+    ordered_product,
     vietoris_rips,
 )
 from .errors import CapExceeded, InputError, SumripsError
@@ -57,11 +57,11 @@ __all__ = [
     "enclosing_radius",
     "hamming_cube",
     "kunneth_predict",
+    "ordered_product",
     "product_sum",
     "reduce",
     "tensor_bar",
     "tensor_barcodes",
-    "tensor_complex",
     "tor1_bar",
     "tor1_barcodes",
     "validate",

@@ -1,22 +1,23 @@
-"""Filtered chain complexes and their two constructors.
+"""Filtered chain complexes and their two constructors, both flag complexes.
 
 `vietoris_rips` builds the flag complex of a finite generalized metric space:
 a subset enters at the largest pairwise distance among its points, diagonal
-entries included, so a point with d(v, v) > 0 is born late.  `tensor_complex`
-builds the chain-level product of two filtered complexes with the usual Koszul
-sign, filtered by the sum of the factor filtrations; its persistent homology is
-exactly the algebraically predicted module for the sum-metric product.
+entries included, so a point with d(v, v) > 0 is born late.  `ordered_product`
+builds the chain-level product of the Rips filtrations of two spaces: the
+flag complex of the product order, whose cells are its chains, each entering
+at the sum of the Rips filtrations of its two projections.  Its persistent
+homology is exactly the algebraically predicted module for the sum-metric
+product.  Both share one pipeline per dimension (`_flag_dims`).
 
-Cells are globally ordered by (filtration, dimension, construction key), where
-the construction key is the ascending vertex tuple for Rips cells and the pair
-of factor ids for tensor cells.  Ids are positions in that order, so boundaries
-always point at strictly smaller ids and the order is reproducible bit for bit.
+Cells are globally ordered by (filtration, dimension, vertex row).  Ids are
+positions in that order, so boundaries always point at strictly smaller ids
+and the order is reproducible bit for bit.
 
 Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
-key), so the global order is a stable merge by filtration, computed only on
-request (`global_ids`, `cells`, `dump_lines`); no cell is an object.  The
-dump streams its lines a chunk of global ids at a time, so the cap's price per
-cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.
+vertex row), so the global order is a stable merge by filtration, computed
+only on request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
+The dump streams its lines a chunk of global ids at a time, so the cap's price
+per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import CapExceeded, InputError
-from .metric import FiniteMetricSpace, enclosing_radius
+from .metric import FiniteMetricSpace, enclosing_radius, product_sum
 
-# The resident set grows, per cell of the uncut complex (ru_maxrss, CPython
-# 3.11, numpy 2.4, x86-64), by 60-78 B to build and reduce a Rips complex (the
-# whole 5-cube and the 6-cube at maxdim 4, 60 random points and 80 points on a
-# circle at maxdim 3), by 72 B to build, reduce and dump the whole 6-cube at
-# maxdim 4, and by 157 B to build, reduce and dump a tensor complex of 1.1
-# million cells.  The price leaves 1.6 times headroom on the largest.
-BYTES_PER_CELL = 256
+# The resident set grows, per cell of the uncut complex (ru_maxrss in a fresh
+# process, CPython 3.11, numpy 2.4, x86-64), by 65-78 B to build and reduce a
+# Rips complex (78 on the whole 5-cube at maxdim 4, 66 on 60 random points
+# and 65 on 80 points on a circle at maxdim 3), by 72 B to build, reduce and
+# dump the whole 6-cube at maxdim 4, and by 74 B to build and reduce the
+# ordered product cube(5) x cube(1) at maxdim 4 (1,569,192 cells), with or
+# without its dump.  The price leaves 1.6 times headroom on the largest.
+BYTES_PER_CELL = 128
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
 # Global ids that `FilteredComplex.dump_lines` renders at a time.
@@ -57,17 +59,15 @@ class Dimension(NamedTuple):
 
     The boundary into dimension d - 1 is three arrays: the faces of cell j are
     the rows `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
-    coefficients at the same places of `data`.  Rips cells carry `vertices`
-    (one ascending row of point indices per cell, in the narrowest unsigned
+    coefficients at the same places of `data`.  Built cells carry `vertices`,
+    one ascending row of point indices per cell, in the narrowest unsigned
     dtype that holds the largest point index: uint8 up to 256 points, uint16
-    up to 65,536), tensor cells `factors` (global ids in the left and right
-    factor complexes).
+    up to 65,536.
 
-    `indptr` is int32, or int64 from 2^31 entries on.  A Rips boundary's
+    `indptr` is int32, or int64 from 2^31 entries on.  A built boundary's
     `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
     int32, or int64 from 2^30 cells on; dimension 0 and empty dimensions have
-    int32 `indices`.  Tensor `indices`, and `factors` (the factors' global ids,
-    `FilteredComplex.global_ids`), are int32, or int64 from 2^31 faces or cells on.
+    int32 `indices`.
     """
 
     filtration: np.ndarray
@@ -75,7 +75,6 @@ class Dimension(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
     vertices: np.ndarray | None = None
-    factors: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +85,8 @@ class FilteredComplex:
     `complete` says the untruncated object holds nothing above it.  Homology is
     trustworthy up to `reliable_dim`: top_dim when complete, else top_dim - 1,
     because cycles in the cut dimension can never be paired with the missing
-    cofaces.  `source` is what construction keys refer to, read only for labels:
-    the point labels of a Rips complex, or the two factors of a tensor complex.
+    cofaces.  `source` holds the labels of the points the vertex rows index,
+    read only for labels.
     """
 
     dims: tuple[Dimension, ...]
@@ -118,31 +117,12 @@ class FilteredComplex:
         ids, ends = _inverse(self._order()), np.cumsum([len(dim.filtration) for dim in self.dims])
         return [ids[end - len(dim.filtration):end] for dim, end in zip(self.dims, ends)]
 
-    def _label_source(self) -> tuple | None:
-        """What `_labels` reads: the point labels of a Rips complex, or each
-        factor's labels by global id for a tensor complex."""
-        if self.dims and self.dims[0].factors is not None:
-            return tuple(factor._labels_by_id() for factor in self.source)
-        return self.source
-
-    @staticmethod
-    def _labels(dim: Dimension, lo: int, hi: int, source: tuple | None) -> list[str]:
-        """Labels of the cells lo to hi - 1 of `dim`: point labels joined by
-        commas (Rips) or factor labels joined by '|' (tensor), from `source`
-        as `_label_source` gives it."""
-        if dim.vertices is not None:
-            return [",".join([source[v] for v in row]) for row in dim.vertices[lo:hi].tolist()]
-        if dim.factors is not None:
-            left, right = source
-            return [f"{left[i]}|{right[j]}" for i, j in dim.factors[lo:hi].tolist()]
-        return [""] * (hi - lo)
-
-    def _labels_by_id(self) -> list[str]:
-        """Every cell's label, by global id."""
-        source = self._label_source()
-        labels = [label for dim in self.dims
-                  for label in self._labels(dim, 0, len(dim.filtration), source)]
-        return [labels[i] for i in self._order().tolist()]
+    def _labels(self, dim: Dimension, lo: int, hi: int) -> list[str]:
+        """Labels of the cells lo to hi - 1 of `dim`: their points' labels
+        joined by commas, or empty without vertex rows."""
+        if dim.vertices is None:
+            return [""] * (hi - lo)
+        return [",".join([self.source[v] for v in row]) for row in dim.vertices[lo:hi].tolist()]
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -160,9 +140,8 @@ class FilteredComplex:
         Lines are yielded in global order, rendered `DUMP_CHUNK` ids at a time.
         Each dimension's global ids ascend, so a run of ids is one slice of
         each dimension.  Only one chunk's lines, faces and labels are held as
-        Python objects at a time, beside a tensor complex's factor labels."""
+        Python objects at a time."""
         ids = self.global_ids()
-        source = self._label_source()
         for lo in range(0, len(self), DUMP_CHUNK):
             out = [""] * (min(lo + DUMP_CHUNK, len(self)) - lo)
             for d, dim in enumerate(self.dims):
@@ -172,7 +151,7 @@ class FilteredComplex:
                 faces = ids[d - 1][dim.indices[start:stop]].tolist() if d else []
                 coeffs, ptr = dim.data[start:stop].tolist(), (ptr - start).tolist()
                 for g, f, label, s, e in zip(ids[d][a:b].tolist(), dim.filtration[a:b].tolist(),
-                                             self._labels(dim, a, b, source), ptr, ptr[1:]):
+                                             self._labels(dim, a, b), ptr, ptr[1:]):
                     pairs = ",".join([f"{i}:{c}" for i, c in zip(faces[s:e], coeffs[s:e])]) or "-"
                     out[g - lo] = f"{g} {d} {f!r} {pairs} {label}"
             yield from out
@@ -195,11 +174,13 @@ def rips_cell_count(n_points: int, maxdim: int) -> int:
     return sum(math.comb(n_points, s) for s in range(1, top + 2))
 
 
-def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
-            dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extend(subsets: np.ndarray, maxima: list[np.ndarray], near: np.ndarray,
+            dists: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Every extension of each subset by a larger point near all of its points,
-    with its filtration.  Listed in lexicographic order when the subsets are."""
-    m, k = len(dist), subsets.shape[1]
+    with its largest entry of each matrix of `dists` over its ordered pairs of
+    points, which `maxima` holds for the subsets.  Listed in lexicographic
+    order when the subsets are."""
+    m, k = len(near), subsets.shape[1]
     grow = np.arange(m) > subsets[:, -1:]
     for col in subsets.T:
         grow &= near[col]
@@ -210,16 +191,17 @@ def _extend(subsets: np.ndarray, filt: np.ndarray, near: np.ndarray,
     rows = np.empty((len(parent), k + 1), dtype=subsets.dtype)
     rows[:, k] = parent % m
     parent //= m
-    filt = filt[parent]
+    maxima = [filt[parent] for filt in maxima]
     for i in range(k):
         rows[:, i] = subsets[parent, i]
     del parent
     # The diagonal comes last: np.maximum returns the later of two equal values,
-    # so a subset at zero takes the sign of its last point's d(v, v).
+    # so a maximum at zero takes the sign of its last point's d(v, v).
     new = rows[:, k]
-    for col in rows.T:
-        np.maximum(filt, dist[col, new], out=filt)
-    return rows, filt
+    for filt, dist in zip(maxima, dists):
+        for col in rows.T:
+            np.maximum(filt, dist[col, new], out=filt)
+    return rows, maxima
 
 
 def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
@@ -345,9 +327,69 @@ def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.zeros(n_cells + 1, dtype=np.int32), np.empty(0, np.int32), np.empty(0, np.int8)
 
 
+def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
+               top: int) -> tuple[Dimension, ...]:
+    """Dimensions 0 to top of the flag complex of the graph `near` on the
+    points `vertices` (ascending, in the point dtype of `Dimension.vertices`).
+
+    A subset's filtration is the sum, over the matrices of `dists`, of each
+    one's largest entry over the subset's ordered pairs of points, d(v, v)
+    included: the largest distance for one matrix.  A sum of maxima is
+    monotone under inclusion, so faces never enter after cofaces.
+
+    Subsets of each size are enumerated in lexicographic order, each subset
+    extended only by the larger points near all of its points (Zomorodian,
+    "Fast construction of the Vietoris-Rips complex", 2010), and stably sorted
+    by filtration.  A face is found through its colex rank, from the
+    combinatorial number system (Bauer, Ripser, arXiv:1908.02518, sec. 3):
+    the k-subset c_0 < ... < c_(k-1) has rank sum_i C(c_i, i + 1), one of 0
+    ... C(m, k) - 1 for m points.  A rank-indexed table maps it to its row;
+    a flag complex holds every face of its subsets, so each has a row.  Once
+    a dimension has no cells, neither has any above it; those are stored
+    empty without being enumerated, and no empty dimension gets a boundary
+    computed.  Each has the dtypes and shapes an enumerated empty dimension
+    had: a float64 filtration, int32 `indptr` [0] and `indices`, int8 `data`
+    and a (0, d + 1) vertex matrix in the point dtype.
+    """
+    # Only columns k <= top are used, so every entry is at most a cell count.
+    # Every colex rank is below the largest, so ranks and their partial sums
+    # take binom's dtype: int32 unless that entry needs more.
+    binom = [[math.comb(a, k) for k in range(top + 1)] for a in range(len(near) + 1)]
+    binom = np.array(binom, dtype=_index_dtype(max(binom[-1])))
+    subsets, maxima = vertices[:, None], [dist[vertices, vertices] for dist in dists]
+    dims: list[Dimension] = []
+    # _extend and _rips_boundary free their temporaries on return, and the top
+    # dimension's lexicographic rows go before its boundary is built: under
+    # tracemalloc a Rips build peaks at 1.2 to 1.3 times what its complex
+    # retains (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28
+    # B on 50 random points in the unit cube at maxdim 3, 38 and 31 B on the
+    # 5-cube as a product at maxdim 4, barcode-only).
+    for d in range(top + 1):
+        if d and len(subsets):
+            subsets, maxima = _extend(subsets, maxima, near, dists)
+        if not len(subsets):
+            # No subset has d + 1 points, so none has more.
+            dims.append(Dimension(np.empty(0), *_no_boundary(0),
+                                  vertices=np.empty((0, d + 1), dtype=vertices.dtype)))
+            continue
+        # One matrix's maximum is the filtration itself, not a copy.
+        filt = maxima[0] if len(maxima) == 1 else np.add(*maxima)
+        order = np.argsort(filt, kind="stable")
+        verts, filt = subsets[order], filt[order]
+        del order
+        if d == top:
+            # Nothing extends the top dimension: its lexicographic rows and
+            # unsorted maxima go before its boundary is built.
+            del subsets, maxima
+        boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
+                    else _no_boundary(len(verts)))
+        dims.append(Dimension(filt, *boundary, vertices=verts))
+    return tuple(dims)
+
+
 def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT_CELL_CAP,
                   *, barcode_only: bool = False) -> FilteredComplex:
-    """Flag complex of all subsets of size <= maxdim + 1.
+    """Flag complex of all subsets of size <= maxdim + 1 (`_flag_dims`).
 
     The filtration value of a subset is the max of d over all ordered pairs of
     its points, including d(v, v): the diagonal can delay a vertex.  Faces never
@@ -356,27 +398,13 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     With `barcode_only`, only the cells a barcode needs are built, in two
     steps; `top_dim`, `complete`, `reliable_dim` and the cap pre-check stay
     those of the whole flag complex.  First, only subsets with filtration <=
-    the enclosing radius R (`metric.enclosing_radius`) are stored.  Above R
-    the complex is a cone on the point v attaining R: sigma + {v} has
-    dimension at most one more than sigma, so every degree below top_dim is
-    acyclic from R on (degree 0 keeps one class), and so is the top degree
-    when the complex is complete.  Every reliable degree therefore has the
-    barcode of the uncut complex.
-
-    Subsets of each size are enumerated in lexicographic order, each subset
-    extended only by the larger points within R of all of its points
-    (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), and
-    stably sorted by filtration.  A face is found through its colex rank,
-    from the combinatorial number system (Bauer, Ripser, arXiv:1908.02518,
-    sec. 3): the k-subset c_0 < ... < c_(k-1) has rank sum_i C(c_i, i + 1),
-    one of 0 ... C(m, k) - 1 for m points.  A rank-indexed table maps it to
-    its row; a superset of a cut subset is cut too, so every face of a kept
-    subset has a row.  Once a dimension has no cells, neither has any above
-    it; those are stored empty without being enumerated, and no empty
-    dimension gets a boundary computed.  Each has the dtypes and shapes an
-    enumerated empty dimension had: a float64 filtration, int32 `indptr` [0]
-    and `indices`, int8 `data` and a (0, d + 1) vertex matrix in the point
-    dtype of `Dimension.vertices`.
+    the enclosing radius R (`metric.enclosing_radius`) are stored: the graph
+    holds the points and edges entering at or below R, and a superset of a
+    cut subset is cut too.  Above R the complex is a cone on the point v
+    attaining R: sigma + {v} has dimension at most one more than sigma, so
+    every degree below top_dim is acyclic from R on (degree 0 keeps one
+    class), and so is the top degree when the complex is complete.  Every
+    reliable degree therefore has the barcode of the uncut complex.
 
     Second, dominated edges leave the graph before it is expanded
     (`_collapse`).  A point w != u, v dominates the edge uv when N[u] & N[v]
@@ -403,13 +431,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     top = min(maxdim, m - 1)
     _check_cap("Rips complex", rips_cell_count(m, maxdim), cell_cap)
 
-    # Only columns k <= top are used, so every entry is at most a cell count.
-    # Every colex rank is below the largest, so ranks and their partial sums
-    # take binom's dtype: int32 unless that entry needs more.
-    binom = [[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)]
-    binom = np.array(binom, dtype=_index_dtype(max(binom[-1])))
     radius = enclosing_radius(space) if barcode_only else math.inf
-    dist, dims = space.dist, []
+    dist = space.dist
     diag = np.diagonal(dist)
     # near[u, v]: the edge uv and the point v both enter at or below the radius.
     near = (dist <= radius) & (diag <= radius)
@@ -417,96 +440,68 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
         _collapse(near, dist)
     # Point indices take the narrowest unsigned dtype that holds m - 1, as
     # `Dimension.vertices` says; `_extend` keeps it.
-    point = np.min_scalar_type(m - 1)
-    subsets = np.flatnonzero(diag <= radius).astype(point)[:, None]
-    filt = diag[subsets[:, 0]]
-    # _extend and _rips_boundary free their temporaries on return, and the top
-    # dimension's lexicographic rows go before its boundary is built: under
-    # tracemalloc a build peaks at 1.2 to 1.3 times what its complex retains
-    # (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28 B on
-    # 50 random points in the unit cube at maxdim 3, 38 and 31 B on the
-    # 5-cube as a product at maxdim 4, barcode-only).
-    for d in range(top + 1):
-        if d and len(filt):
-            subsets, filt = _extend(subsets, filt, near, dist)
-        if not len(filt):
-            # No subset has d + 1 points, so none has more.
-            dims.append(Dimension(np.empty(0), *_no_boundary(0),
-                                  vertices=np.empty((0, d + 1), dtype=point)))
-            continue
-        order = np.argsort(filt, kind="stable")
-        verts, filt_sorted = subsets[order], filt[order]
-        del order
-        if d == top:
-            # Nothing extends the top dimension: its lexicographic rows and
-            # unsorted filtration go before its boundary is built.
-            del subsets, filt
-        boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
-                    else _no_boundary(len(verts)))
-        dims.append(Dimension(filt_sorted, *boundary, vertices=verts))
-    return FilteredComplex(tuple(dims), maxdim >= m - 1, source=space.labels)
+    vertices = np.flatnonzero(diag <= radius).astype(np.min_scalar_type(m - 1))
+    return FilteredComplex(_flag_dims(near, [dist], vertices, top), maxdim >= m - 1,
+                           source=space.labels)
 
 
-def tensor_cell_count(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None) -> int:
-    by_x, by_y = cx.dim_counts(), cy.dim_counts()
-    full = cx.top_dim + cy.top_dim
-    top = full if maxdim is None else min(maxdim, full)
-    return sum(nx * ny
-               for dx, nx in by_x.items() if dx <= top
-               for dy, ny in by_y.items() if dx + dy <= top)
+def ordered_cell_count(nx: int, ny: int, maxdim: int) -> int:
+    """Number of cells ordered_product builds for factors of nx and ny
+    points; cheap cap pre-check.
 
-
-def _part_starts(cx: FilteredComplex, cy: FilteredComplex, n: int) -> dict[int, int]:
-    """Per dim a of the left cell, where the pairs (s, t) with dim s = a start
-    in dimension n of the tensor complex before sorting; each part is s-major."""
-    starts, at = {}, 0
-    for a in range(max(0, n - cy.top_dim), min(n, cx.top_dim) + 1):
-        starts[a] = at
-        at += len(cx.dims[a].filtration) * len(cy.dims[n - a].filtration)
-    return starts
-
-
-def _koszul_boundary(cx: FilteredComplex, cy: FilteredComplex, n: int, cells: tuple,
-                     faces: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary (indptr, indices, data) of tensor dimension n >= 1; `cells` and
-    `faces` are (`_part_starts`, `_inverse` of the order) of dimensions n and n - 1.
-
-    d(s x t) = ds x t + (-1)^a s x dt for dim s = a: a face f of s gives the
-    face (f, t) in part a - 1 of dimension n - 1, and a face g of t the face
-    (s, g) in part a, with the sign (-1)^a.
+    A chain of k points with i distinct first and j distinct second
+    coordinates is a path of k - 1 steps: s = i + j - 1 - k of them move
+    both coordinates, i - 1 - s the first only and j - 1 - s the second
+    only.  So there are C(nx, i) C(ny, j) (k - 1)! / (s! (i-1-s)! (j-1-s)!)
+    of them.
     """
-    # Each part's entries go straight to sorted positions in the narrowest
-    # index dtype, and each array is freed once read: a build of 1.1 million
-    # cells peaks at about 133 B per cell under tracemalloc, where int64
-    # entries held to the end took 287.
-    (col_at, col_of), (row_at, row_of) = cells, faces
-    cols, rows, data = [], [], []
-    for a, start in col_at.items():
-        x, y = cx.dims[a], cy.dims[n - a]
-        nx, ny = len(x.filtration), len(y.filtration)
-        if a:
-            s = np.repeat(np.arange(nx), np.diff(x.indptr))[:, None]
-            t = np.arange(ny)
-            cols.append(col_of[(start + s * ny + t).ravel()])
-            rows.append(row_of[(row_at[a - 1] + x.indices[:, None].astype(np.int64) * ny + t).ravel()])
-            data.append(np.repeat(x.data, ny))
-        if a < n:
-            s = np.arange(nx)[:, None]
-            t = np.repeat(np.arange(ny), np.diff(y.indptr))
-            cols.append(col_of[(start + s * ny + t).ravel()])
-            rows.append(row_of[(row_at[a] + s * len(cy.dims[n - a - 1].filtration) + y.indices).ravel()])
-            data.append(np.tile(-y.data if a % 2 else y.data, nx))
-    col, row = np.concatenate(cols), np.concatenate(rows)
-    del cols, rows
-    indptr = np.zeros(len(col_of) + 1, dtype=_index_dtype(len(col)))
-    np.cumsum(np.bincount(col, minlength=len(col_of)), out=indptr[1:])
-    key = col.astype(np.int64)
-    del col
-    key *= len(row_of)
-    key += row
-    by_cell = np.argsort(key)
-    del key
-    return indptr, row[by_cell], np.concatenate(data)[by_cell]
+    return sum(math.comb(nx, i) * math.comb(ny, j)
+               * math.comb(k - 1, s) * math.comb(k - 1 - s, i - 1 - s)
+               for k in range(1, min(maxdim, nx + ny - 2) + 2)
+               for i in range(1, min(k, nx) + 1)
+               for j in range(1, min(k, ny) + 1)
+               if 0 <= (s := i + j - 1 - k) < min(i, j))
+
+
+def ordered_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,
+                    cell_cap: int = DEFAULT_CELL_CAP) -> FilteredComplex:
+    """The chain-level product of the Rips filtrations of x and y, up to maxdim.
+
+    The points are those of `product_sum(x, y)`, with its labels and point
+    cap: (i, j) has index i * len(y) + j.  The cells are the chains of the
+    product order, the subsets whose points have i and j both nondecreasing
+    along the vertex row: the flag complex of the order's comparability graph
+    (`_flag_dims`).  A chain enters at g = l_X + l_Y, the Rips filtrations of
+    its projections, diagonal included: the largest d_X and the largest d_Y
+    over its ordered pairs of points.  At zero each takes the sign of d(v, v)
+    at the projection of the chain's last point.  Nothing is cut or
+    collapsed.  The longest chain has len(x) + len(y) - 1 points, so the
+    complex is complete from maxdim len(x) + len(y) - 2 on.
+
+    The chains are the nondegenerate simplices of the product simplicial set
+    VR(X) x VR(Y), filtered as the paper filters it, so by its Kunneth
+    formula for filtered simplicial sets the barcode is `kunneth_predict` in
+    every reliable degree.  g is at least the sum-metric diameter of the chain, so the
+    complex at t is a subcomplex of the Rips complex of `product_sum(x, y)`
+    at t.
+    """
+    if maxdim < 0:
+        raise InputError(f"maxdim must be >= 0, got {maxdim}")
+    space = product_sum(x, y)
+    m, nx, ny = len(space), len(x), len(y)
+    top = min(maxdim, nx + ny - 2)
+    # `_rips_boundary` looks faces up in a table of C(m, d) int32 entries per
+    # dimension d.  A Rips complex has more cells than that, but chains can
+    # have far fewer (C(72, 8) entries, 48 GB, for the 19.8 million chains of
+    # 9 x 8 points at maxdim 8), so the largest table is priced as cells too.
+    table = 4 * max(math.comb(m, d) for d in range(top + 1)) // BYTES_PER_CELL
+    _check_cap("ordered product", ordered_cell_count(nx, ny, maxdim) + table, cell_cap)
+    i, j = np.divmod(np.arange(m), ny)
+    near = ((i[:, None] <= i) & (j[:, None] <= j)) | ((i[:, None] >= i) & (j[:, None] >= j))
+    dists = [x.dist[i[:, None], i], y.dist[j[:, None], j]]
+    vertices = np.arange(m).astype(np.min_scalar_type(m - 1))
+    return FilteredComplex(_flag_dims(near, dists, vertices, top), maxdim >= nx + ny - 2,
+                           source=space.labels)
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:
@@ -514,40 +509,3 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     inverse = np.empty(len(order), dtype=_index_dtype(len(order)))
     inverse[order] = np.arange(len(order), dtype=inverse.dtype)
     return inverse
-
-
-def tensor_complex(cx: FilteredComplex, cy: FilteredComplex, maxdim: int | None = None,
-                   cell_cap: int = DEFAULT_CELL_CAP) -> FilteredComplex:
-    """Chain-level product: cells (s, t), filtration l(s) + l(t), Koszul signs.
-
-    d(s x t) = ds x t + (-1)^dim(s) s x dt.  Keeping all pairs with total
-    dimension <= maxdim requires each factor to carry every cell up to maxdim
-    itself (or be complete); otherwise low product dimensions would silently
-    lose cells, so that is rejected rather than repaired.
-    """
-    full = cx.top_dim + cy.top_dim
-    if maxdim is not None and maxdim < 0:
-        raise InputError(f"maxdim must be >= 0, got {maxdim}")
-    top = full if maxdim is None else min(maxdim, full)
-    for name, factor in (("left", cx), ("right", cy)):
-        if not factor.complete and factor.top_dim < top:
-            raise InputError(
-                f"{name} factor is truncated at dim {factor.top_dim} < {top}; "
-                f"build it at least to dim {top} for a faithful product"
-            )
-    _check_cap("tensor complex", tensor_cell_count(cx, cy, maxdim), cell_cap)
-
-    gx, gy = cx.global_ids(), cy.global_ids()
-    dims: list[Dimension] = []
-    for n in range(top + 1):
-        parts = _part_starts(cx, cy, n)
-        filt = np.concatenate([np.add.outer(cx.dims[a].filtration, cy.dims[n - a].filtration)
-                               .ravel() for a in parts])
-        factors = np.concatenate([np.stack(np.meshgrid(gx[a], gy[n - a], indexing="ij"),
-                                           -1).reshape(-1, 2) for a in parts])
-        order = np.lexsort((factors[:, 1], factors[:, 0], filt))
-        cells = parts, _inverse(order)
-        boundary = _koszul_boundary(cx, cy, n, cells, faces) if n else _no_boundary(len(filt))
-        dims.append(Dimension(filt[order], *boundary, factors=factors[order]))
-        faces = cells
-    return FilteredComplex(tuple(dims), cx.complete and cy.complete and top == full, source=(cx, cy))

@@ -106,7 +106,7 @@ def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.n
     vanish mod p."""
     data = dim.data
     # A nonzero entry strictly between -p and p cannot vanish mod p.  Every
-    # Rips and tensor boundary entry is +-1, so they all return here.
+    # boundary entry the builders make is +-1, so they all return here.
     if not len(data) or (data.all() and -p < int(data.min()) and int(data.max()) < p):
         return dim.indptr, dim.indices, data
     # Above the dtype's range no nonzero coefficient is a multiple of the prime
@@ -205,7 +205,7 @@ def _pair_vertices(cx: FilteredComplex, p: int) -> tuple[np.ndarray, tuple[int, 
     the younger of its endpoints' roots, the larger row, which is linked under
     the older one.  This is the coboundary reduction's pairing, the unique one
     of the total order, provided each edge's boundary is c (v - u) mod p.
-    Every Rips and tensor edge has that form; any other raises InputError.
+    Every edge the builders make has that form; any other raises InputError.
     """
     n = len(cx.dims[0].filtration)
     n_edges = len(cx.dims[1].filtration) if cx.top_dim else 0
@@ -333,8 +333,8 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     not by the column loop.  Its `apparent` counts the edges that are the
     earliest coface of their later vertex, as the array lookups would;
     `looped` is every other vertex, though none is reduced, and `additions`
-    is 0.  Every edge's boundary must be c (v - u) mod p, as Rips and tensor
-    edges are; any other raises InputError.
+    is 0.  Every edge's boundary must be c (v - u) mod p, as every built
+    edge's is; any other raises InputError.
 
     A dimension without cofaces, as the top dimensions of a collapsed Rips
     complex often are, is not transposed: its columns that are not cleared

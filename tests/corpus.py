@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import oracle
 from sumrips import Bar, Barcode, FilteredComplex, FiniteMetricSpace, validate
-from sumrips import tensor_complex, vietoris_rips
+from sumrips import vietoris_rips
 from sumrips.complexes import rips_cell_count
 
 PRODUCT_CORPUS_SEED = 20260816
@@ -124,7 +125,7 @@ def random_complexes(count: int = 30, seed: int = COMPLEX_CORPUS_SEED,
         if len(out) % 5 == 4:
             left = vietoris_rips(random_space(rng, 2, 3, allow_diagonal=True), 2)
             right = vietoris_rips(random_space(rng, 2, 3, allow_diagonal=True), 2)
-            cx = tensor_complex(left, right, 3)
+            cx = oracle.tensor_complex(left, right, 3)
         else:
             space = random_space(rng, 3, 7, allow_diagonal=True)
             maxdim = rng.randint(1, 5)

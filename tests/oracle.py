@@ -6,10 +6,12 @@ two-step free resolution mechanics, Betti numbers from dense Gaussian
 elimination on boundary matrices, bottleneck distances from exhaustive
 matching enumeration, bipartite covers from Hall's condition, the edge
 collapse from each level's neighbourhoods recomputed as sets, Rips cells from
-every subset of points, and the product filtration bounds from every pair of
-each cell's projected points, a complex's invariants from its boundary
-arrays with numpy code of its own, and the per-cell view (`cells`) from the
-arrays by a global order sorted here.
+every subset of points, the chains of a product order from every subset of
+its points, and the product filtration bounds from every pair of each
+cell's projected points, a complex's invariants from its boundary arrays
+with numpy code of its own, the per-cell view (`cells`) from the arrays by a
+global order sorted here, and the Koszul tensor product of two complexes
+(`tensor_complex`) pair by pair from their per-cell views.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sumrips import Bar, Barcode, FilteredComplex
+from sumrips import Bar, Barcode, FilteredComplex, InputError
+from sumrips.complexes import Dimension
 
 INF = math.inf
 
@@ -85,13 +88,13 @@ def cells(cx: FilteredComplex) -> tuple[Cell, ...]:
     A label is the cell's point labels joined by commas (Rips), or its factor
     cells' labels joined by '|' (tensor), as the complex dump prints it."""
     ids = _global_ids(cx)
-    if cx.dims[0].factors is not None:
+    if isinstance(cx, TensorComplex):
         left, right = ([c.label for c in cells(factor)] for factor in cx.source)
     out: list[Cell] = [None] * len(cx)  # type: ignore[list-item]
     for d, dim in enumerate(cx.dims):
         ptr, coeffs = dim.indptr.tolist(), dim.data.tolist()
         faces = [ids[d - 1][i] for i in dim.indices.tolist()]
-        keys = (dim.vertices if dim.vertices is not None else dim.factors).tolist()
+        keys = (dim.vertices if dim.vertices is not None else cx.factors[d]).tolist()
         for r, (f, key) in enumerate(zip(dim.filtration.tolist(), keys)):
             boundary = tuple(zip(faces[ptr[r]:ptr[r + 1]], coeffs[ptr[r]:ptr[r + 1]]))
             if dim.vertices is not None:
@@ -101,6 +104,63 @@ def cells(cx: FilteredComplex) -> tuple[Cell, ...]:
                 label = f"{left[key[0]]}|{right[key[1]]}"
                 out[ids[d][r]] = Cell(d, f, boundary, label, factors=tuple(key))
     return tuple(out)
+
+
+def dump_lines(cx: FilteredComplex) -> list[str]:
+    """The lines `FilteredComplex.dump_lines` prints, rendered from `cells`:
+    id, dimension, filtration, boundary as face:coefficient pairs or '-',
+    and label."""
+    return [f"{g} {c.dim} {c.filtration!r} "
+            f"{','.join(f'{i}:{k}' for i, k in c.boundary) or '-'} {c.label}"
+            for g, c in enumerate(cells(cx))]
+
+
+@dataclass(frozen=True, eq=False)
+class TensorComplex(FilteredComplex):
+    """A tensor product of two complexes, `source`, with each cell's factor
+    pair beside it: per dimension, one row of global ids (s, t) per cell."""
+
+    factors: tuple[np.ndarray, ...] = ()
+
+
+def tensor_complex(cx: FilteredComplex, cy: FilteredComplex,
+                   maxdim: int | None = None) -> TensorComplex:
+    """The chain-level product of two filtered complexes, pair by pair.
+
+    Its cells are the pairs (s, t) of cells, of total dimension up to maxdim
+    (all by default), entering at l(s) + l(t), with the Koszul boundary
+    d(s x t) = ds x t + (-1)^dim(s) s x dt.  Each dimension is sorted by
+    (filtration, s, t), s and t by global id.  A truncated factor would
+    silently lose product cells of low dimension, so it must carry every
+    dimension up to maxdim or be complete; otherwise InputError.
+    """
+    full = cx.top_dim + cy.top_dim
+    top = full if maxdim is None else min(maxdim, full)
+    for name, factor in (("left", cx), ("right", cy)):
+        if not factor.complete and factor.top_dim < top:
+            raise InputError(f"{name} factor is truncated at dim {factor.top_dim} < {top}")
+    left, right = cells(cx), cells(cy)
+    pairs = [sorted((a.filtration + b.filtration, s, t) for s, a in enumerate(left)
+                    for t, b in enumerate(right) if a.dim + b.dim == n)
+             for n in range(top + 1)]
+    dims, row = [], {}
+    for n, cells_n in enumerate(pairs):
+        ptr, faces, coeffs = [0], [], []
+        for _, s, t in cells_n:
+            sign = -1 if left[s].dim % 2 else 1
+            boundary = sorted([(row[f, t], c) for f, c in left[s].boundary]
+                              + [(row[s, g], sign * c) for g, c in right[t].boundary])
+            faces += [f for f, _ in boundary]
+            coeffs += [c for _, c in boundary]
+            ptr.append(len(faces))
+        dims.append(Dimension(np.array([f for f, _, _ in cells_n], dtype=np.float64),
+                              np.array(ptr, dtype=np.int32), np.array(faces, dtype=np.int32),
+                              np.array(coeffs, dtype=np.int8)))
+        row = {(s, t): r for r, (_, s, t) in enumerate(cells_n)}
+    factors = tuple(np.array([(s, t) for _, s, t in cells_n], dtype=np.int64).reshape(-1, 2)
+                    for cells_n in pairs)
+    return TensorComplex(tuple(dims), cx.complete and cy.complete and top == full,
+                         source=(cx, cy), factors=factors)
 
 
 def critical_values(cx: FilteredComplex) -> list[float]:
@@ -190,21 +250,37 @@ def filtration_sandwich_violations(product: FilteredComplex, x, y) -> list[int]:
     return bad
 
 
+def _at(cx: FilteredComplex, n: int, t: float) -> list[int]:
+    """The cells of dimension n with filtration <= t, by stored position."""
+    return np.flatnonzero(cx.dims[n].filtration <= t).tolist() if 0 <= n <= cx.top_dim else []
+
+
+# Entries of the largest dense matrix `_boundary_matrix_at` fills: 512 MiB of int64.
+DENSE_ENTRIES = 2**26
+
+
 def _boundary_matrix_at(cx: FilteredComplex, n: int, t: float):
-    """Dense integer matrix of the degree-n boundary on the subcomplex at time t."""
-    rows = [j for j, c in enumerate(cells(cx)) if c.dim == n - 1 and c.filtration <= t]
-    cols = [j for j, c in enumerate(cells(cx)) if c.dim == n and c.filtration <= t]
-    row_index = {gid: k for k, gid in enumerate(rows)}
+    """Dense integer matrix of the degree-n boundary on the subcomplex at time
+    t: a row per cell of dimension n - 1 there, a column per cell of
+    dimension n, each dimension's cells in stored order, which is the global
+    order.  A matrix of more than DENSE_ENTRIES entries is refused."""
+    rows, cols = _at(cx, n - 1, t), _at(cx, n, t)
+    assert len(rows) * len(cols) <= DENSE_ENTRIES, \
+        f"a dense {len(rows)} x {len(cols)} boundary matrix exceeds {DENSE_ENTRIES} entries"
+    row_index = {r: k for k, r in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for k, gid in enumerate(cols):
-        for face, coeff in cells(cx)[gid].boundary:
-            mat[row_index[face], k] = coeff
+    if cols:
+        dim = cx.dims[n]
+        ptr, faces, coeffs = dim.indptr.tolist(), dim.indices.tolist(), dim.data.tolist()
+        for k, c in enumerate(cols):
+            for e in range(ptr[c], ptr[c + 1]):
+                mat[row_index[faces[e]], k] = coeffs[e]
     return mat
 
 
 def betti_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:
     """dim H_n of the subcomplex of cells with filtration <= t, over F_p."""
-    n_cells = sum(1 for c in cells(cx) if c.dim == n and c.filtration <= t)
+    n_cells = len(_at(cx, n, t))
     rank_n = gf_rank(_boundary_matrix_at(cx, n, t), p) if n >= 1 else 0
     rank_up = gf_rank(_boundary_matrix_at(cx, n + 1, t), p)
     return n_cells - rank_n - rank_up
@@ -295,6 +371,38 @@ def rips_rows(dist: np.ndarray, maxdim: int, near: np.ndarray) -> list[tuple[np.
             if all(near[u, v] for u in s for v in s):
                 f = max(d[u][v] for u in s for v in s)
                 cells.append((f if f else d[s[-1]][s[-1]], s))
+        cells.sort()
+        rows.append((np.array([s for _, s in cells], dtype=point).reshape(-1, k),
+                     np.array([f for f, _ in cells], dtype=np.float64)))
+    return rows
+
+
+def ordered_rows(x, y, maxdim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per dimension d up to min(maxdim, |X| + |Y| - 2), the vertex rows and
+    float64 filtration of the chains of the product order on X x Y, point
+    (i, j) at index i * |Y| + j, in the point dtypes of `rips_rows`.
+
+    Every (d + 1)-subset of points whose j, listed by index, never decreases
+    is a chain (i never does).  Its filtration g is l_X + l_Y: each the
+    largest distance over every pair of the chain's projected points,
+    diagonal included, or, at 0, the projection's last point's d(v, v).
+    Chains are sorted by (g, vertices).
+    """
+    nx, ny = len(x), len(y)
+    m, dx, dy = nx * ny, x.dist.tolist(), y.dist.tolist()
+    point = next(t for t in (np.uint8, np.uint16, np.uint32) if m <= np.iinfo(t).max + 1)
+
+    def filtration(d: list[list[float]], points: set[int]) -> float:
+        f = max(d[u][v] for u in points for v in points)
+        return f if f else d[max(points)][max(points)]
+
+    rows = []
+    for k in range(1, min(maxdim, nx + ny - 2) + 2):
+        cells = []
+        for s in itertools.combinations(range(m), k):
+            if all(u % ny <= v % ny for u, v in zip(s, s[1:])):
+                cells.append((filtration(dx, {v // ny for v in s})
+                              + filtration(dy, {v % ny for v in s}), s))
         cells.sort()
         rows.append((np.array([s for _, s in cells], dtype=point).reshape(-1, k),
                      np.array([f for f, _ in cells], dtype=np.float64)))

@@ -20,9 +20,9 @@ from sumrips import (
     Barcode,
     hamming_cube,
     kunneth_predict,
+    ordered_product,
     product_sum,
     reduce,
-    tensor_complex,
     validate,
     vietoris_rips,
 )
@@ -230,13 +230,16 @@ def test_criterion_4_cycle_counts_match_rank_nullity():
 
 
 def test_criterion_5_chain_level_product_matches_prediction():
-    """Tensor-complex persistence equals the barwise prediction for n <= 2."""
+    """Tensor-complex persistence equals the barwise prediction for n <= 2,
+    and so does the ordered product's, degree by degree."""
     for x, y in corpus.small_pairs():
         cx, cy = vietoris_rips(x, 3), vietoris_rips(y, 3)
-        got = reduce(tensor_complex(cx, cy, 3))
+        got = reduce(oracle.tensor_complex(cx, cy, 3))
         bx, by = reduce(cx), reduce(cy)
+        ordered = reduce(ordered_product(x, y, 3))
         for n in range(3):
             assert got[n] == kunneth_predict(bx, by, n), (x, y, n)
+            assert ordered[n] == got[n], (x, y, n)
 
 
 def test_criterion_6_interleaving_bound(product_reports, cube_reports, cycle_reports):

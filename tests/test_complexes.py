@@ -1,4 +1,4 @@
-"""Complex constructors: Rips enumeration, tensor products, structural checks."""
+"""Complex constructors: Rips enumeration, ordered products, structural checks."""
 
 import itertools
 import math
@@ -16,9 +16,9 @@ from sumrips import (
     InputError,
     enclosing_radius,
     hamming_cube,
+    ordered_product,
     product_sum,
     reduce,
-    tensor_complex,
     validate,
     vietoris_rips,
 )
@@ -29,8 +29,8 @@ from sumrips.complexes import (
     Dimension,
     _collapse,
     _rips_boundary,
+    ordered_cell_count,
     rips_cell_count,
-    tensor_cell_count,
 )
 from sumrips.io import barcode_document, dumps_document
 
@@ -193,7 +193,7 @@ def test_cells_lists_dim_and_filtration_in_the_global_order():
     x, y = (vietoris_rips(corpus.random_space(rng, 4, 4, allow_diagonal=True), 3)
             for _ in range(2))
     for cx in (vietoris_rips(space, 3), vietoris_rips(space, 3, barcode_only=True),
-               tensor_complex(x, y, 3)):
+               oracle.tensor_complex(x, y, 3)):
         assert type(cx.cells) is tuple
         assert [tuple(c) for c in cx.cells] == [(c.dim, c.filtration) for c in oracle.cells(cx)]
         assert all(type(c.dim) is int and type(c.filtration) is float for c in cx.cells)
@@ -516,8 +516,9 @@ def _changed(cx, d, **edits):
 
 def test_oracle_reports_each_corruption_by_kind():
     rips = vietoris_rips(hamming_cube(2), 2)
-    tensor = tensor_complex(vietoris_rips(INTERVAL, 1), vietoris_rips(hamming_cube(2), 3), 2)
-    for cx in (rips, tensor):
+    tensor = oracle.tensor_complex(vietoris_rips(INTERVAL, 1), vietoris_rips(hamming_cube(2), 3), 2)
+    ordered = ordered_product(INTERVAL, hamming_cube(2), 2)
+    for cx in (rips, tensor, ordered):
         assert oracle.complex_violations(cx) == []
         n0, top = len(cx.dims[0].filtration), cx.dims[2]
         corrupted = {
@@ -540,9 +541,9 @@ def test_oracle_reports_each_corruption_by_kind():
 def test_tensor_unit_law():
     point = vietoris_rips(validate([[0.0]], ["pt"]), 0)
     left = vietoris_rips(INTERVAL, 1)
-    prod = tensor_complex(left, point)
-    assert [(c.dim, c.filtration) for c in prod.cells] == \
-           [(c.dim, c.filtration) for c in left.cells]
+    prod = oracle.tensor_complex(left, point)
+    assert [(c.dim, c.filtration) for c in oracle.cells(prod)] == \
+           [(c.dim, c.filtration) for c in oracle.cells(left)]
     assert [c.boundary for c in oracle.cells(prod)] == [c.boundary for c in oracle.cells(left)]
     assert prod.complete
     assert oracle.complex_violations(prod) == []
@@ -553,37 +554,37 @@ def test_tensor_cell_count_identity():
     left = vietoris_rips(hamming_cube(2), 3)
     right = vietoris_rips(corpus.random_space(random.Random(5), 3, 3), 2)
     for maxdim in (None, 0, 1, 2, 3, 4):
-        prod = tensor_complex(left, right, maxdim)
+        prod = oracle.tensor_complex(left, right, maxdim)
         counts_l = left.dim_counts()
         counts_r = right.dim_counts()
         top = prod.top_dim
         want = sum(nl * nr for dl, nl in counts_l.items() for dr, nr in counts_r.items()
                    if dl + dr <= top)
-        assert len(prod) == want == tensor_cell_count(left, right, maxdim)
+        assert len(prod) == want
         assert oracle.complex_violations(prod) == []
 
 
 def test_tensor_filtration_is_sum():
     left = vietoris_rips(INTERVAL, 1)
-    prod = tensor_complex(left, left)
+    prod = oracle.tensor_complex(left, left)
     for cell in oracle.cells(prod):
         i, j = cell.factors
-        assert cell.filtration == left.cells[i].filtration + left.cells[j].filtration
+        assert cell.filtration == \
+            oracle.cells(left)[i].filtration + oracle.cells(left)[j].filtration
     assert prod.top_dim == 2 and prod.complete
 
 
-def test_global_ids_and_factors_are_int32():
-    """Global ids invert the global order in the int32 of every index array,
-    so the tensor factors built from them are int32 too; a complex without
-    dimensions has no ids and no cells."""
-    left = vietoris_rips(hamming_cube(2), 3)
-    right = vietoris_rips(corpus.random_space(random.Random(5), 3, 3), 2)
-    prod = tensor_complex(left, right, 3)
-    for cx in (left, right, prod):
+def test_global_ids_are_int32():
+    """Global ids invert the global order in the int32 of every index array;
+    a complex without dimensions has no ids and no cells."""
+    space = corpus.random_space(random.Random(5), 3, 3)
+    left, right = vietoris_rips(hamming_cube(2), 3), vietoris_rips(space, 2)
+    prod = oracle.tensor_complex(left, right, 3)
+    ordered = ordered_product(hamming_cube(2), space, 3)
+    for cx in (left, right, prod, ordered):
         ids = cx.global_ids()
         assert [part.dtype for part in ids] == [np.dtype(np.int32)] * len(cx.dims)
         assert [part.tolist() for part in ids] == oracle._global_ids(cx)
-    assert [dim.factors.dtype for dim in prod.dims] == [np.dtype(np.int32)] * 4
     empty = FilteredComplex((), complete=True)
     assert empty.global_ids() == [] and empty.cells == () and len(empty) == 0
 
@@ -592,21 +593,97 @@ def test_tensor_rejects_truncated_factors():
     shallow = vietoris_rips(hamming_cube(2), 1)  # truncated at dim 1
     deep = vietoris_rips(INTERVAL, 1)
     with pytest.raises(InputError, match="truncated"):
-        tensor_complex(shallow, deep, 3)
+        oracle.tensor_complex(shallow, deep, 3)
     # fine when the requested dimension stays within the shallow factor
-    assert oracle.complex_violations(tensor_complex(shallow, deep, 1)) == []
+    assert oracle.complex_violations(oracle.tensor_complex(shallow, deep, 1)) == []
 
 
-def test_tensor_rejects_negative_maxdim():
-    left = vietoris_rips(INTERVAL, 1)
+def test_ordered_product_rejects_negative_maxdim():
     with pytest.raises(InputError, match="maxdim must be >= 0, got -1"):
-        tensor_complex(left, left, -1)
+        ordered_product(INTERVAL, INTERVAL, -1)
 
 
-def test_tensor_cell_cap():
-    left = vietoris_rips(hamming_cube(2), 3)
+def test_ordered_product_cell_cap():
+    square = hamming_cube(2)
     with pytest.raises(CapExceeded):
-        tensor_complex(left, left, None, cell_cap=10)
+        ordered_product(square, square, 6, cell_cap=10)
+
+
+def test_ordered_product_rows_match_every_chain_bit_for_bit():
+    """The vertex rows and filtration bits, signs of zero included, and their
+    dtypes are those of a brute-force enumeration of every chain of the
+    product order, sorted by (filtration, vertices), on small pairs with
+    positive diagonals, ties and -0.0; every complex passes the invariant
+    checks, and is complete exactly from maxdim |X| + |Y| - 2 on."""
+    rng = random.Random(6203)
+    signed = positive = 0
+    for _ in range(40):
+        x, y = (corpus.random_float_space(rng, 1, 4, signed_zero_rate=0.5) for _ in range(2))
+        signed += bool(np.signbit(x.dist).any() or np.signbit(y.dist).any())
+        positive += bool((np.diagonal(x.dist) > 0).any() or (np.diagonal(y.dist) > 0).any())
+        for maxdim in (0, 2, rng.randint(3, 6)):
+            cx = ordered_product(x, y, maxdim)
+            want = oracle.ordered_rows(x, y, maxdim)
+            assert len(cx.dims) == len(want)
+            for dim, (verts, filt) in zip(cx.dims, want):
+                assert (dim.vertices.dtype, dim.vertices.shape, dim.vertices.tobytes()) == \
+                    (verts.dtype, verts.shape, verts.tobytes()), (x.dist.tolist(), y.dist.tolist())
+                assert (dim.filtration.dtype, dim.filtration.tobytes()) == \
+                    (filt.dtype, filt.tobytes()), (x.dist.tolist(), y.dist.tolist())
+            assert cx.complete == (maxdim >= len(x) + len(y) - 2)
+            assert cx.source == product_sum(x, y).labels
+            assert oracle.complex_violations(cx) == []
+    assert signed >= 10 and positive >= 10
+
+
+def test_ordered_product_is_a_subcomplex_of_the_product_rips_complex():
+    """Every chain is a cell of the Rips complex of the sum-metric product,
+    entering there no later than in the ordered product: g >= f.  The Rips
+    filtration f itself lies between max(l_X, l_Y) and l_X + l_Y."""
+    rng = random.Random(6211)
+    for _ in range(15):
+        x, y = (corpus.random_space(rng, 1, 4, allow_diagonal=True) for _ in range(2))
+        rips = vietoris_rips(product_sum(x, y), 3)
+        f = {tuple(row): value for dim in rips.dims
+             for row, value in zip(dim.vertices.tolist(), dim.filtration.tolist())}
+        for dim in ordered_product(x, y, 3).dims:
+            for row, g in zip(dim.vertices.tolist(), dim.filtration.tolist()):
+                assert tuple(row) in f and f[tuple(row)] <= g, (x.dist.tolist(), y.dist.tolist(), row)
+        assert oracle.filtration_sandwich_violations(rips, x, y) == []
+
+
+def test_ordered_cell_count_counts_every_chain():
+    """The closed form equals the number of chains the brute force lists and
+    the cells a complete build stores."""
+    square = hamming_cube(2)
+    for nx, ny in ((1, 1), (2, 2), (3, 2), (4, 3), (5, 4), (1, 6)):
+        x, y = validate(np.zeros((nx, nx))), validate(np.zeros((ny, ny)))
+        for maxdim in range(min(nx + ny, 5)):
+            brute = sum(len(filt) for _, filt in oracle.ordered_rows(x, y, maxdim))
+            assert ordered_cell_count(nx, ny, maxdim) == brute, (nx, ny, maxdim)
+        assert len(ordered_product(x, y, nx + ny - 2)) == ordered_cell_count(nx, ny, nx + ny - 2)
+    assert ordered_cell_count(4, 4, 6) == len(ordered_product(square, square, 6))
+
+
+def test_ordered_product_prices_its_face_table():
+    """The colex table the boundary looks faces up in is priced as cells
+    too: 9 x 8 points at maxdim 8 have 19,764,046 chains, under the default
+    cap, but the table of their faces would take C(72, 8) int32 entries (48
+    GB), so the build is refused before anything is allocated."""
+    x, y = validate(np.zeros((9, 9))), validate(np.zeros((8, 8)))
+    assert ordered_cell_count(9, 8, 8) == 19_764_046 <= DEFAULT_CELL_CAP
+    with pytest.raises(CapExceeded, match="ordered product needs"):
+        ordered_product(x, y, 8)
+
+
+def test_betti_at_refuses_a_dense_matrix_beyond_its_bound():
+    """The rank-nullity oracle names the shape of a dense boundary matrix of
+    more than DENSE_ENTRIES entries instead of allocating it: the 2-cells
+    and 3-cells of the whole 5-cube at maxdim 4 would take 178 million."""
+    cube = vietoris_rips(hamming_cube(5), 4)
+    with pytest.raises(AssertionError, match="a dense 4960 x 35960 boundary matrix"):
+        oracle.betti_at(cube, 2, 3, 5.0)
+    assert oracle.betti_at(cube, 2, 0, 0.0) == 32
 
 
 def test_filtration_inequality_on_random_pairs():
@@ -649,8 +726,8 @@ def test_dump_lines_format():
 
 
 def test_dump_lines_of_cells_without_labels():
-    """A dimension built by hand, with neither vertices nor factors, labels
-    each of its cells with the empty string."""
+    """A dimension built by hand, without vertex rows, labels each of its
+    cells with the empty string."""
     points = Dimension(np.zeros(2), np.zeros(3, np.int32), np.empty(0, np.int32),
                        np.empty(0, np.int8))
     edge = Dimension(np.ones(1), np.array([0, 2], np.int32), np.array([0, 1], np.int32),
@@ -837,17 +914,13 @@ def test_dump_lines_streams_chunks_as_the_oracle_renders_cells():
     rng = random.Random(31)
     space = corpus.random_space(rng, 12, 12, allow_diagonal=True)
     assert (np.diagonal(space.dist) > 0).any()
-    x, y = (vietoris_rips(corpus.random_space(rng, 6, 6, allow_diagonal=True), 4)
-            for _ in range(2))
+    x, y = (corpus.random_space(rng, 6, 6, allow_diagonal=True) for _ in range(2))
     cube = vietoris_rips(hamming_cube(4), 4)
     assert len(cube) == 6_884
-    for cx in (cube, vietoris_rips(space, 4), tensor_complex(x, y, 4),
+    for cx in (cube, vietoris_rips(space, 4), ordered_product(x, y, 4),
                vietoris_rips(validate([[0.0]]), 0)):
         cells = oracle.cells(cx)
-        expected = [f"{g} {c.dim} {c.filtration!r} "
-                    f"{','.join(f'{i}:{k}' for i, k in c.boundary) or '-'} {c.label}"
-                    for g, c in enumerate(cells)]
-        assert list(cx.dump_lines()) == expected
+        assert list(cx.dump_lines()) == oracle.dump_lines(cx)
         edges = range(DUMP_CHUNK, len(cx), DUMP_CHUNK)
         assert len(cx) == 1 or any(cells[g - 1].dim == cells[g].dim for g in edges)
     no_cells = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
@@ -861,5 +934,5 @@ def test_golden_dumps_pin_tie_order():
     diag = validate([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     assert list(vietoris_rips(diag, 2).dump_lines()) == POSITIVE_DIAGONAL
     x, y = corpus.small_pairs()[0]
-    prod = tensor_complex(vietoris_rips(x, 2), vietoris_rips(y, 2), 2)
-    assert list(prod.dump_lines()) == FIRST_SMALL_PAIR_TENSOR
+    prod = oracle.tensor_complex(vietoris_rips(x, 2), vietoris_rips(y, 2), 2)
+    assert oracle.dump_lines(prod) == FIRST_SMALL_PAIR_TENSOR
