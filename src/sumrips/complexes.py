@@ -17,14 +17,17 @@ Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
 vertex row), so the global order is a stable merge by filtration, computed
 only on request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
 The dump streams its lines a chunk of global ids at a time, so the cap's price
-per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.
+per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.  A
+barcode-only Rips build does not store its top dimension: it keeps the graph
+and the ranks of the distances (`Cofaces`), from which `reduce` enumerates
+that dimension as the cofaces of the one below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,12 +36,14 @@ from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius, product_sum
 
 # The resident set grows, per cell of the uncut complex (ru_maxrss in a fresh
-# process, CPython 3.11, numpy 2.4, x86-64), by 65-78 B to build and reduce a
-# Rips complex (78 on the whole 5-cube at maxdim 4, 66 on 60 random points
-# and 65 on 80 points on a circle at maxdim 3), by 72 B to build, reduce and
+# process, CPython 3.11, numpy 2.4, x86-64), by 64-77 B to build and reduce a
+# whole Rips complex (77 on the 5-cube at maxdim 4, 66 on 60 random points
+# and 64 on 80 points on a circle at maxdim 3), by 72 B to build, reduce and
 # dump the whole 6-cube at maxdim 4, and by 74 B to build and reduce the
 # ordered product cube(5) x cube(1) at maxdim 4 (1,569,192 cells), with or
-# without its dump.  The price leaves 1.6 times headroom on the largest.
+# without its dump.  Barcode-only builds, which do not store their top
+# dimension, take 4-21 B (13 on the 6-cube at maxdim 4, 63 when they stored
+# it).  The price leaves 1.6 times headroom on the largest.
 BYTES_PER_CELL = 128
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
@@ -77,25 +82,48 @@ class Dimension(NamedTuple):
     vertices: np.ndarray | None = None
 
 
+class Cofaces(NamedTuple):
+    """What enumerating a top dimension that is not stored takes: the flag
+    complex's graph `near` (m x m booleans) and each distance's rank among
+    `values`, the sorted distinct distances (0.0 and -0.0 are one value), in
+    the narrowest unsigned dtype that also holds len(values).
+
+    The cells of the top dimension are the subsets of top_dim + 1 points
+    pairwise in `near`, each entering at its largest rank, diagonal included;
+    a cell j + {w} of the stored rows j has the sign (-1)^pos as a coface of
+    j, pos the place of w in its vertex row, as in a stored boundary.
+    """
+
+    near: np.ndarray
+    ranks: np.ndarray
+    values: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
     """Per-dimension cell arrays plus the truncation bookkeeping reduction relies on.
 
-    top_dim, the last stored dimension, is the largest the construction allowed;
-    `complete` says the untruncated object holds nothing above it.  Homology is
+    top_dim is the largest dimension the construction allowed; `complete`
+    says the untruncated object holds nothing above it.  Homology is
     trustworthy up to `reliable_dim`: top_dim when complete, else top_dim - 1,
     because cycles in the cut dimension can never be paired with the missing
     cofaces.  `source` holds the labels of the points the vertex rows index,
     read only for labels.
+
+    `dims` stores dimensions 0 to top_dim, or, when `cofaces` is given, 0 to
+    top_dim - 1: the top dimension is then only enumerated, by `reduce`, as
+    the cofaces of the last stored one.  Counts, the global order, `cells`
+    and the dump cover the stored dimensions.
     """
 
     dims: tuple[Dimension, ...]
     complete: bool
     source: tuple | None = None
+    cofaces: Cofaces | None = None
 
     @property
     def top_dim(self) -> int:
-        return len(self.dims) - 1
+        return len(self.dims) - (self.cofaces is None)
 
     def __len__(self) -> int:
         return sum(len(dim.filtration) for dim in self.dims)
@@ -327,6 +355,19 @@ def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.zeros(n_cells + 1, dtype=np.int32), np.empty(0, np.int32), np.empty(0, np.int8)
 
 
+@lru_cache(maxsize=256)
+def _binomials(m: int, top: int) -> np.ndarray:
+    """C(a, k) for a = 0 to m and k = 0 to top, built once per (m, top) and
+    read-only, since every caller shares it.  C(m, k) is the largest entry
+    of column k, so every colex rank of k points and its partial sums take
+    the table's dtype: int32 unless its largest entry needs more.  A round
+    of the benchmark's workloads asks for fewer than 100 tables."""
+    table = [[math.comb(a, k) for k in range(top + 1)] for a in range(m + 1)]
+    binom = np.array(table, dtype=_index_dtype(max(table[-1])))
+    binom.setflags(write=False)
+    return binom
+
+
 def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
                top: int) -> tuple[Dimension, ...]:
     """Dimensions 0 to top of the flag complex of the graph `near` on the
@@ -351,11 +392,7 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
     had: a float64 filtration, int32 `indptr` [0] and `indices`, int8 `data`
     and a (0, d + 1) vertex matrix in the point dtype.
     """
-    # Only columns k <= top are used, so every entry is at most a cell count.
-    # Every colex rank is below the largest, so ranks and their partial sums
-    # take binom's dtype: int32 unless that entry needs more.
-    binom = [[math.comb(a, k) for k in range(top + 1)] for a in range(len(near) + 1)]
-    binom = np.array(binom, dtype=_index_dtype(max(binom[-1])))
+    binom = _binomials(len(near), top)
     subsets, maxima = vertices[:, None], [dist[vertices, vertices] for dist in dists]
     dims: list[Dimension] = []
     # _extend and _rips_boundary free their temporaries on return, and the top
@@ -363,7 +400,8 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
     # tracemalloc a Rips build peaks at 1.2 to 1.3 times what its complex
     # retains (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28
     # B on 50 random points in the unit cube at maxdim 3, 38 and 31 B on the
-    # 5-cube as a product at maxdim 4, barcode-only).
+    # 5-cube as a product at maxdim 4 with the graph of its barcode-only
+    # build, whose 34,563 stored cells take 37 and 28 B).
     for d in range(top + 1):
         if d and len(subsets):
             subsets, maxima = _extend(subsets, maxima, near, dists)
@@ -424,6 +462,18 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     -0.0, and which of the two a bar born at zero gets depends on the cells
     that are left, so a matrix holding -0.0 is not collapsed.  Nor is a
     complex whose top dimension is below 2: it has no triangles to save.
+
+    Third, from top_dim 2 on, the top dimension is not stored: it is never
+    reduced, only paired with the dimension below as its cofaces, and it
+    held most of the cells (143,416 of the 177,979 of the 5-cube as a
+    product at maxdim 4).  The complex stores dimensions 0 to top_dim - 1
+    and keeps in `cofaces` what `reduce` enumerates the top dimension from:
+    the cut and collapsed graph, and each distance's rank among the sorted
+    distinct distances.  Its length, counts, `cells` and dump cover the
+    stored dimensions.  A build whose top_dim is below 2 stores every
+    dimension, as the union-find pairing of the vertices walks the stored
+    edges, and so does one whose top cells' keys (`persistence._coface_keys`)
+    would not fit in an int64.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -441,6 +491,16 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     # Point indices take the narrowest unsigned dtype that holds m - 1, as
     # `Dimension.vertices` says; `_extend` keeps it.
     vertices = np.flatnonzero(diag <= radius).astype(np.min_scalar_type(m - 1))
+    if barcode_only and top >= 2:
+        # np.unique would import numpy.ma, 0.5 MB and 11 ms on first use.
+        values = np.sort(dist, axis=None)
+        values = values[np.concatenate([[True], values[1:] != values[:-1]])]
+        # `reduce` keys each top cell by its rank times C(m, top + 1) plus its
+        # lexicographic rank, in one int64.
+        if len(values) * math.comb(m, top + 1) < 2**63:
+            ranks = values.searchsorted(dist).astype(np.min_scalar_type(len(values)))
+            return FilteredComplex(_flag_dims(near, [dist], vertices, top - 1), maxdim >= m - 1,
+                                   source=space.labels, cofaces=Cofaces(near, ranks, values))
     return FilteredComplex(_flag_dims(near, [dist], vertices, top), maxdim >= m - 1,
                            source=space.labels)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 import oracle
 from sumrips import Bar, Barcode, FilteredComplex, FiniteMetricSpace, validate
 from sumrips import vietoris_rips
-from sumrips.complexes import rips_cell_count
+from sumrips.complexes import _flag_dims, rips_cell_count
 
 PRODUCT_CORPUS_SEED = 20260816
 SMALL_PAIRS_SEED = 977
@@ -135,6 +137,19 @@ def random_complexes(count: int = 30, seed: int = COMPLEX_CORPUS_SEED,
         if len(cx) <= max_cells:
             out.append(cx)
     return out
+
+
+def stored_top(cx: FilteredComplex, space: FiniteMetricSpace) -> FilteredComplex:
+    """The barcode-only Rips complex `cx` of `space` with its top dimension
+    stored: the library's per-dimension pipeline run up to top_dim on the
+    graph that cx keeps to enumerate that dimension.  Its other dimensions
+    are cx's, bit for bit.  A complex that stores its top dimension is
+    returned as it is."""
+    if cx.cofaces is None:
+        return cx
+    vertices = np.sort(cx.dims[0].vertices[:, 0])
+    dims = _flag_dims(cx.cofaces.near, [space.dist], vertices, cx.top_dim)
+    return FilteredComplex(dims, cx.complete, cx.source)
 
 
 def space_to_csv(space: FiniteMetricSpace, header: bool = False) -> str:

@@ -193,7 +193,8 @@ def test_field_dependent_product_counts_match_rank_nullity(p):
     hold 2,570 x 4,350 entries."""
     x, y = corpus.rp2_subdivision(), hamming_cube(1)
     report = compare_product(x, y, 2, p=p)
-    product = vietoris_rips(product_sum(x, y), 3, barcode_only=True)
+    space = product_sum(x, y)
+    product = corpus.stored_top(vietoris_rips(space, 3, barcode_only=True), space)
     for entry in report.dims:
         for t in (0, 1):
             assert entry.actual.dim_at(t) == oracle.betti_at(product, p, entry.n, t), (entry.n, t)
@@ -217,12 +218,12 @@ def test_criterion_4_cycle_product_c10_c5():
 @pytest.mark.slow
 def test_criterion_4_cycle_counts_match_rank_nullity():
     """The actual counts of CYCLE_COUNTS equal brute-force rank-nullity over
-    F_2 at the critical values where the product below t has at most a few
-    thousand cells per dimension: dense elimination of C_8 x C_4 at t = 4
+    F_2 at every critical value of C_8 x C_4 and C_10 x {0, 1}: the oracle
+    eliminates bitset columns, where dense elimination of C_8 x C_4 at t = 4
     would hold matrices of 11,752 x 29,760 entries."""
-    for (n, m), values in {(8, 4): (2, 3), (10, 2): (4,)}.items():
-        cx = vietoris_rips(product_sum(corpus.cycle_graph(n), corpus.cycle_graph(m)), 4,
-                           barcode_only=True)
+    for (n, m), values in {(8, 4): (2, 3, 4, 5), (10, 2): (4, 5)}.items():
+        space = product_sum(corpus.cycle_graph(n), corpus.cycle_graph(m))
+        cx = corpus.stored_top(vietoris_rips(space, 4, barcode_only=True), space)
         for degree in (2, 3):
             for t, _, actual in CYCLE_COUNTS[n, m][degree]:
                 if t in values:

@@ -103,7 +103,7 @@ def test_rips_boundaries_drop_one_point_with_alternating_signs():
         space = corpus.random_space(rng, 1, 8, max_dist=3, allow_diagonal=True)
         maxdim = rng.randint(1, 5)
         for barcode_only in (False, True):
-            cx = vietoris_rips(space, maxdim, barcode_only=barcode_only)
+            cx = corpus.stored_top(vietoris_rips(space, maxdim, barcode_only=barcode_only), space)
             for below, dim in zip(cx.dims, cx.dims[1:]):
                 row_of = {v: r for r, v in enumerate(map(tuple, below.vertices.tolist()))}
                 for j, verts in enumerate(dim.vertices.tolist()):
@@ -152,14 +152,14 @@ def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
 
 
 def test_five_cube_split_retains_at_most_48_bytes_per_cell():
-    """The 5-cube as a product at maxdim 4 keeps 177,979 cells, 143,416 in
-    the top dimension, whose 29,540 faces get int16 rows, and uint8 vertex
-    rows.  Under tracemalloc the complex retains about 31.1 B per cell; with
+    """The 5-cube as a product at maxdim 4, built barcode-only with its top
+    dimension stored, keeps 177,979 cells, 143,416 in the top dimension,
+    whose 29,540 faces get int16 rows, and uint8 vertex rows.  Under tracemalloc the complex retains about 31.1 B per cell; with
     int32 vertex rows it retained 45.5, and with int32 face rows too 55.0."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     tracemalloc.start()
     try:
-        cx = vietoris_rips(space, 4, barcode_only=True)
+        cx = corpus.stored_top(vietoris_rips(space, 4, barcode_only=True), space)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -236,7 +236,8 @@ def _assert_is_the_cut(space, maxdim):
     """On an input it does not collapse, the barcode-only build holds exactly
     the cells of the whole build up to the enclosing radius, in their order,
     with the whole build's truncation bookkeeping; returns both builds."""
-    full, cut = vietoris_rips(space, maxdim), vietoris_rips(space, maxdim, barcode_only=True)
+    full = vietoris_rips(space, maxdim)
+    cut = corpus.stored_top(vietoris_rips(space, maxdim, barcode_only=True), space)
     assert _cell_rows(cut) == _cell_rows(full, enclosing_radius(space))
     assert (cut.top_dim, cut.complete, cut.reliable_dim) == \
         (full.top_dim, full.complete, full.reliable_dim)
@@ -337,7 +338,7 @@ def test_collapsed_complexes_are_valid_subcomplexes_with_the_oracle_barcode():
     checked = 0
     for space, maxdim in _float_spaces(count=60, seed=2207):
         full = vietoris_rips(space, maxdim)
-        collapsed = vietoris_rips(space, maxdim, barcode_only=True)
+        collapsed = corpus.stored_top(vietoris_rips(space, maxdim, barcode_only=True), space)
         assert oracle.complex_violations(collapsed) == []
         assert _cell_set(collapsed) <= _cell_set(full)
         assert (collapsed.top_dim, collapsed.complete) == (full.top_dim, full.complete)
@@ -363,7 +364,8 @@ def test_collapse_leaves_builds_without_triangles_or_with_signed_zeros_alone():
         _assert_is_the_cut(space, 3)
     # the square's enclosing radius is its diameter: only the collapse cuts
     square = hamming_cube(2)
-    assert len(vietoris_rips(square, 2, barcode_only=True)) < len(vietoris_rips(square, 2))
+    collapsed = corpus.stored_top(vietoris_rips(square, 2, barcode_only=True), square)
+    assert len(collapsed) < len(vietoris_rips(square, 2))
 
 
 def _assert_collapse_matches_reference(space):
@@ -415,7 +417,7 @@ def test_rips_rows_match_every_subset_bit_for_bit():
         if top >= 2 and not has_signed_zero:
             cut = oracle.collapse_reference(cut, dist)
         for near, barcode_only in ((np.ones_like(cut), False), (cut, True)):
-            cx = vietoris_rips(space, maxdim, barcode_only=barcode_only)
+            cx = corpus.stored_top(vietoris_rips(space, maxdim, barcode_only=barcode_only), space)
             want = oracle.rips_rows(dist, maxdim, near)
             assert len(cx.dims) == len(want)
             for dim, (verts, filt) in zip(cx.dims, want):
@@ -477,7 +479,7 @@ PATH5 = validate([[abs(i - j) for j in range(5)] for i in range(5)])
 
 
 def test_empty_dimensions_keep_their_dtypes_and_shapes():
-    cx = vietoris_rips(PATH5, 4, barcode_only=True)
+    cx = corpus.stored_top(vietoris_rips(PATH5, 4, barcode_only=True), PATH5)
     assert cx.dim_counts() == {0: 5, 1: 4} and cx.top_dim == 4 and cx.complete
     for d in (2, 3, 4):
         empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
@@ -679,10 +681,11 @@ def test_ordered_product_prices_its_face_table():
 def test_betti_at_refuses_a_dense_matrix_beyond_its_bound():
     """The rank-nullity oracle names the shape of a dense boundary matrix of
     more than DENSE_ENTRIES entries instead of allocating it: the 2-cells
-    and 3-cells of the whole 5-cube at maxdim 4 would take 178 million."""
+    and 3-cells of the whole 5-cube at maxdim 4 would take 178 million.
+    Over F_2 it takes bitset columns, so the dense path is asked over F_3."""
     cube = vietoris_rips(hamming_cube(5), 4)
     with pytest.raises(AssertionError, match="a dense 4960 x 35960 boundary matrix"):
-        oracle.betti_at(cube, 2, 3, 5.0)
+        oracle.betti_at(cube, 3, 3, 5.0)
     assert oracle.betti_at(cube, 2, 0, 0.0) == 32
 
 

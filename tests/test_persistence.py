@@ -1,6 +1,7 @@
 """Reduction engine: golden barcodes, oracle agreement, fields."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,7 @@ def test_rp2_barcode_depends_on_the_field(p):
     assert code == GradedBarcode({0: Barcode([Bar(0, 1)] * 30 + [Bar(0, INF)]),
                                   1: Barcode(holes[0]), 2: Barcode(holes[1])})
     assert code == reduce(vietoris_rips(space, 3), p)
+    cx = corpus.stored_top(cx, space)
     for n in code.dims():
         for t in oracle.critical_values(cx):
             assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (n, t)
@@ -251,7 +253,8 @@ def test_transpose_holds_little_beyond_its_output():
     """The top boundary of the 5-cube as a product (717,080 entries, about 22
     chunks) is transposed within 4 MB of traced memory beyond the output; one
     argsort of all the entries needs about 11 MB."""
-    cx = vietoris_rips(product_sum(hamming_cube(4), hamming_cube(1)), 4, barcode_only=True)
+    space = product_sum(hamming_cube(4), hamming_cube(1))
+    cx = corpus.stored_top(vietoris_rips(space, 4, barcode_only=True), space)
     top = cx.dims[4]
     assert len(top.indices) == 717_080
     n_rows = len(cx.dims[3].filtration)
@@ -266,14 +269,15 @@ def test_transpose_holds_little_beyond_its_output():
 
 def test_build_and_reduce_free_their_temporaries():
     """The 5-cube as a product at maxdim 3 collapses no edge and keeps 34,563
-    cells.  Under tracemalloc its build peaks at most 28 B per cell above what
+    cells with its top dimension stored.  Under tracemalloc its build peaks at most 28 B per cell above what
     the complex retains, and reducing it holds at most 64 B per cell beyond
     the complex.  Freeing each large temporary before the next is allocated
     gives about 18 and 48 B; keeping them alive took 38 and 80 B."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
+    cut = vietoris_rips(space, 3, barcode_only=True)
     tracemalloc.start()
     try:
-        cx = vietoris_rips(space, 3, barcode_only=True)
+        cx = corpus.stored_top(cut, space)
         retained, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         reduce(cx)
@@ -308,14 +312,16 @@ def test_reduce_matches_standard_reduction():
     """Coboundary reduction with clearing against the plain homology algorithm,
     bar for bar, on Rips and tensor complexes and on barcode-only Rips
     complexes."""
-    complexes = corpus.random_complexes(count=15, seed=404)
+    complexes = [(cx, cx) for cx in corpus.random_complexes(count=15, seed=404)]
     for x, y in corpus.small_pairs()[:6]:
-        complexes += [vietoris_rips(y, 3, barcode_only=True),
-                      vietoris_rips(product_sum(x, y), 2, barcode_only=True)]
-    for cx in complexes:
+        for space, maxdim in ((y, 3), (product_sum(x, y), 2)):
+            cx = vietoris_rips(space, maxdim, barcode_only=True)
+            complexes.append((cx, corpus.stored_top(cx, space)))
+    for cx, witness in complexes:
         for p in (2, 3, 5):
             code = reduce(cx, p)
-            assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(cx, p), (cx, p)
+            assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(witness, p), \
+                (cx, p)
 
 
 def test_reduce_stats_tie_out():
@@ -435,3 +441,116 @@ def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
             for t in oracle.critical_values(cx):
                 assert code[n].dim_at(t) == oracle.betti_at(cx, p, n, t), (p, n, t)
 
+
+
+def _assert_top_enumerated_as_stored(space, maxdim, fields=(2, 3, 5)):
+    """The barcode-only build leaves its top dimension to `reduce`, which
+    enumerates it as cofaces; the same graph's build with that dimension
+    stored (`corpus.stored_top`) gives the same document bytes and the same
+    stats over every field.  Returns the complex."""
+    cx = vietoris_rips(space, maxdim, barcode_only=True)
+    assert cx.cofaces is not None and len(cx.dims) == cx.top_dim
+    stored = corpus.stored_top(cx, space)
+    assert len(stored.dims) == cx.top_dim + 1
+    for p in fields:
+        got, want = {}, {}
+        assert dumps_document(barcode_document(reduce(cx, p, stats=got), p)) == \
+            dumps_document(barcode_document(reduce(stored, p, stats=want), p)), \
+            (space.dist.tolist(), maxdim, p)
+        assert got == want, (space.dist.tolist(), maxdim, p)
+    return cx
+
+
+def test_top_enumerated_as_stored_on_the_corpus():
+    """The factors and products of the corpus, at maxdim 3 and at 4, the
+    depth `compare_product` builds them at for maxn 3."""
+    for x, y in corpus.product_corpus():
+        for space in (x, y, product_sum(x, y)):
+            for maxdim in (3, 4):
+                if min(maxdim, len(space) - 1) >= 2:
+                    _assert_top_enumerated_as_stored(space, maxdim)
+
+
+def test_top_enumerated_as_stored_on_cubes_and_cycles():
+    """The cube splits cube(k - 1) x cube(1) for k = 3 to 5, C_8 x C_4 and
+    C_10 x {0, 1} at maxdim 4; on the 5-cube split the top dimension holds
+    143,416 cells, of which 25,480 are paired, 24,690 apparently."""
+    interval = hamming_cube(1)
+    spaces = [product_sum(hamming_cube(k - 1), interval) for k in (3, 4, 5)]
+    spaces += [product_sum(corpus.cycle_graph(8), corpus.cycle_graph(4)),
+               product_sum(corpus.cycle_graph(10), interval)]
+    for space in spaces:
+        _assert_top_enumerated_as_stored(space, 4)
+    stats = {}
+    reduce(vietoris_rips(spaces[2], 4, barcode_only=True), stats=stats)
+    assert (stats[3]["pairs"], stats[3]["apparent"]) == (25_480, 24_690)
+
+
+def test_top_enumerated_as_stored_on_generalized_float_metrics():
+    """Non-dyadic floats, ties, positive diagonals and -0.0, at maxdim 2 to
+    5: complete complexes among them."""
+    rng = random.Random(3203)
+    complete = signed = 0
+    for _ in range(120):
+        space = corpus.random_float_space(rng, 3, 10, signed_zero_rate=0.5)
+        cx = _assert_top_enumerated_as_stored(space, rng.randint(2, 5))
+        complete += cx.complete
+        signed += bool(np.signbit(space.dist).any())
+    assert complete >= 10 and signed >= 30
+
+
+def test_complete_complexes_report_an_empty_top_degree():
+    """A complete complex's top dimension holds at most the cell of all its
+    points, which is then paired: the top degree is reported, empty, as the
+    stored build reports it.  Cubes and a triangle at maxdim 2."""
+    triangle = validate([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    for space, maxdim in ((triangle, 2), (hamming_cube(2), 3), (hamming_cube(3), 7)):
+        cx = _assert_top_enumerated_as_stored(space, maxdim)
+        assert cx.complete
+        assert reduce(cx)[cx.top_dim] == Barcode()
+
+
+def test_only_barcode_only_builds_above_dimension_1_enumerate_their_top():
+    """Whole builds and builds whose top dimension is at most 1 store every
+    dimension: union-find pairs the vertices with the stored edges."""
+    space = hamming_cube(3)
+    for maxdim, barcode_only in ((4, False), (1, True), (0, True)):
+        cx = vietoris_rips(space, maxdim, barcode_only=barcode_only)
+        assert cx.cofaces is None and len(cx.dims) == cx.top_dim + 1
+
+
+def test_barcode_only_builds_whose_keys_overflow_int64_store_their_top():
+    """A top cell's key is its rank times C(m, top + 1) plus its
+    lexicographic rank, in one int64.  A point at distance 1 from 255
+    others, 12 of them also at distance 1 from each other, the rest at 2:
+    at maxdim 10, C(256, 11) times the 3 distinct values exceeds 2^63, so
+    the build stores its top dimension; at maxdim 9 it enumerates it.
+    Either way the barcode is a cone's."""
+    dist = np.full((256, 256), 2.0)
+    dist[0, :] = dist[:, 0] = 1.0
+    dist[244:, 244:] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    space = validate(dist, point_cap=None)
+    for maxdim, stored in ((10, True), (9, False)):
+        cx = vietoris_rips(space, maxdim, cell_cap=10**20, barcode_only=True)
+        assert (cx.cofaces is None) == stored and cx.top_dim == maxdim
+        code = reduce(cx)
+        assert code[0] == Barcode([Bar(0, 1)] * 255 + [Bar(0, INF)])
+        assert all(code[n] == Barcode() for n in range(1, maxdim))
+
+
+def test_barcode_only_builds_keep_no_top_cell():
+    """The 5-cube as a product at maxdim 4, barcode-only, stores 34,563 cells
+    and none of the 143,416 of its top dimension.  Under tracemalloc the
+    build and its reduction peak at about 4.0 MB; with the top dimension
+    stored they took 10.9 MB."""
+    space = product_sum(hamming_cube(4), hamming_cube(1))
+    tracemalloc.start()
+    try:
+        cx = vietoris_rips(space, 4, barcode_only=True)
+        reduce(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cx) == 34_563 and 4 not in cx.dim_counts() and cx.top_dim == 4
+    assert peak <= 5_000_000
