@@ -18,9 +18,10 @@ vertex row), so the global order is a stable merge by filtration, computed
 only on request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
 The dump streams its lines a chunk of global ids at a time, so the cap's price
 per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.  A
-barcode-only Rips build does not store its top dimension: it keeps the graph
-and the ranks of the distances (`Cofaces`), from which `reduce` enumerates
-that dimension as the cofaces of the one below.
+barcode-only Rips build whose top dimension can hold more than `CHUNK` cells
+does not store it: it keeps the graph and the ranks of the distances
+(`Cofaces`), from which `reduce` enumerates that dimension as the cofaces of
+the one below.
 """
 
 from __future__ import annotations
@@ -41,14 +42,23 @@ from .metric import FiniteMetricSpace, enclosing_radius, product_sum
 # and 64 on 80 points on a circle at maxdim 3), by 72 B to build, reduce and
 # dump the whole 6-cube at maxdim 4, and by 74 B to build and reduce the
 # ordered product cube(5) x cube(1) at maxdim 4 (1,569,192 cells), with or
-# without its dump.  Barcode-only builds, which do not store their top
-# dimension, take 4-21 B (13 on the 6-cube at maxdim 4, 63 when they stored
-# it).  The price leaves 1.6 times headroom on the largest.
+# without its dump.  Barcode-only builds take 3-23 B: 12 on the 6-cube, 23
+# on the 5-cube (both at maxdim 4) and 9 on the circle, whose top dimensions
+# are enumerated, not stored (63, 52 and 60 B when they were stored), and 3
+# on the random points.  The price leaves 1.6 times headroom on the largest.
 BYTES_PER_CELL = 128
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
 # Global ids that `FilteredComplex.dump_lines` renders at a time.
 DUMP_CHUNK = 2**10
+# Entries a pass of the reduction handles at a time: boundary entries that
+# `persistence._transpose` sorts, and (cells x points) coface ranks that
+# `implicit.reduce_top` enumerates.  Against 2^16 this takes about 0.9 MB off the peak resident set
+# of reducing the 5-cube as a product at maxdim 4.  2^14 took 0.7 MB more off
+# it, but added about 0.25 MB to runs whose largest boundary holds between
+# 2^14 and 2^15 entries.  A barcode-only Rips build stores a top dimension
+# that can hold at most CHUNK cells (`vietoris_rips`).
+CHUNK = 2**15
 
 
 class Cell(NamedTuple):
@@ -369,9 +379,11 @@ def _binomials(m: int, top: int) -> np.ndarray:
 
 
 def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
-               top: int) -> tuple[Dimension, ...]:
+               top: int, skip_top_above: float = math.inf) -> tuple[Dimension, ...]:
     """Dimensions 0 to top of the flag complex of the graph `near` on the
-    points `vertices` (ascending, in the point dtype of `Dimension.vertices`).
+    points `vertices` (ascending, in the point dtype of `Dimension.vertices`),
+    or 0 to top - 1 when dimension top - 1 holds more than `skip_top_above`
+    cells: dimension top is then neither enumerated nor stored.
 
     A subset's filtration is the sum, over the matrices of `dists`, of each
     one's largest entry over the subset's ordered pairs of points, d(v, v)
@@ -395,7 +407,7 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
     binom = _binomials(len(near), top)
     subsets, maxima = vertices[:, None], [dist[vertices, vertices] for dist in dists]
     dims: list[Dimension] = []
-    # _extend and _rips_boundary free their temporaries on return, and the top
+    # _extend and _rips_boundary free their temporaries on return, and the last
     # dimension's lexicographic rows go before its boundary is built: under
     # tracemalloc a Rips build peaks at 1.2 to 1.3 times what its complex
     # retains (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28
@@ -405,23 +417,26 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
     for d in range(top + 1):
         if d and len(subsets):
             subsets, maxima = _extend(subsets, maxima, near, dists)
+        last = d == top or (d == top - 1 and len(subsets) > skip_top_above)
         if not len(subsets):
             # No subset has d + 1 points, so none has more.
             dims.append(Dimension(np.empty(0), *_no_boundary(0),
                                   vertices=np.empty((0, d + 1), dtype=vertices.dtype)))
-            continue
-        # One matrix's maximum is the filtration itself, not a copy.
-        filt = maxima[0] if len(maxima) == 1 else np.add(*maxima)
-        order = np.argsort(filt, kind="stable")
-        verts, filt = subsets[order], filt[order]
-        del order
-        if d == top:
-            # Nothing extends the top dimension: its lexicographic rows and
-            # unsorted maxima go before its boundary is built.
-            del subsets, maxima
-        boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
-                    else _no_boundary(len(verts)))
-        dims.append(Dimension(filt, *boundary, vertices=verts))
+        else:
+            # One matrix's maximum is the filtration itself, not a copy.
+            filt = maxima[0] if len(maxima) == 1 else np.add(*maxima)
+            order = np.argsort(filt, kind="stable")
+            verts, filt = subsets[order], filt[order]
+            del order
+            if last:
+                # Nothing extends the last dimension: its lexicographic rows
+                # and unsorted maxima go before its boundary is built.
+                del subsets, maxima
+            boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
+                        else _no_boundary(len(verts)))
+            dims.append(Dimension(filt, *boundary, vertices=verts))
+        if last:
+            break
     return tuple(dims)
 
 
@@ -463,17 +478,25 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     that are left, so a matrix holding -0.0 is not collapsed.  Nor is a
     complex whose top dimension is below 2: it has no triangles to save.
 
-    Third, from top_dim 2 on, the top dimension is not stored: it is never
-    reduced, only paired with the dimension below as its cofaces, and it
-    held most of the cells (143,416 of the 177,979 of the 5-cube as a
-    product at maxdim 4).  The complex stores dimensions 0 to top_dim - 1
-    and keeps in `cofaces` what `reduce` enumerates the top dimension from:
-    the cut and collapsed graph, and each distance's rank among the sorted
-    distinct distances.  Its length, counts, `cells` and dump cover the
-    stored dimensions.  A build whose top_dim is below 2 stores every
-    dimension, as the union-find pairing of the vertices walks the stored
-    edges, and so does one whose top cells' keys (`persistence._coface_keys`)
-    would not fit in an int64.
+    Third, from top_dim 2 on, a top dimension that can hold more than
+    `CHUNK` cells is not stored: each of its cells has top_dim + 1 faces of
+    dimension top_dim - 1, each of which has at most m - top_dim cofaces.
+    It is never reduced, only paired with the dimension below as its
+    cofaces, and it held most of the cells (143,416 of the 177,979 of the
+    5-cube as a product at maxdim 4, where the bound reads 165,424).  The
+    complex then stores dimensions 0 to top_dim - 1 and keeps in `cofaces`
+    what `reduce` enumerates the top dimension from: the cut and collapsed
+    graph, and each distance's rank among the sorted distinct distances.
+    Its length, counts, `cells` and dump cover the stored dimensions.  A
+    smaller top dimension is stored, as enumerating it costs more numpy
+    calls than the cells it saves: building and reducing the barcode-only
+    complexes of a round of the CLI and of the product benchmarks (at most
+    30 points, all below the bound) took 180 and 77 ms with their top
+    dimensions stored, 212 and 87 ms enumerated, and the 5-cube split 95
+    and 86 ms.  A build whose top_dim is below 2 stores every dimension, as
+    the union-find pairing of the vertices walks the stored edges, and so
+    does one whose top cells' keys (`implicit._coface_keys`) would not
+    fit in an int64.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -491,18 +514,29 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     # Point indices take the narrowest unsigned dtype that holds m - 1, as
     # `Dimension.vertices` says; `_extend` keeps it.
     vertices = np.flatnonzero(diag <= radius).astype(np.min_scalar_type(m - 1))
+    skip_top_above = math.inf
     if barcode_only and top >= 2:
-        # np.unique would import numpy.ma, 0.5 MB and 11 ms on first use.
-        values = np.sort(dist, axis=None)
-        values = values[np.concatenate([[True], values[1:] != values[:-1]])]
-        # `reduce` keys each top cell by its rank times C(m, top + 1) plus its
-        # lexicographic rank, in one int64.
-        if len(values) * math.comb(m, top + 1) < 2**63:
-            ranks = values.searchsorted(dist).astype(np.min_scalar_type(len(values)))
-            return FilteredComplex(_flag_dims(near, [dist], vertices, top - 1), maxdim >= m - 1,
-                                   source=space.labels, cofaces=Cofaces(near, ranks, values))
-    return FilteredComplex(_flag_dims(near, [dist], vertices, top), maxdim >= m - 1,
-                           source=space.labels)
+        # `reduce` keys each top cell by its distance rank times C(m, top + 1)
+        # plus its lexicographic rank, in one int64; there are at most m * m
+        # ranks, and sorting the distances is left for where that overflows.
+        keys = math.comb(m, top + 1)
+        if m * m * keys < 2**63 or len(_distinct(dist)) * keys < 2**63:
+            # A top cell has top + 1 faces, each with at most m - top cofaces.
+            skip_top_above = (top + 1) * CHUNK // (m - top)
+    dims = _flag_dims(near, [dist], vertices, top, skip_top_above)
+    if len(dims) > top:
+        return FilteredComplex(dims, maxdim >= m - 1, source=space.labels)
+    values = _distinct(dist)
+    ranks = values.searchsorted(dist).astype(np.min_scalar_type(len(values)))
+    return FilteredComplex(dims, maxdim >= m - 1, source=space.labels,
+                           cofaces=Cofaces(near, ranks, values))
+
+
+def _distinct(dist: np.ndarray) -> np.ndarray:
+    """The distinct values of `dist`, ascending; 0.0 and -0.0 are one."""
+    # np.unique would import numpy.ma, 0.5 MB and 11 ms on first use.
+    values = np.sort(dist, axis=None)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
 
 
 def ordered_cell_count(nx: int, ny: int, maxdim: int) -> int:

@@ -240,10 +240,10 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     every reported degree is reliable, then fills one DimensionComparison per
     degree.  Each complex is built `barcode_only`: cut at its enclosing radius
     and from its graph with the dominated edges collapsed, which leaves every
-    reliable barcode unchanged, and, from top dimension 2 on, with its top
-    dimension left for `reduce` to enumerate instead of stored.  The cell cap
-    still counts the whole complexes, so it admits exactly the inputs the
-    whole build did.
+    reliable barcode unchanged, and, from top dimension 2 on, with a top
+    dimension that can hold more than `complexes.CHUNK` cells left for
+    `reduce` to enumerate instead of stored.  The cell cap still counts the
+    whole complexes, so it admits exactly the inputs the whole build did.
     Violations become verdicts, never exceptions: in degrees >= 3 they are
     expected on some inputs and merely recorded.  Degrees 0 to 2 are asserted
     only where the theorem behind them applies, d(u, u) <= d(u, v) in each

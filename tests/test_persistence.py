@@ -24,7 +24,7 @@ from sumrips import (
     validate,
     vietoris_rips,
 )
-from sumrips import persistence
+from sumrips import complexes, implicit, persistence
 from sumrips.complexes import Dimension
 from sumrips.io import barcode_document, dumps_document
 from sumrips.persistence import _transpose
@@ -267,27 +267,45 @@ def test_transpose_holds_little_beyond_its_output():
     assert peak - sum(a.nbytes for a in out) <= 4_000_000
 
 
-def test_build_and_reduce_free_their_temporaries():
-    """The 5-cube as a product at maxdim 3 collapses no edge and keeps 34,563
-    cells with its top dimension stored.  Under tracemalloc its build peaks at most 28 B per cell above what
-    the complex retains, and reducing it holds at most 64 B per cell beyond
-    the complex.  Freeing each large temporary before the next is allocated
-    gives about 18 and 48 B; keeping them alive took 38 and 80 B."""
-    space = product_sum(hamming_cube(4), hamming_cube(1))
-    cut = vietoris_rips(space, 3, barcode_only=True)
+def _traced_build_and_reduce(build):
+    """The complex `build()` returns, what it retains, and the traced peaks
+    of building it and of reducing it."""
     tracemalloc.start()
     try:
-        cx = corpus.stored_top(cut, space)
+        cx = build()
         retained, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         reduce(cx)
         reduce_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return cx, retained, build_peak, reduce_peak
+
+
+def test_build_and_reduce_free_their_temporaries(monkeypatch):
+    """The 5-cube as a product at maxdim 3 collapses no edge and keeps 34,563
+    cells: its top dimension, which can hold at most 32,697, is stored.
+    Under tracemalloc its build peaks at most 28 B per cell above what the
+    complex retains, and reducing it holds at most 64 B per cell beyond the
+    complex.  Freeing each large temporary before the next is allocated
+    gives about 18 and 48 B; keeping them alive took 38 and 80 B.  Built
+    with that dimension left to `reduce` (`enumerate_every_top`), it stores
+    5,023 cells; per one of the 34,563, the build peaks at most 4 B above
+    what it retains and the reduction holds at most 20 B (about 2.3 and
+    15 B)."""
+    space = product_sum(hamming_cube(4), hamming_cube(1))
+    cx, retained, build_peak, reduce_peak = _traced_build_and_reduce(
+        lambda: vietoris_rips(space, 3, barcode_only=True))
     cells = len(cx)
-    assert cells == 34_563
+    assert cells == 34_563 and cx.cofaces is None
     assert build_peak - retained <= 28 * cells
     assert reduce_peak - retained <= 64 * cells
+    monkeypatch.setattr(complexes, "CHUNK", -1)
+    cut, retained, build_peak, reduce_peak = _traced_build_and_reduce(
+        lambda: vietoris_rips(space, 3, barcode_only=True))
+    assert len(cut) == 5_023 and cut.cofaces is not None
+    assert build_peak - retained <= 4 * cells
+    assert reduce_peak - retained <= 20 * cells
 
 
 def test_truncation_drops_cut_dimension():
@@ -443,6 +461,13 @@ def test_reduce_matches_oracle_on_float_metrics(space, maxdim):
 
 
 
+@pytest.fixture
+def enumerate_every_top(monkeypatch):
+    """Barcode-only builds leave their top dimension to `reduce` however few
+    cells it can hold, none included: that is always more than -1."""
+    monkeypatch.setattr(complexes, "CHUNK", -1)
+
+
 def _assert_top_enumerated_as_stored(space, maxdim, fields=(2, 3, 5)):
     """The barcode-only build leaves its top dimension to `reduce`, which
     enumerates it as cofaces; the same graph's build with that dimension
@@ -461,6 +486,7 @@ def _assert_top_enumerated_as_stored(space, maxdim, fields=(2, 3, 5)):
     return cx
 
 
+@pytest.mark.usefixtures("enumerate_every_top")
 def test_top_enumerated_as_stored_on_the_corpus():
     """The factors and products of the corpus, at maxdim 3 and at 4, the
     depth `compare_product` builds them at for maxn 3."""
@@ -471,6 +497,7 @@ def test_top_enumerated_as_stored_on_the_corpus():
                     _assert_top_enumerated_as_stored(space, maxdim)
 
 
+@pytest.mark.usefixtures("enumerate_every_top")
 def test_top_enumerated_as_stored_on_cubes_and_cycles():
     """The cube splits cube(k - 1) x cube(1) for k = 3 to 5, C_8 x C_4 and
     C_10 x {0, 1} at maxdim 4; on the 5-cube split the top dimension holds
@@ -486,6 +513,7 @@ def test_top_enumerated_as_stored_on_cubes_and_cycles():
     assert (stats[3]["pairs"], stats[3]["apparent"]) == (25_480, 24_690)
 
 
+@pytest.mark.usefixtures("enumerate_every_top")
 def test_top_enumerated_as_stored_on_generalized_float_metrics():
     """Non-dyadic floats, ties, positive diagonals and -0.0, at maxdim 2 to
     5: complete complexes among them."""
@@ -499,6 +527,29 @@ def test_top_enumerated_as_stored_on_generalized_float_metrics():
     assert complete >= 10 and signed >= 30
 
 
+@pytest.mark.usefixtures("enumerate_every_top")
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_passes_keep_enumerated_barcodes(p, monkeypatch):
+    """Enumerating the top dimension a few cells per pass, 64 (cells x
+    points) ranks at a time, so that every complex takes many passes and
+    most owners are fetched in batches of a few cells, leaves the documents
+    and stats of the corpus products at maxdim 4 as they are."""
+    built = [vietoris_rips(product_sum(x, y), 4, barcode_only=True)
+             for x, y in corpus.product_corpus()]
+
+    def reductions():
+        out = []
+        for cx in built:
+            stats = {}
+            out.append((dumps_document(barcode_document(reduce(cx, p, stats=stats), p)), stats))
+        return out
+
+    whole = reductions()
+    monkeypatch.setattr(implicit, "CHUNK", 64)
+    assert reductions() == whole
+
+
+@pytest.mark.usefixtures("enumerate_every_top")
 def test_complete_complexes_report_an_empty_top_degree():
     """A complete complex's top dimension holds at most the cell of all its
     points, which is then paired: the top degree is reported, empty, as the
@@ -519,13 +570,15 @@ def test_only_barcode_only_builds_above_dimension_1_enumerate_their_top():
         assert cx.cofaces is None and len(cx.dims) == cx.top_dim + 1
 
 
+@pytest.mark.usefixtures("enumerate_every_top")
 def test_barcode_only_builds_whose_keys_overflow_int64_store_their_top():
     """A top cell's key is its rank times C(m, top + 1) plus its
     lexicographic rank, in one int64.  A point at distance 1 from 255
     others, 12 of them also at distance 1 from each other, the rest at 2:
     at maxdim 10, C(256, 11) times the 3 distinct values exceeds 2^63, so
-    the build stores its top dimension; at maxdim 9 it enumerates it.
-    Either way the barcode is a cone's."""
+    the build stores its top dimension; at maxdim 9 it enumerates it, under
+    `enumerate_every_top` (the collapse leaves no cell below it).  Either
+    way the barcode is a cone's."""
     dist = np.full((256, 256), 2.0)
     dist[0, :] = dist[:, 0] = 1.0
     dist[244:, 244:] = 1.0
@@ -539,18 +592,36 @@ def test_barcode_only_builds_whose_keys_overflow_int64_store_their_top():
         assert all(code[n] == Barcode() for n in range(1, maxdim))
 
 
+def test_barcode_only_builds_enumerate_a_top_that_can_exceed_chunk_cells(monkeypatch):
+    """A barcode-only build leaves its top dimension to `reduce` when it can
+    hold more than CHUNK cells, each with top + 1 faces below it that have
+    at most m - top cofaces each: the 5-cube split at maxdim 4, with 29,540
+    cells of dimension 3 on 32 points, can hold 165,424.  The 4-cube
+    split's 1,204 on 16 points can hold 2,889.6, so its top is stored
+    unless CHUNK is below that."""
+    interval = hamming_cube(1)
+    cx = vietoris_rips(product_sum(hamming_cube(4), interval), 4, barcode_only=True)
+    assert cx.cofaces is not None and len(cx.dims[3].filtration) == 29_540
+    space = product_sum(hamming_cube(3), interval)
+    for chunk, enumerated in ((complexes.CHUNK, False), (2_890, False), (2_889, True)):
+        monkeypatch.setattr(complexes, "CHUNK", chunk)
+        cx = vietoris_rips(space, 4, barcode_only=True)
+        assert (cx.cofaces is not None) == enumerated
+        assert len(cx.dims[3].filtration) == 1_204 and cx.top_dim == 4
+
+
 def test_barcode_only_builds_keep_no_top_cell():
     """The 5-cube as a product at maxdim 4, barcode-only, stores 34,563 cells
-    and none of the 143,416 of its top dimension.  Under tracemalloc the
-    build and its reduction peak at about 4.0 MB; with the top dimension
-    stored they took 10.9 MB."""
+    and none of the 143,416 of its top dimension, 177,979 cells in all.
+    Under tracemalloc its build peaks at most 3 B per one of those cells
+    above what the complex retains, and reducing it holds at most 20 B per
+    cell beyond the complex (about 1.8 and 15 B).  The two peak at about
+    3.7 MB; with the top dimension stored they took 10.9 MB."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
-    tracemalloc.start()
-    try:
-        cx = vietoris_rips(space, 4, barcode_only=True)
-        reduce(cx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cx, retained, build_peak, reduce_peak = _traced_build_and_reduce(
+        lambda: vietoris_rips(space, 4, barcode_only=True))
     assert len(cx) == 34_563 and 4 not in cx.dim_counts() and cx.top_dim == 4
-    assert peak <= 5_000_000
+    cells = 177_979
+    assert build_peak - retained <= 3 * cells
+    assert reduce_peak - retained <= 20 * cells
+    assert max(build_peak, reduce_peak) <= 5_000_000
