@@ -16,6 +16,10 @@ and the order is reproducible bit for bit.
 Storage is one `Dimension` of arrays per dimension, sorted by (filtration,
 vertex row), so the global order is a stable merge by filtration, computed
 only on request (`global_ids`, `cells`, `dump_lines`); no cell is an object.
+A flag complex's d-cell has exactly d + 1 faces, the face without its i-th
+vertex with the sign (-1)^i, so a dimension stores its boundary as a face
+matrix with one column per vertex and no coefficients, as Ripser does
+(Bauer, arXiv:1908.02518).
 The dump streams its lines a chunk of global ids at a time, so the cap's price
 per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.  A
 barcode-only Rips build whose top dimension can hold more than `CHUNK` cells
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -37,27 +42,28 @@ from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius, product_sum
 
 # The resident set grows, per cell of the uncut complex (ru_maxrss in a fresh
-# process, CPython 3.11, numpy 2.4, x86-64), by 64-77 B to build and reduce a
-# whole Rips complex (77 on the 5-cube at maxdim 4, 66 on 60 random points
-# and 64 on 80 points on a circle at maxdim 3), by 72 B to build, reduce and
-# dump the whole 6-cube at maxdim 4, and by 74 B to build and reduce the
-# ordered product cube(5) x cube(1) at maxdim 4 (1,569,192 cells), with or
-# without its dump.  Barcode-only builds take 3-23 B: 12 on the 6-cube, 23
-# on the 5-cube (both at maxdim 4) and 9 on the circle, whose top dimensions
-# are enumerated, not stored (63, 52 and 60 B when they were stored), and 3
-# on the random points.  The price leaves 1.6 times headroom on the largest.
+# process, CPython 3.11, numpy 2.4, x86-64), by 60-62 B to build and reduce a
+# whole Rips complex (62 on the 5-cube at maxdim 4, 60 on 60 random points
+# in the unit cube and on 80 points on a circle at maxdim 3), by 59 B to
+# build, reduce and dump the whole 6-cube at maxdim 4, and by 68 B to build
+# and reduce the ordered product cube(5) x cube(1) at maxdim 4 (1,569,192
+# cells), with or without its dump.  Barcode-only builds take 2-24 B: 12 on
+# the 6-cube, 24 on the 5-cube (both at maxdim 4) and 9 on the circle, whose
+# top dimensions are enumerated, not stored, and 2 on the random points.
+# The price leaves 1.9 times headroom on the largest.
 BYTES_PER_CELL = 128
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
 DEFAULT_CELL_CAP = 4 * 10**9 // BYTES_PER_CELL
 # Global ids that `FilteredComplex.dump_lines` renders at a time.
 DUMP_CHUNK = 2**10
-# Entries a pass of the reduction handles at a time: boundary entries that
-# `persistence._transpose` sorts, and (cells x points) coface ranks that
-# `implicit.reduce_top` enumerates.  Against 2^16 this takes about 0.9 MB off the peak resident set
-# of reducing the 5-cube as a product at maxdim 4.  2^14 took 0.7 MB more off
-# it, but added about 0.25 MB to runs whose largest boundary holds between
-# 2^14 and 2^15 entries.  A barcode-only Rips build stores a top dimension
-# that can hold at most CHUNK cells (`vietoris_rips`).
+# Entries a pass of the reduction handles at a time: face matrix entries, in
+# whole cells, that `persistence._transpose` sorts, and (cells x points)
+# coface ranks that `implicit.reduce_top` enumerates.  Against 2^16 this
+# takes about 0.9 MB off the peak resident set of reducing the 5-cube as a
+# product at maxdim 4.  2^14 took 0.7 MB more off it, but added about 0.25
+# MB to runs whose largest boundary holds between 2^14 and 2^15 entries.  A
+# barcode-only Rips build stores a top dimension that can hold at most CHUNK
+# cells (`vietoris_rips`).
 CHUNK = 2**15
 
 
@@ -72,23 +78,21 @@ class Cell(NamedTuple):
 class Dimension(NamedTuple):
     """The cells of one dimension d, sorted by (filtration, construction key).
 
-    The boundary into dimension d - 1 is three arrays: the faces of cell j are
-    the rows `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
-    coefficients at the same places of `data`.  Built cells carry `vertices`,
-    one ascending row of point indices per cell, in the narrowest unsigned
-    dtype that holds the largest point index: uint8 up to 256 points, uint16
-    up to 65,536.
+    Every cell of a flag complex has d + 1 faces: the boundary into dimension
+    d - 1 is the (cells x (d + 1)) matrix `faces`, whose column i holds the
+    row of the face without vertex i, with the sign (-1)^i.  Dimension 0 has
+    no faces, a (cells x 0) matrix.  Built cells carry `vertices`, one
+    ascending row of point indices per cell, in the narrowest unsigned dtype
+    that holds the largest point index: uint8 up to 256 points, uint16 up to
+    65,536.
 
-    `indptr` is int32, or int64 from 2^31 entries on.  A built boundary's
-    `indices` are int16 when dimension d - 1 has at most 2^15 cells, else
-    int32, or int64 from 2^30 cells on; dimension 0 and empty dimensions have
-    int32 `indices`.
+    A built dimension's `faces` are int16 when dimension d - 1 has at most
+    2^15 cells, else int32, or int64 from 2^31 cells on; dimension 0 and
+    empty dimensions have int32 `faces`.
     """
 
     filtration: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    faces: np.ndarray
     vertices: np.ndarray | None = None
 
 
@@ -101,7 +105,7 @@ class Cofaces(NamedTuple):
     The cells of the top dimension are the subsets of top_dim + 1 points
     pairwise in `near`, each entering at its largest rank, diagonal included;
     a cell j + {w} of the stored rows j has the sign (-1)^pos as a coface of
-    j, pos the place of w in its vertex row, as in a stored boundary.
+    j, pos the place of w in its vertex row, as in a stored face matrix.
     """
 
     near: np.ndarray
@@ -177,21 +181,25 @@ class FilteredComplex:
 
         Lines are yielded in global order, rendered `DUMP_CHUNK` ids at a time.
         Each dimension's global ids ascend, so a run of ids is one slice of
-        each dimension.  Only one chunk's lines, faces and labels are held as
-        Python objects at a time."""
+        each dimension.  A cell's faces are printed by ascending id, each
+        with the sign of its column.  Only one chunk's lines, faces and
+        labels are held as Python objects at a time."""
         ids = self.global_ids()
         for lo in range(0, len(self), DUMP_CHUNK):
             out = [""] * (min(lo + DUMP_CHUNK, len(self)) - lo)
             for d, dim in enumerate(self.dims):
                 a, b = np.searchsorted(ids[d], (lo, lo + DUMP_CHUNK)).tolist()
-                ptr = dim.indptr[a:b + 1]
-                start, stop = ptr[0], ptr[-1]
-                faces = ids[d - 1][dim.indices[start:stop]].tolist() if d else []
-                coeffs, ptr = dim.data[start:stop].tolist(), (ptr - start).tolist()
-                for g, f, label, s, e in zip(ids[d][a:b].tolist(), dim.filtration[a:b].tolist(),
-                                             self._labels(dim, a, b), ptr, ptr[1:]):
-                    pairs = ",".join([f"{i}:{c}" for i, c in zip(faces[s:e], coeffs[s:e])]) or "-"
-                    out[g - lo] = f"{g} {d} {f!r} {pairs} {label}"
+                faces = ids[d - 1][dim.faces[a:b]] if d else dim.faces[a:b]
+                column = faces.argsort(axis=1)
+                faces = np.take_along_axis(faces, column, axis=1)
+                # Flat lists, read `width` pairs per cell, hold fewer objects
+                # than a list per cell.
+                width = faces.shape[1]
+                pairs = zip(faces.ravel().tolist(), (1 - 2 * (column % 2)).ravel().tolist())
+                for g, f, label in zip(ids[d][a:b].tolist(), dim.filtration[a:b].tolist(),
+                                       self._labels(dim, a, b)):
+                    boundary = ",".join([f"{i}:{c}" for i, c in islice(pairs, width)]) or "-"
+                    out[g - lo] = f"{g} {d} {f!r} {boundary} {label}"
             yield from out
 
     def __repr__(self) -> str:
@@ -242,42 +250,27 @@ def _extend(subsets: np.ndarray, maxima: list[np.ndarray], near: np.ndarray,
     return rows, maxima
 
 
-def _rips_boundary(binom: np.ndarray, verts: np.ndarray,
-                   faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary (indptr, indices, data) of the k-subset rows `verts` into the
-    (k-1)-subset rows `faces`, by row number in `faces`."""
+def _rips_boundary(binom: np.ndarray, verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The face matrix of the k-subset rows `verts` in the (k-1)-subset rows
+    `faces`: column pos holds the row of the face without vertex pos.  Rows
+    are int16 up to 2^15 faces, else `_index_dtype`."""
     k = verts.shape[1]
+    dtype = np.int16 if len(faces) <= 2**15 else _index_dtype(len(faces))
     # Entries of cut faces stay -1: no kept subset has a cut face.
-    row_of_rank = np.full(binom[-1, k - 1], -1, dtype=np.int32)
+    row_of_rank = np.full(binom[-1, k - 1], -1, dtype=dtype)
     row_of_rank[sum(binom[faces[:, i], i + 1] for i in range(k - 1))] = np.arange(len(faces))
-    # Column pos of `keys` holds 2 * row + pos % 2 for the face without vertex
-    # pos, whose colex rank sums C(c_i, i + 1) over the points before pos and
-    # C(c_i, i) over those after it, which move one place down.  Sorting each
-    # cell's keys orders its faces and keeps the parity of pos, the sign
-    # (-1)^pos, in the low bit.  Each step works in place, which keeps the
-    # build's peak low.  Up to 2^15 faces the keys fit 16 unsigned bits, and
-    # the rows left once they are shifted fit int16.
-    narrow = len(faces) <= 2**15
-    keys = np.empty(verts.shape, dtype=np.uint16 if narrow else _index_dtype(2 * len(faces)))
+    # The face without vertex pos has the colex rank that sums C(c_i, i + 1)
+    # over the points before pos and C(c_i, i) over those after it, which
+    # move one place down.
+    rows = np.empty(verts.shape, dtype=dtype)
     before = sum(binom[verts[:, i], i + 1] for i in range(k - 1))
     after = 0
     for pos in reversed(range(k)):
-        keys[:, pos] = row_of_rank[before + after]
-        keys[:, pos] *= 2
-        keys[:, pos] += pos % 2
+        rows[:, pos] = row_of_rank[before + after]
         if pos:
             before -= binom[verts[:, pos - 1], pos]
             after += binom[verts[:, pos], pos]
-    keys.sort(axis=1)
-    keys = keys.ravel()
-    data = keys.astype(np.int8)  # the low bit survives the cast
-    data &= 1
-    data *= -2
-    data += 1
-    keys >>= 1
-    if narrow:
-        keys = keys.view(np.int16)
-    return np.arange(0, keys.size + 1, k, dtype=_index_dtype(keys.size)), keys, data
+    return rows
 
 
 def _bits(mask: int):
@@ -360,11 +353,6 @@ def _index_dtype(bound: int) -> type:
     return np.int32 if bound < 2**31 else np.int64
 
 
-def _no_boundary(n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The empty boundary (indptr, indices, data) of n_cells cells of dimension 0."""
-    return np.zeros(n_cells + 1, dtype=np.int32), np.empty(0, np.int32), np.empty(0, np.int8)
-
-
 @lru_cache(maxsize=256)
 def _binomials(m: int, top: int) -> np.ndarray:
     """C(a, k) for a = 0 to m and k = 0 to top, built once per (m, top) and
@@ -400,28 +388,28 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
     a flag complex holds every face of its subsets, so each has a row.  Once
     a dimension has no cells, neither has any above it; those are stored
     empty without being enumerated, and no empty dimension gets a boundary
-    computed.  Each has the dtypes and shapes an enumerated empty dimension
-    had: a float64 filtration, int32 `indptr` [0] and `indices`, int8 `data`
-    and a (0, d + 1) vertex matrix in the point dtype.
+    computed.  Each has a float64 filtration, an int32 (0, d + 1) face
+    matrix ((0, 0) for dimension 0) and a (0, d + 1) vertex matrix in the
+    point dtype.
     """
     binom = _binomials(len(near), top)
     subsets, maxima = vertices[:, None], [dist[vertices, vertices] for dist in dists]
     dims: list[Dimension] = []
     # _extend and _rips_boundary free their temporaries on return, and the last
     # dimension's lexicographic rows go before its boundary is built: under
-    # tracemalloc a Rips build peaks at 1.2 to 1.3 times what its complex
-    # retains (47 and 40 B per cell on the whole 5-cube at maxdim 4, 36 and 28
-    # B on 50 random points in the unit cube at maxdim 3, 38 and 31 B on the
+    # tracemalloc a Rips build peaks at 1.4 to 1.7 times what its complex
+    # retains (45 and 31 B per cell on the whole 5-cube at maxdim 4, 36 and 23
+    # B on 50 random points in the unit cube at maxdim 3, 38 and 22 B on the
     # 5-cube as a product at maxdim 4 with the graph of its barcode-only
-    # build, whose 34,563 stored cells take 37 and 28 B).
+    # build, whose 34,563 stored cells take 34 and 20 B).
     for d in range(top + 1):
         if d and len(subsets):
             subsets, maxima = _extend(subsets, maxima, near, dists)
         last = d == top or (d == top - 1 and len(subsets) > skip_top_above)
         if not len(subsets):
             # No subset has d + 1 points, so none has more.
-            dims.append(Dimension(np.empty(0), *_no_boundary(0),
-                                  vertices=np.empty((0, d + 1), dtype=vertices.dtype)))
+            dims.append(Dimension(np.empty(0), np.empty((0, d + 1 if d else 0), np.int32),
+                                  np.empty((0, d + 1), dtype=vertices.dtype)))
         else:
             # One matrix's maximum is the filtration itself, not a copy.
             filt = maxima[0] if len(maxima) == 1 else np.add(*maxima)
@@ -432,9 +420,9 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
                 # Nothing extends the last dimension: its lexicographic rows
                 # and unsorted maxima go before its boundary is built.
                 del subsets, maxima
-            boundary = (_rips_boundary(binom, verts, dims[-1].vertices) if d
-                        else _no_boundary(len(verts)))
-            dims.append(Dimension(filt, *boundary, vertices=verts))
+            faces = (_rips_boundary(binom, verts, dims[-1].vertices) if d
+                     else np.empty((len(verts), 0), np.int32))
+            dims.append(Dimension(filt, faces, verts))
         if last:
             break
     return tuple(dims)
@@ -584,10 +572,11 @@ def ordered_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,
     space = product_sum(x, y)
     m, nx, ny = len(space), len(x), len(y)
     top = min(maxdim, nx + ny - 2)
-    # `_rips_boundary` looks faces up in a table of C(m, d) int32 entries per
-    # dimension d.  A Rips complex has more cells than that, but chains can
-    # have far fewer (C(72, 8) entries, 48 GB, for the 19.8 million chains of
-    # 9 x 8 points at maxdim 8), so the largest table is priced as cells too.
+    # `_rips_boundary` looks faces up in a table of C(m, d) entries of at most
+    # four bytes per dimension d.  A Rips complex has more cells than that,
+    # but chains can have far fewer (C(72, 8) entries, 48 GB, for the 19.8
+    # million chains of 9 x 8 points at maxdim 8), so the largest table is
+    # priced as cells too, at four bytes per entry.
     table = 4 * max(math.comb(m, d) for d in range(top + 1)) // BYTES_PER_CELL
     _check_cap("ordered product", ordered_cell_count(nx, ny, maxdim) + table, cell_cap)
     i, j = np.divmod(np.arange(m), ny)

@@ -160,8 +160,8 @@ def reduce_top(cx: FilteredComplex, p: int,
     franks = cof.values.searchsorted(dim.filtration).astype(cof.ranks.dtype)
     none = len(cof.values)
     step = max(1, CHUNK // m)
-    # The coboundaries kept, in batches of (indptr, keys, signs): cell j has
-    # row place_of[j] of batch batch_of[j], or none if that is -1.
+    # The coboundaries kept, in batches of (row offsets, keys, signs): cell j
+    # has row place_of[j] of batch batch_of[j], or none if that is -1.
     batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     batch_of = np.full(len(cleared), -1, dtype=np.int32)
     place_of = np.zeros(len(cleared), dtype=np.int32)
@@ -229,12 +229,12 @@ def reduce_top(cx: FilteredComplex, p: int,
         at = int(keys.searchsorted(key))
         return int(apparent[at]) if at < len(keys) and keys[at] == key else -1
 
-    def row(j: int) -> tuple[np.ndarray, np.ndarray]:
+    def row(j: int) -> tuple[list[int], list[int]]:
         if batch_of[j] < 0:
             fetch(np.array([j]))
         ptr, row_keys, coeffs = batches[batch_of[j]]
         lo, hi = ptr[place_of[j]], ptr[place_of[j] + 1]
-        return row_keys[lo:hi], coeffs[lo:hi]
+        return row_keys[lo:hi].tolist(), coeffs[lo:hi].tolist()
 
     looped = np.concatenate(looped)[::-1].tolist()  # latest first
     owned, additions = _column_loop(looped, row, owner_of, p)

@@ -45,8 +45,6 @@ VERDICT_EQUAL = "equal"
 VERDICT_DOMINATED = "dominated"
 VERDICT_VIOLATED = "violated"
 
-DEFAULT_MAXN_CAP = 7
-
 
 def kunneth_predict(bx: GradedBarcode, by: GradedBarcode, n: int) -> Barcode:
     """Degree-n prediction for the product from two factor barcodes."""
@@ -232,7 +230,7 @@ def _assertion(n: int, verdict: str, hypothesis: bool) -> tuple[bool, bool]:
 
 
 def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
-                    p: int = DEFAULT_FIELD, maxn_cap: int | None = DEFAULT_MAXN_CAP,
+                    p: int = DEFAULT_FIELD,
                     cell_cap: int = DEFAULT_CELL_CAP) -> ComparisonReport:
     """Compare predicted and computed barcodes of the sum-metric product.
 
@@ -243,8 +241,8 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     reliable barcode unchanged, and, from top dimension 2 on, with a top
     dimension that can hold more than `complexes.CHUNK` cells left for
     `reduce` to enumerate instead of stored.  The cell cap still counts the
-    whole complexes, so it admits exactly the inputs the whole build did.
-    Violations become verdicts, never exceptions: in degrees >= 3 they are
+    whole complexes, so it admits exactly the inputs the whole build did;
+    it is the only bound on maxn.  Violations become verdicts, never exceptions: in degrees >= 3 they are
     expected on some inputs and merely recorded.  Degrees 0 to 2 are asserted
     only where the theorem behind them applies, d(u, u) <= d(u, v) in each
     factor.  Where a positive diagonal breaks that, as in X = [[0,3],[3,0]],
@@ -254,8 +252,6 @@ def compare_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxn: int,
     """
     if maxn < 0:
         raise InputError(f"maxn must be >= 0, got {maxn}")
-    if maxn_cap is not None and maxn > maxn_cap:
-        raise InputError(f"maxn {maxn} exceeds the cap {maxn_cap}; pass a higher cap knowingly")
     p = _check_field(p)
     bx, by, actual = (reduce(vietoris_rips(space, maxn + 1, cell_cap=cell_cap,
                                            barcode_only=True), p)

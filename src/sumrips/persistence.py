@@ -14,8 +14,8 @@ dimension below has a coboundary that reduces to zero, and is skipped.
 
 Apparent pairs (Ripser, section 3.5) are found first, for a whole dimension
 at once with array lookups: (j, c) is apparent when c is j's earliest coface,
-the first index of j's row, and j is c's latest face, the last index of c's
-column.  Entries that vanish mod p are dropped before either lookup.  The
+the first entry of j's row, and j is c's latest face, the largest row of
+c's face matrix.  Every boundary entry is +-1, so none vanishes mod p.  The
 pairing of a fixed total order is unique, and the columns reduced before j
 combine coboundaries of cells later than j, none of which has c as a coface;
 so j's column would reach pivot c without an addition, and the pair is
@@ -35,34 +35,35 @@ Dimension d's bars are read from it in the order of their death cells, its
 essential cells are those neither cleared nor owners, and dimension d + 1
 clears the cofaces that have an owner.  A complete complex's top dimension
 has no cofaces, and a cut one is not visited.  An unmodified owner's
-coboundary is rebuilt from the boundary matrix only when it is added.  Only
-columns that additions changed are stored, each as an int64 array of cofaces
-and an int64 array of coefficients.  Owners are not rescaled: adding one
+coboundary is read from the transposed face matrix only when it is added.
+Only columns that additions changed are stored, each as an int64 array of
+cofaces and an int64 array of coefficients.  Owners are not rescaled: adding one
 multiplies it by col[pivot] / owner[pivot] mod p.  Memory beyond the complex
 therefore grows with the cells of two adjacent dimensions, at one byte per
 cell (its clearing flag) and four per coface (its owner), with the few
 modified columns, at sixteen bytes per entry, and with the coboundaries of one
-dimension at a time: its boundary transposed, at five bytes per entry (an
-int32 coface and an int8 coefficient, whatever the width of the face rows).
-Dimension 0 holds a Python list of its edges' faces instead, and one parent
-per vertex.  Each dimension is reduced in a call of its own, which frees all
-of its state but the owners before the next dimension's transpose is
-allocated.  The transpose sorts at most CHUNK entries at a time, so beyond
-that output it holds O(CHUNK + cells) bytes, not a permutation of every
-entry.  Under tracemalloc, reducing the whole 5-cube at maxdim 4 over F_2
-holds 30 B per cell beyond the complex, and reducing 50 random points in the
-unit cube at maxdim 3 holds 24 B.
+dimension at a time: its face matrix transposed, at four bytes per entry (an
+int32 index into the face matrix, which gives the coface and, from its
+column, the sign, whatever the width of the face rows).  Dimension 0 holds
+a Python list of its edges' faces instead, and one parent per vertex.  Each
+dimension is reduced in a call of its own, which frees all of its state but
+the owners before the next dimension's transpose is allocated.  The
+transpose sorts the entries of at most CHUNK // (d + 2) cells of dimension
+d + 1 at a time, so beyond that output it holds O(CHUNK + cells) bytes, not
+a permutation of every entry.  Under tracemalloc, reducing the whole 5-cube
+at maxdim 4 over F_2 holds 27 B per cell beyond the complex, and reducing 50
+random points in the unit cube at maxdim 3 holds 20 B.
 
 A barcode-only Rips complex whose top dimension can hold more than CHUNK
 cells does not store it (`complexes.Cofaces`): its last stored dimension is
 paired against that dimension enumerated as cofaces (`implicit.reduce_top`),
 with the pairs, bars and stats of the stored reduction.
 
-Boundary coefficients are stored as integers by the builders and only reduced
-mod p here, so the same complex can be reduced over several primes.  A pair
-with equal entry times contributes no bar; an unpaired cell contributes an
-essential bar (birth, inf).  Output dimensions honor the complex's reliability
-rule: a truncated complex cannot certify its cut dimension.
+Boundary signs are implied by the face matrices, so the same complex is
+reduced over every prime as it is.  A pair with equal entry times
+contributes no bar; an unpaired cell contributes an essential bar (birth,
+inf).  Output dimensions honor the complex's reliability rule: a truncated
+complex cannot certify its cut dimension.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import operator
 import numpy as np
 
 from .bars import INF, Bar, Barcode, GradedBarcode
-from .complexes import CHUNK, Dimension, FilteredComplex
+from .complexes import CHUNK, FilteredComplex, _index_dtype
 from .errors import InputError
 
 DEFAULT_FIELD = 2
@@ -101,87 +102,50 @@ def _check_field(p: int) -> int:
     return q
 
 
-def _live_boundary(dim: Dimension, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The boundary (indptr, indices, data) of `dim` without the entries that
-    vanish mod p."""
-    data = dim.data
-    # A nonzero entry strictly between -p and p cannot vanish mod p.  Every
-    # boundary entry the builders make is +-1, so they all return here.
-    if not len(data) or (data.all() and -p < int(data.min()) and int(data.max()) < p):
-        return dim.indptr, dim.indices, data
-    # Above the dtype's range no nonzero coefficient is a multiple of the prime
-    # p, and `data % p` would overflow.
-    live = data != 0 if p > np.iinfo(data.dtype).max else data % p != 0
-    if live.all():
-        return dim.indptr, dim.indices, data
-    kept = np.concatenate([[0], np.cumsum(live)]).astype(dim.indptr.dtype)
-    return kept[dim.indptr], dim.indices[live], data[live]
-
-
-def _column_cuts(indptr: np.ndarray) -> list[int]:
-    """Cuts of the columns into chunks of whole columns holding at most CHUNK
-    entries each; a longer column is a chunk by itself."""
-    n, cuts = len(indptr) - 1, [0]
-    while cuts[-1] < n:
-        lo = cuts[-1]
-        end = int(indptr[lo]) + CHUNK
-        if indptr[n] <= end:
-            hi = n
-        else:
-            # A Python int would make numpy copy all of indptr to int64 first.
-            hi = int(np.searchsorted(indptr, indptr.dtype.type(end), side="right")) - 1
-        cuts.append(max(hi, lo + 1))
-    return cuts
-
-
-def _sorted_chunk(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, lo: int, hi: int,
-                  n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable order that sorts the entries of columns lo..hi-1 by row,
-    and their int32 columns and coefficients in that order, so each row's
-    columns ascend."""
-    a, b = indptr[lo], indptr[hi]
-    rows = indices[a:b]
+def _by_row(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The stable order that sorts `rows`, row numbers below n_rows."""
     # numpy radix-sorts 16-bit keys: int16 rows as they are, and wider rows
     # cast to uint16 while the dimension has at most 65,536 cells.
     if rows.itemsize > 2 and n_rows <= 2**16:
         rows = rows.astype(np.uint16)
-    by_row = np.argsort(rows, kind="stable")
-    cols = np.repeat(np.arange(lo, hi, dtype=np.int32), indptr[lo + 1:hi + 1] - indptr[lo:hi])
-    return by_row, cols[by_row], data[a:b][by_row]
+    return np.argsort(rows, kind="stable")
 
 
-def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-               n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a boundary as (indptr, indices, data), each row's columns
-    ascending; the columns are int32, whatever the dtype of the rows.
+def _transpose(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a face matrix as (row offsets, entries): row r lists the flat
+    indices e into `faces` of the entries that hold r, ascending, in
+    `_index_dtype`.  The coface is e // w and the sign (-1)^(e % w), w the
+    number of columns.
 
-    The columns are taken in chunks of at most CHUNK entries (`_column_cuts`).
-    Each row's entries are counted chunk by chunk with `np.add.at`, since
-    counting all entries at once would first cast them to 8-byte integers.
-    Then each chunk's entries, stably sorted by row, go to their rows' next
-    free slots, chunk after chunk, so each row lists its columns in order.
-    A chunk touches only the rows it holds, so the work is O(entries +
+    The cells are taken CHUNK // w at a time (at least one).  Each row's
+    entries are counted chunk by chunk with `np.add.at`, since counting all
+    entries at once would first cast them to 8-byte integers.  Then each
+    chunk's entries, stably sorted by row, go to their rows' next free
+    slots, chunk after chunk, so each row lists its entries in order.  A
+    chunk touches only the rows it holds, so the work is O(entries +
     n_rows); the counts and free slots are int64, into which `np.add.at` is
     many times faster than into int32.  Beyond the output, this holds
-    O(CHUNK + n_rows) bytes.  A boundary of one chunk is the sorted chunk
+    O(CHUNK + n_rows) bytes.  A matrix of one chunk is the sorted chunk
     itself, counted with `np.bincount`.
     """
-    cuts = _column_cuts(indptr)
-    ptr = np.zeros(n_rows + 1, dtype=indptr.dtype)
-    if len(cuts) == 2:
-        np.cumsum(np.bincount(indices[indptr[0]:indptr[-1]], minlength=n_rows), out=ptr[1:])
-        return (ptr, *_sorted_chunk(indptr, indices, data, 0, cuts[1], n_rows)[1:])
+    flat = faces.ravel()
+    dtype = _index_dtype(flat.size)
+    step = max(1, CHUNK // faces.shape[1]) * faces.shape[1]
+    ptr = np.zeros(n_rows + 1, dtype=dtype)
+    if flat.size <= step:
+        np.cumsum(np.bincount(flat, minlength=n_rows), out=ptr[1:])
+        return ptr, _by_row(flat, n_rows).astype(dtype)
     count = np.zeros(n_rows, dtype=np.int64)
-    for lo, hi in zip(cuts, cuts[1:]):
-        np.add.at(count, indices[indptr[lo]:indptr[hi]], 1)
+    for lo in range(0, flat.size, step):
+        np.add.at(count, flat[lo:lo + step], 1)
     np.cumsum(count, out=ptr[1:])
     del count
-    cofaces, coeffs = np.empty(len(indices), dtype=np.int32), np.empty_like(data)
+    entries = np.empty(flat.size, dtype=dtype)
     free = ptr[:-1].astype(np.int64)
-    for lo, hi in zip(cuts, cuts[1:]):
-        by_row, cols, vals = _sorted_chunk(indptr, indices, data, lo, hi, n_rows)
-        rows = indices[indptr[lo]:indptr[hi]][by_row]
-        del by_row
+    for lo in range(0, flat.size, step):
+        rows = flat[lo:lo + step]
+        by_row = _by_row(rows, n_rows)
+        rows = rows[by_row]
         # The chunk lists its rows ascending, in runs of equal rows; the entry
         # k places after the start of its row's run goes to slot free[row] + k.
         slot = np.arange(len(rows))
@@ -190,12 +154,13 @@ def _transpose(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
         slot -= start
         del start
         slot += free[rows]
-        cofaces[slot], coeffs[slot] = cols, vals
+        by_row += lo
+        entries[slot] = by_row
         np.add.at(free, rows, 1)
-    return ptr, cofaces, coeffs
+    return ptr, entries
 
 
-def _pair_vertices(cx: FilteredComplex, p: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+def _pair_vertices(cx: FilteredComplex) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Pair the vertices with the edges that merge their components: return
     `owner`, each edge's younger vertex or -1, and the counts (apparent,
     looped, additions), as `_reduce_dimension` does for the dimensions above.
@@ -203,34 +168,19 @@ def _pair_vertices(cx: FilteredComplex, p: int) -> tuple[np.ndarray, tuple[int, 
     The edges are walked once in stored order, a union-find (path halving)
     over the vertex rows, which are in the global order: a merging edge owns
     the younger of its endpoints' roots, the larger row, which is linked under
-    the older one.  This is the coboundary reduction's pairing, the unique one
-    of the total order, provided each edge's boundary is c (v - u) mod p.
-    Every edge the builders make has that form; any other raises InputError.
+    the older one.  Every edge's boundary is v - u, so this is the coboundary
+    reduction's pairing, the unique one of the total order, over every field.
     """
     n = len(cx.dims[0].filtration)
     n_edges = len(cx.dims[1].filtration) if cx.top_dim else 0
     if not n_edges:  # every vertex is essential as it is
         return np.empty(0, dtype=np.int32), (0, n, 0)
-    ptr, faces, data = _live_boundary(cx.dims[1], p)
-    # Two faces per edge, whose coefficients sum to 0 mod p.  Comparing lists
-    # takes fewer steps than numpy on the few edges of most complexes.
-    if ptr.tolist() == list(range(0, 2 * n_edges + 1, 2)):
-        coeffs = data.astype(np.int64) % p
-        bad = (coeffs[0::2] + coeffs[1::2]) % p != 0
-    else:
-        bad = np.diff(ptr) != 2
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        lo, hi = ptr[k], ptr[k + 1]
-        raise InputError(f"edge {k} of dimension 1 has the boundary "
-                         f"{list(zip(faces[lo:hi].tolist(), data[lo:hi].tolist()))} over F_{p}, "
-                         f"not c (v - u); its vertices cannot be paired by union-find")
     parent = list(range(n))
     joined = bytearray(n)  # whether a vertex has left its singleton component
     edges, roots = [], []
     apparent = 0
-    ends = iter(faces.tolist())
-    for c, (u, v) in enumerate(zip(ends, ends)):
+    # Each edge's endpoints u < v, as rows.
+    for c, (u, v) in enumerate(np.sort(cx.dims[1].faces, axis=1).tolist()):
         a, b = u, v
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -260,7 +210,7 @@ def _column_loop(looped: list[int], row, owner_of, p: int) -> tuple[dict[int, in
     first: return the pivots they come to own, as a dict from coface to
     cell, and the number of column additions.
 
-    `row(j)` is the coboundary of cell j as arrays of cofaces and
+    `row(j)` is the coboundary of cell j as lists of cofaces and
     coefficients, and `owner_of(c)` the owner of coface c found before the
     loop, or -1.  A column whose pivot has an owner gets that owner's
     column added: its coboundary, unless additions changed it.
@@ -270,7 +220,7 @@ def _column_loop(looped: list[int], row, owner_of, p: int) -> tuple[dict[int, in
     additions = 0
     for j in looped:
         cof, val = row(j)
-        col, added = {c: v % p for c, v in zip(cof.tolist(), val.tolist())}, False
+        col, added = {c: v % p for c, v in zip(cof, val)}, False
         while col:
             piv = min(col)
             k = owned.get(piv, -1)
@@ -283,8 +233,7 @@ def _column_loop(looped: list[int], row, owner_of, p: int) -> tuple[dict[int, in
                                      np.fromiter(col.values(), np.int64, len(col)))
                 break
             stored = modified.get(piv)
-            cof, val = stored if stored is not None else row(k)
-            cof, val = cof.tolist(), val.tolist()
+            cof, val = (stored[0].tolist(), stored[1].tolist()) if stored is not None else row(k)
             factor, added = col[piv] * pow(val[cof.index(piv)], p - 2, p) % p, True
             additions += 1
             for r, v in zip(cof, val):
@@ -307,17 +256,20 @@ def _reduce_dimension(cx: FilteredComplex, d: int, p: int,
     n_cofaces = len(cx.dims[d + 1].filtration) if d < cx.top_dim else 0
     if not n_cofaces:  # every column not cleared reduces to zero as it is
         return np.empty(0, dtype=np.int32), (0, int(np.count_nonzero(~cleared)), 0)
-    col_ptr, faces, data = _live_boundary(cx.dims[d + 1], p)
-    ptr, cofaces, coeffs = _transpose(col_ptr, faces, data, len(cleared))
+    faces = cx.dims[d + 1].faces
+    width = d + 2
+    ptr, entries = _transpose(faces, len(cleared))
 
-    def row(j: int) -> tuple[np.ndarray, np.ndarray]:
-        return cofaces[ptr[j]:ptr[j + 1]], coeffs[ptr[j]:ptr[j + 1]]
+    def row(j: int) -> tuple[list[int], list[int]]:
+        # Python arithmetic on the few entries of a row is faster than numpy.
+        found = entries[ptr[j]:ptr[j + 1]].tolist()
+        return [e // width for e in found], [1 - 2 * (e % width % 2) for e in found]
 
-    # Apparent pairs: c is j's earliest coface (the first index of its row)
-    # and j is c's latest face (the last index of its column).
+    # Apparent pairs: c is j's earliest coface (the first entry of its row)
+    # and j is c's latest face (its largest face row).
     rows = np.flatnonzero((ptr[1:] > ptr[:-1]) & ~cleared)
-    earliest = cofaces[ptr[rows]]
-    is_apparent = faces[col_ptr[earliest + 1] - 1] == rows
+    earliest = entries[ptr[rows]] // width
+    is_apparent = faces[earliest].max(axis=1) == rows
     apparent, earliest = rows[is_apparent], earliest[is_apparent]
     del rows, is_apparent
     owner = np.full(n_cofaces, -1, dtype=np.int32)
@@ -351,8 +303,10 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     not by the column loop.  Its `apparent` counts the edges that are the
     earliest coface of their later vertex, as the array lookups would;
     `looped` is every other vertex, though none is reduced, and `additions`
-    is 0.  Every edge's boundary must be c (v - u) mod p, as every built
-    edge's is; any other raises InputError.
+    is 0.
+
+    Every stored dimension d >= 1 must hold a face matrix of d + 1 columns
+    (`complexes.Dimension`); any other raises InputError.
 
     A dimension without cofaces, as the top dimensions of a collapsed Rips
     complex often are, is not transposed: its columns that are not cleared
@@ -366,6 +320,10 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
     with the bars and stats the stored dimension would give.
     """
     p = _check_field(p)
+    for d, dim in enumerate(cx.dims[1:], 1):
+        if dim.faces.shape[1:] != (d + 1,):
+            raise InputError(f"dimension {d} stores a face matrix of shape {dim.faces.shape}, "
+                             f"not {d + 1} columns")
     codes = {}
     # The cells clearing skips, the pivots in the dimension below.  A complex
     # without dimensions has no reliable degree.
@@ -391,7 +349,7 @@ def reduce(cx: FilteredComplex, p: int = DEFAULT_FIELD, *,
             owner = born[:0]  # the cofaces are not stored, nor is their clearing
         else:
             owner, (apparent, looped, additions) = (_reduce_dimension(cx, d, p, cleared) if d
-                                                    else _pair_vertices(cx, p))
+                                                    else _pair_vertices(cx))
             died = np.flatnonzero(owner >= 0)
             born = owner[died]
             deaths = cx.dims[d + 1].filtration[died] if reduced else filt[born]

@@ -12,9 +12,8 @@ import random
 
 import numpy as np
 
-import oracle
 from sumrips import Bar, Barcode, FilteredComplex, FiniteMetricSpace, validate
-from sumrips import vietoris_rips
+from sumrips import ordered_product, vietoris_rips
 from sumrips.complexes import _flag_dims, rips_cell_count
 
 PRODUCT_CORPUS_SEED = 20260816
@@ -116,18 +115,18 @@ def random_barcode(rng: random.Random, max_bars: int = 4) -> Barcode:
 
 def random_complexes(count: int = 30, seed: int = COMPLEX_CORPUS_SEED,
                      max_cells: int = 200) -> list[FilteredComplex]:
-    """Mixed Rips and tensor complexes, each within the cell budget.
+    """Mixed Rips complexes and ordered products, each within the cell budget.
 
-    Every fifth complex is a chain-level product of two tiny Rips complexes so
-    the Koszul signs face the rank-nullity oracle too.
+    Every fifth complex is the chain-level product (`ordered_product`) of
+    two tiny spaces, so the product filtration faces the rank-nullity oracle
+    too.
     """
     rng = random.Random(seed)
     out: list[FilteredComplex] = []
     while len(out) < count:
         if len(out) % 5 == 4:
-            left = vietoris_rips(random_space(rng, 2, 3, allow_diagonal=True), 2)
-            right = vietoris_rips(random_space(rng, 2, 3, allow_diagonal=True), 2)
-            cx = oracle.tensor_complex(left, right, 3)
+            left = random_space(rng, 2, 3, allow_diagonal=True)
+            cx = ordered_product(left, random_space(rng, 2, 3, allow_diagonal=True), 3)
         else:
             space = random_space(rng, 3, 7, allow_diagonal=True)
             maxdim = rng.randint(1, 5)

@@ -3,8 +3,8 @@
 Nothing here reuses the library's arithmetic: graded tensor dimensions come
 from explicit generator/relation matrices on a discretized grid, Tor from the
 two-step free resolution mechanics, Betti numbers from Gaussian elimination
-on boundary matrices (Python-int bitset columns over F_2, dense matrices
-over other fields), bottleneck distances from exhaustive
+on boundary columns (Python-int bitsets over F_2, dicts from face row to
+coefficient over other fields), bottleneck distances from exhaustive
 matching enumeration, bipartite covers from Hall's condition, the edge
 collapse from each level's neighbourhoods recomputed as sets, Rips cells from
 every subset of points, the chains of a product order from every subset of
@@ -12,7 +12,10 @@ its points, and the product filtration bounds from every pair of each
 cell's projected points, a complex's invariants from its boundary arrays
 with numpy code of its own, the per-cell view (`cells`) from the arrays by a
 global order sorted here, and the Koszul tensor product of two complexes
-(`tensor_complex`) pair by pair from their per-cell views.
+(`tensor_complex`) pair by pair from their per-cell views.  A library
+complex stores each dimension as a face matrix (`complexes.Dimension`); the
+tensor product, which is no flag complex, stores its boundaries in a sparse
+form of its own (`SparseDimension`), and `_sparse` reads either as one.
 Deliberately slow and simple; feed small inputs only.
 """
 
@@ -22,11 +25,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from sumrips import Bar, Barcode, FilteredComplex, InputError
-from sumrips.complexes import Dimension
 
 INF = math.inf
 
@@ -55,6 +58,29 @@ def gf_rank(matrix, p: int) -> int:
         if r == rows:
             break
     return r
+
+
+class SparseDimension(NamedTuple):
+    """One dimension of a `TensorComplex`: the faces of cell j are the rows
+    `indices[indptr[j]:indptr[j + 1]]`, ascending, with the int8
+    coefficients at the same places of `data`."""
+
+    filtration: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _sparse(dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundary of a dimension as (indptr, indices, data), each cell's
+    faces ascending: a `SparseDimension`'s as stored, and a face matrix's
+    column i with the sign (-1)^i, each cell's columns sorted by row here."""
+    if isinstance(dim, SparseDimension):
+        return dim.indptr, dim.indices, dim.data
+    n, width = dim.faces.shape
+    column = np.argsort(dim.faces, axis=1, kind="stable")
+    indices = np.take_along_axis(dim.faces, column, axis=1).ravel().astype(np.int64)
+    return width * np.arange(n + 1), indices, np.where(column % 2, -1, 1).ravel().astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -93,12 +119,12 @@ def cells(cx: FilteredComplex) -> tuple[Cell, ...]:
         left, right = ([c.label for c in cells(factor)] for factor in cx.source)
     out: list[Cell] = [None] * len(cx)  # type: ignore[list-item]
     for d, dim in enumerate(cx.dims):
-        ptr, coeffs = dim.indptr.tolist(), dim.data.tolist()
-        faces = [ids[d - 1][i] for i in dim.indices.tolist()]
-        keys = (dim.vertices if dim.vertices is not None else cx.factors[d]).tolist()
+        ptr, faces, coeffs = (a.tolist() for a in _sparse(dim))
+        faces = [ids[d - 1][i] for i in faces]
+        keys = (cx.factors[d] if isinstance(cx, TensorComplex) else dim.vertices).tolist()
         for r, (f, key) in enumerate(zip(dim.filtration.tolist(), keys)):
             boundary = tuple(zip(faces[ptr[r]:ptr[r + 1]], coeffs[ptr[r]:ptr[r + 1]]))
-            if dim.vertices is not None:
+            if not isinstance(cx, TensorComplex):
                 label = ",".join(cx.source[v] for v in key)
                 out[ids[d][r]] = Cell(d, f, boundary, label, vertices=tuple(key))
             else:
@@ -118,8 +144,9 @@ def dump_lines(cx: FilteredComplex) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class TensorComplex(FilteredComplex):
-    """A tensor product of two complexes, `source`, with each cell's factor
-    pair beside it: per dimension, one row of global ids (s, t) per cell."""
+    """A tensor product of two complexes, `source`, stored as
+    `SparseDimension`s, with each cell's factor pair beside it: per
+    dimension, one row of global ids (s, t) per cell."""
 
     factors: tuple[np.ndarray, ...] = ()
 
@@ -154,9 +181,10 @@ def tensor_complex(cx: FilteredComplex, cy: FilteredComplex,
             faces += [f for f, _ in boundary]
             coeffs += [c for _, c in boundary]
             ptr.append(len(faces))
-        dims.append(Dimension(np.array([f for f, _, _ in cells_n], dtype=np.float64),
-                              np.array(ptr, dtype=np.int32), np.array(faces, dtype=np.int32),
-                              np.array(coeffs, dtype=np.int8)))
+        dims.append(SparseDimension(np.array([f for f, _, _ in cells_n], dtype=np.float64),
+                                    np.array(ptr, dtype=np.int32),
+                                    np.array(faces, dtype=np.int32),
+                                    np.array(coeffs, dtype=np.int8)))
         row = {(s, t): r for r, (_, s, t) in enumerate(cells_n)}
     factors = tuple(np.array([(s, t) for _, s, t in cells_n], dtype=np.int64).reshape(-1, 2)
                     for cells_n in pairs)
@@ -174,55 +202,81 @@ def _square_is_nonzero(cx: FilteredComplex, d: int) -> np.ndarray:
     nonzero over Z.  Each entry (cell, face, c) expands into the entries
     (face, g, e) of its face, and the products c * e are summed per
     (cell, g)."""
-    dim, below, n_below = cx.dims[d], cx.dims[d - 1], len(cx.dims[d - 2].filtration)
-    cell = np.repeat(np.arange(len(dim.filtration)), np.diff(dim.indptr))
-    starts = below.indptr.astype(np.int64)
-    width = np.diff(starts)[dim.indices]
+    (ptr, faces, coeffs), (below_ptr, below_faces, below_coeffs) = \
+        _sparse(cx.dims[d]), _sparse(cx.dims[d - 1])
+    n, n_below = len(cx.dims[d].filtration), len(cx.dims[d - 2].filtration)
+    cell = np.repeat(np.arange(n), np.diff(ptr))
+    starts = below_ptr.astype(np.int64)
+    width = np.diff(starts)[faces]
     offset = np.cumsum(width) - width
-    entry = np.repeat(starts[dim.indices] - offset, width) + np.arange(width.sum())
-    keys, where = np.unique(np.repeat(cell, width) * n_below + below.indices[entry],
+    entry = np.repeat(starts[faces] - offset, width) + np.arange(width.sum())
+    keys, where = np.unique(np.repeat(cell, width) * n_below + below_faces[entry],
                             return_inverse=True)
     sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, where, np.repeat(dim.data.astype(np.int64), width) * below.data[entry])
-    nonzero = np.zeros(len(dim.filtration), dtype=bool)
+    np.add.at(sums, where, np.repeat(coeffs.astype(np.int64), width) * below_coeffs[entry])
+    nonzero = np.zeros(n, dtype=bool)
     nonzero[keys[sums != 0] // n_below] = True
     return nonzero
+
+
+def _not_without_vertex(cx: FilteredComplex, d: int) -> np.ndarray:
+    """The cells of face matrix dimension d >= 1 whose column i is not the
+    row of the cell's vertices without the i-th, read from the vertex rows
+    of both dimensions; none where either has no vertex rows."""
+    dim, below = cx.dims[d], cx.dims[d - 1]
+    if isinstance(dim, SparseDimension) or dim.vertices is None or below.vertices is None:
+        return np.empty(0, dtype=np.int64)
+    wrong = np.zeros(len(dim.filtration), dtype=bool)
+    for i in range(d + 1):
+        wrong |= (below.vertices[dim.faces[:, i]] != np.delete(dim.vertices, i, axis=1)).any(axis=1)
+    return np.flatnonzero(wrong)
 
 
 def complex_violations(cx: FilteredComplex) -> list[str]:
     """Each broken invariant of cx, named by its kind.
 
     The arrays are checked first, so that the per-cell checks can index them:
-    each dimension is in filtration order, has one boundary offset per cell
-    plus one, running up from 0 to its number of faces, and names faces
-    inside the dimension below.  Then every cell has no zero coefficient,
-    ascending faces, no face entering after it, and a boundary whose boundary
-    is zero over Z; these are named by the cell's global id.
+    each dimension is in filtration order, has a face matrix of one row per
+    cell and d + 1 columns (none in dimension 0), or, stored sparse, one
+    boundary offset per cell plus one, running up from 0 to its number of
+    faces, and names faces inside the dimension below.  Then every cell has
+    no zero coefficient, ascending faces, no face entering after it, and a
+    boundary whose boundary is zero over Z, and in a face matrix each
+    column i is the cell without vertex i; these are named by the cell's
+    global id.
     """
     bad = []
     for d, dim in enumerate(cx.dims):
-        filt, ptr = dim.filtration, dim.indptr
+        filt = dim.filtration
         below = len(cx.dims[d - 1].filtration) if d else 0
         if np.any(filt[1:] < filt[:-1]):
             bad.append(f"dimension {d}: not in filtration order")
-        if (len(ptr) != len(filt) + 1 or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
-                or ptr[-1] != len(dim.indices) or len(dim.data) != len(dim.indices)):
-            bad.append(f"dimension {d}: indptr does not have one entry per cell plus one")
-        if np.any((dim.indices < 0) | (dim.indices >= below)):
+        if isinstance(dim, SparseDimension):
+            ptr, faces = dim.indptr, dim.indices
+            if (len(ptr) != len(filt) + 1 or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1])
+                    or ptr[-1] != len(faces) or len(dim.data) != len(faces)):
+                bad.append(f"dimension {d}: indptr does not have one entry per cell plus one")
+        else:
+            faces = dim.faces
+            if faces.shape != (len(filt), d + 1 if d else 0):
+                bad.append(f"dimension {d}: face matrix is not cells x (d + 1)")
+        if np.any((faces < 0) | (faces >= below)):
             bad.append(f"dimension {d}: face out of range")
     if bad:
         return bad
     ids, found = _global_ids(cx), []
     for d, dim in enumerate(cx.dims[1:], 1):
-        cell = np.repeat(np.arange(len(dim.filtration)), np.diff(dim.indptr))
-        faces, same = dim.indices, cell[1:] == cell[:-1]
+        ptr, faces, coeffs = _sparse(dim)
+        cell = np.repeat(np.arange(len(dim.filtration)), np.diff(ptr))
+        same = cell[1:] == cell[:-1]
         kinds = {
-            "zero coefficient": np.unique(cell[dim.data == 0]),
+            "zero coefficient": np.unique(cell[coeffs == 0]),
             "faces not ascending": np.unique(cell[1:][same & (faces[1:] <= faces[:-1])]),
             "late face": np.unique(cell[cx.dims[d - 1].filtration[faces]
                                         > dim.filtration[cell]]),
             "nonzero boundary of boundary": (np.flatnonzero(_square_is_nonzero(cx, d))
                                              if d >= 2 else []),
+            "face is not the cell without vertex i": _not_without_vertex(cx, d),
         }
         for k, (kind, broken) in enumerate(kinds.items()):
             found += [(ids[d][c], k, kind) for c in np.asarray(broken).tolist()]
@@ -256,37 +310,14 @@ def _at(cx: FilteredComplex, n: int, t: float) -> list[int]:
     return np.flatnonzero(cx.dims[n].filtration <= t).tolist() if 0 <= n <= cx.top_dim else []
 
 
-# Entries of the largest dense matrix `_boundary_matrix_at` fills: 512 MiB of int64.
-DENSE_ENTRIES = 2**26
-
-
-def _boundary_matrix_at(cx: FilteredComplex, n: int, t: float):
-    """Dense integer matrix of the degree-n boundary on the subcomplex at time
-    t: a row per cell of dimension n - 1 there, a column per cell of
-    dimension n, each dimension's cells in stored order, which is the global
-    order.  A matrix of more than DENSE_ENTRIES entries is refused."""
-    rows, cols = _at(cx, n - 1, t), _at(cx, n, t)
-    assert len(rows) * len(cols) <= DENSE_ENTRIES, \
-        f"a dense {len(rows)} x {len(cols)} boundary matrix exceeds {DENSE_ENTRIES} entries"
-    row_index = {r: k for k, r in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if cols:
-        dim = cx.dims[n]
-        ptr, faces, coeffs = dim.indptr.tolist(), dim.indices.tolist(), dim.data.tolist()
-        for k, c in enumerate(cols):
-            for e in range(ptr[c], ptr[c + 1]):
-                mat[row_index[faces[e]], k] = coeffs[e]
-    return mat
-
-
 def _f2_rank_at(cx: FilteredComplex, n: int, t: float) -> int:
     """Rank over F_2 of the degree-n boundary on the subcomplex at time t.
 
     Each column is a Python-int bitset of its faces' stored rows, reduced
     left to right against the columns kept so far by its highest set bit.
     No clearing, no cohomology and no apparent pairs; nothing dense."""
-    dim, kept = cx.dims[n], {}
-    ptr, faces, coeffs = dim.indptr.tolist(), dim.indices.tolist(), dim.data.tolist()
+    ptr, faces, coeffs = (a.tolist() for a in _sparse(cx.dims[n]))
+    kept = {}
     for c in _at(cx, n, t):
         col = 0
         for e in range(ptr[c], ptr[c + 1]):
@@ -298,12 +329,39 @@ def _f2_rank_at(cx: FilteredComplex, n: int, t: float) -> int:
     return len(kept)
 
 
+def _fp_rank_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:
+    """Rank over F_p of the degree-n boundary on the subcomplex at time t.
+
+    Each column is a dict from its faces' stored rows to their coefficients
+    mod p, reduced left to right against the columns kept so far, each kept
+    by its largest row and scaled to 1 there.  No clearing, no cohomology
+    and no apparent pairs; nothing dense."""
+    ptr, faces, coeffs = (a.tolist() for a in _sparse(cx.dims[n]))
+    kept: dict[int, dict[int, int]] = {}
+    for c in _at(cx, n, t):
+        col = {faces[e]: coeffs[e] % p for e in range(ptr[c], ptr[c + 1]) if coeffs[e] % p}
+        while col:
+            low = max(col)
+            if low not in kept:
+                inverse = pow(col[low], p - 2, p)
+                kept[low] = {r: v * inverse % p for r, v in col.items()}
+                break
+            factor = col[low]
+            for r, v in kept[low].items():
+                value = (col.get(r, 0) - factor * v) % p
+                if value:
+                    col[r] = value
+                else:
+                    col.pop(r, None)
+    return len(kept)
+
+
 def _rank_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:
     """Rank over F_p of the degree-n boundary on the subcomplex at time t:
-    by bitsets over F_2, by dense elimination over any other field."""
+    by bitsets over F_2, by dicts over any other field."""
     if not 1 <= n <= cx.top_dim:
         return 0
-    return _f2_rank_at(cx, n, t) if p == 2 else gf_rank(_boundary_matrix_at(cx, n, t), p)
+    return _f2_rank_at(cx, n, t) if p == 2 else _fp_rank_at(cx, p, n, t)
 
 
 def betti_at(cx: FilteredComplex, p: int, n: int, t: float) -> int:

@@ -95,8 +95,8 @@ def test_positive_diagonal_delays_vertices():
 
 
 def test_rips_boundaries_drop_one_point_with_alternating_signs():
-    """Every Rips cell's faces are its vertex sets with one point removed, in
-    ascending rows, the face without the point at position pos with sign
+    """Every Rips cell's faces are its vertex sets with one point removed,
+    the face without the point at position pos in column pos, whose sign is
     (-1)^pos; seeded generalized metrics, whole and barcode-only."""
     rng = random.Random(9091)
     for _ in range(60):
@@ -106,21 +106,18 @@ def test_rips_boundaries_drop_one_point_with_alternating_signs():
             cx = corpus.stored_top(vietoris_rips(space, maxdim, barcode_only=barcode_only), space)
             for below, dim in zip(cx.dims, cx.dims[1:]):
                 row_of = {v: r for r, v in enumerate(map(tuple, below.vertices.tolist()))}
-                for j, verts in enumerate(dim.vertices.tolist()):
-                    lo, hi = dim.indptr[j], dim.indptr[j + 1]
-                    rows = dim.indices[lo:hi].tolist()
-                    assert all(a < b for a, b in zip(rows, rows[1:]))
-                    assert list(zip(rows, dim.data[lo:hi].tolist())) == sorted(
-                        (row_of[tuple(verts[:pos] + verts[pos + 1:])], (-1) ** pos)
-                        for pos in range(len(verts)))
+                for verts, rows in zip(dim.vertices.tolist(), dim.faces.tolist()):
+                    assert rows == [row_of[tuple(verts[:pos] + verts[pos + 1:])]
+                                    for pos in range(len(verts))]
 
 
 @pytest.mark.parametrize("m, dtype", [(256, np.int16), (257, np.int32)])
 def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
     """The edges of 256 points, 32,640 faces, get int16 rows; the 32,896 of
     257 points get int32 rows.  Either way each triangle's faces are its
-    vertex sets with one point removed, in ascending rows, with the signs
-    (-1)^pos: the edges listed in a shuffled order, and triangles through
+    vertex sets with one point removed, the one without the point at
+    position pos in column pos: the edges listed in a shuffled order, and
+    triangles through
     the first and last rows included.  The same point count sets the vertex
     rows a build gives: uint8 for 256 points, uint16 for 257, where point 256
     needs the ninth bit; the boundary is taken from rows of that dtype."""
@@ -137,25 +134,23 @@ def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
         triangles += [[a, b, c] for c in range(m) if c not in (a, b)][::37]
     verts = np.sort(np.array(triangles, dtype=point), axis=1)
     binom = np.array([[math.comb(a, k) for k in range(3)] for a in range(m + 1)], dtype=np.int32)
-    indptr, indices, data = _rips_boundary(binom, verts, edges)
-    assert (indices.dtype, data.dtype) == (dtype, np.int8)
+    faces = _rips_boundary(binom, verts, edges)
+    assert (faces.dtype, faces.shape) == (dtype, verts.shape)
     row_of = {v: r for r, v in enumerate(map(tuple, edges.tolist()))}
     rows_seen = set()
-    for j, tri in enumerate(verts.tolist()):
-        lo, hi = indptr[j], indptr[j + 1]
-        rows = indices[lo:hi].tolist()
+    for tri, rows in zip(verts.tolist(), faces.tolist()):
         rows_seen.update(rows)
-        assert all(a < b for a, b in zip(rows, rows[1:]))
-        assert list(zip(rows, data[lo:hi].tolist())) == sorted(
-            (row_of[tuple(tri[:pos] + tri[pos + 1:])], (-1) ** pos) for pos in range(3))
+        assert rows == [row_of[tuple(tri[:pos] + tri[pos + 1:])] for pos in range(3)]
     assert {0, len(edges) - 1} <= rows_seen
 
 
 def test_five_cube_split_retains_at_most_48_bytes_per_cell():
     """The 5-cube as a product at maxdim 4, built barcode-only with its top
     dimension stored, keeps 177,979 cells, 143,416 in the top dimension,
-    whose 29,540 faces get int16 rows, and uint8 vertex rows.  Under tracemalloc the complex retains about 31.1 B per cell; with
-    int32 vertex rows it retained 45.5, and with int32 face rows too 55.0."""
+    whose 29,540 faces get int16 rows, and uint8 vertex rows.  Under
+    tracemalloc the complex retains about 22.4 B per cell; with sorted face
+    rows, row offsets and int8 coefficients it retained 31.1, with int32
+    vertex rows too 45.5, and with int32 face rows too 55.0."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     tracemalloc.start()
     try:
@@ -482,8 +477,8 @@ def test_empty_dimensions_keep_their_dtypes_and_shapes():
     cx = corpus.stored_top(vietoris_rips(PATH5, 4, barcode_only=True), PATH5)
     assert cx.dim_counts() == {0: 5, 1: 4} and cx.top_dim == 4 and cx.complete
     for d in (2, 3, 4):
-        empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
-                          np.empty(0, np.int8), vertices=np.empty((0, d + 1), np.uint8))
+        empty = Dimension(np.empty(0), np.empty((0, d + 1), np.int32),
+                          vertices=np.empty((0, d + 1), np.uint8))
         for got, want in zip(cx.dims[d], empty):
             assert (got is None) == (want is None)
             if want is not None:
@@ -517,24 +512,42 @@ def _changed(cx, d, **edits):
 
 
 def test_oracle_reports_each_corruption_by_kind():
+    """Each corruption is named by its kind: on the face matrices of a Rips
+    complex and an ordered product, and on the sparse boundaries of a tensor
+    complex, which can hold any coefficient in any order."""
     rips = vietoris_rips(hamming_cube(2), 2)
     tensor = oracle.tensor_complex(vietoris_rips(INTERVAL, 1), vietoris_rips(hamming_cube(2), 3), 2)
     ordered = ordered_product(INTERVAL, hamming_cube(2), 2)
     for cx in (rips, tensor, ordered):
         assert oracle.complex_violations(cx) == []
-        n0, top = len(cx.dims[0].filtration), cx.dims[2]
+        n0 = len(cx.dims[0].filtration)
         corrupted = {
             # the first edge moved to 99, before later edges
             "not in filtration order": _changed(cx, 1, filtration=(0, 99.0)),
-            "face out of range": _changed(cx, 1, indices=(0, n0)),
-            "zero coefficient": _changed(cx, 2, data=(0, 0)),
-            # the first two faces of a 2-cell swapped with their coefficients
-            "faces not ascending": _changed(cx, 2, indices=([0, 1], top.indices[[1, 0]]),
-                                            data=([0, 1], top.data[[1, 0]])),
             # the last vertex moved to 99 stays in order, after its edges
             "late face": _changed(cx, 0, filtration=(-1, 99.0)),
-            "nonzero boundary of boundary": _changed(cx, 2, data=(0, -top.data[0])),
         }
+        if cx is tensor:
+            top = cx.dims[2]
+            corrupted |= {
+                "face out of range": _changed(cx, 1, indices=(0, n0)),
+                "zero coefficient": _changed(cx, 2, data=(0, 0)),
+                # the first two faces of a 2-cell swapped with their coefficients
+                "faces not ascending": _changed(cx, 2, indices=([0, 1], top.indices[[1, 0]]),
+                                                data=([0, 1], top.data[[1, 0]])),
+                "nonzero boundary of boundary": _changed(cx, 2, data=(0, -top.data[0])),
+            }
+        else:
+            top = cx.dims[2].faces
+            # the faces without vertices 0 and 1 of the first 2-cell swapped,
+            # which flips the signs of both
+            swapped = _changed(cx, 2, faces=((0, [0, 1]), top[0, [1, 0]]))
+            corrupted |= {
+                "face out of range": _changed(cx, 1, faces=((0, 0), n0)),
+                "face matrix is not cells x (d + 1)": _replaced(cx, 2, faces=top[:, :2]),
+                "face is not the cell without vertex i": swapped,
+                "nonzero boundary of boundary": swapped,
+            }
         for kind, bad in corrupted.items():
             violations = oracle.complex_violations(bad)
             assert kind in {v.split(": ", 1)[1] for v in violations}, (kind, violations)
@@ -678,14 +691,16 @@ def test_ordered_product_prices_its_face_table():
         ordered_product(x, y, 8)
 
 
-def test_betti_at_refuses_a_dense_matrix_beyond_its_bound():
-    """The rank-nullity oracle names the shape of a dense boundary matrix of
-    more than DENSE_ENTRIES entries instead of allocating it: the 2-cells
-    and 3-cells of the whole 5-cube at maxdim 4 would take 178 million.
-    Over F_2 it takes bitset columns, so the dense path is asked over F_3."""
+def test_betti_at_ranks_sparse_columns_where_dense_ones_were_refused():
+    """The rank-nullity oracle eliminates sparse columns, bitsets over F_2
+    and dicts over F_3, where a dense matrix of the 2-cells and 3-cells of
+    the whole 5-cube at maxdim 4 would take 4,960 x 35,960 entries.  At
+    t = 5 every subset of its 32 points has entered, and the degree-d
+    boundary of a simplex on m points has rank C(m - 1, d) over every
+    field."""
     cube = vietoris_rips(hamming_cube(5), 4)
-    with pytest.raises(AssertionError, match="a dense 4960 x 35960 boundary matrix"):
-        oracle.betti_at(cube, 3, 3, 5.0)
+    for p in (2, 3):
+        assert oracle._rank_at(cube, p, 3, 5.0) == math.comb(31, 3)
     assert oracle.betti_at(cube, 2, 0, 0.0) == 32
 
 
@@ -731,10 +746,8 @@ def test_dump_lines_format():
 def test_dump_lines_of_cells_without_labels():
     """A dimension built by hand, without vertex rows, labels each of its
     cells with the empty string."""
-    points = Dimension(np.zeros(2), np.zeros(3, np.int32), np.empty(0, np.int32),
-                       np.empty(0, np.int8))
-    edge = Dimension(np.ones(1), np.array([0, 2], np.int32), np.array([0, 1], np.int32),
-                     np.array([-1, 1], np.int8))
+    points = Dimension(np.zeros(2), np.empty((2, 0), np.int32))
+    edge = Dimension(np.ones(1), np.array([[1, 0]], np.int32))
     cx = FilteredComplex((points, edge), complete=True)
     assert list(cx.dump_lines()) == ["0 0 0.0 - ", "1 0 0.0 - ", "2 1 1.0 0:-1,1:1 "]
     assert repr(cx) == "FilteredComplex(cells=3, top_dim=1, complete=True)"
@@ -926,8 +939,7 @@ def test_dump_lines_streams_chunks_as_the_oracle_renders_cells():
         assert list(cx.dump_lines()) == oracle.dump_lines(cx)
         edges = range(DUMP_CHUNK, len(cx), DUMP_CHUNK)
         assert len(cx) == 1 or any(cells[g - 1].dim == cells[g].dim for g in edges)
-    no_cells = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
-                         np.empty(0, np.int8))
+    no_cells = Dimension(np.empty(0), np.empty((0, 0), np.int32))
     for cx in (FilteredComplex((no_cells,), complete=True), FilteredComplex((), complete=True)):
         assert list(cx.dump_lines()) == []
 

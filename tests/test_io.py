@@ -308,8 +308,7 @@ def test_write_complex_dump_writes_the_stream(tmp_path):
     write_complex_dump(cx, path)
     assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in cx.dump_lines())
     assert path.read_text().count("\n") == len(cx) == 2_516
-    empty = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
-                      np.empty(0, np.int8))
+    empty = Dimension(np.empty(0), np.empty((0, 0), np.int32))
     for no_cells in (FilteredComplex((empty,), complete=True), FilteredComplex((), complete=True)):
         path.write_text("stale")
         write_complex_dump(no_cells, path)

@@ -11,6 +11,7 @@ import oracle
 from sumrips import (
     Bar,
     Barcode,
+    CapExceeded,
     InputError,
     bottleneck,
     compare_product,
@@ -93,10 +94,14 @@ def test_compare_is_symmetric():
 
 
 def test_compare_maxn_cap():
-    with pytest.raises(InputError, match="cap"):
-        compare_product(INTERVAL, INTERVAL, 8)
-    report = compare_product(INTERVAL, INTERVAL, 8, maxn_cap=None)
+    """maxn has no cap of its own: the cell cap prices the three builds.  Two
+    2-point factors at maxn 8 need 3 + 3 + 15 cells; the 64-point product
+    of two 3-cubes at maxn 8 needs far more than the default cap."""
+    report = compare_product(INTERVAL, INTERVAL, 8)
     assert len(report.dims) == 9
+    cube = hamming_cube(3)
+    with pytest.raises(CapExceeded, match="Rips complex needs"):
+        compare_product(cube, cube, 8)
     with pytest.raises(InputError):
         compare_product(INTERVAL, INTERVAL, -1)
 

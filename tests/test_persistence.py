@@ -149,9 +149,9 @@ def test_vertices_are_not_transposed(monkeypatch):
     has its 2-cells' boundary transposed."""
     calls = []
 
-    def recording(indptr, indices, data, n_rows):
+    def recording(faces, n_rows):
         calls.append(n_rows)
-        return _transpose(indptr, indices, data, n_rows)
+        return _transpose(faces, n_rows)
 
     monkeypatch.setattr(persistence, "_transpose", recording)
     for space in (INTERVAL, hamming_cube(2), hamming_cube(3)):
@@ -162,76 +162,37 @@ def test_vertices_are_not_transposed(monkeypatch):
     assert calls == [len(square.dims[1].filtration)]
 
 
-def test_edges_must_have_boundary_c_times_v_minus_u():
-    """Union-find pairs the vertices only for edges whose boundary is
-    c (v - u) mod p.  The coefficients [1, 1] are that over F_2 but not over
-    F_3, where they are refused, naming the edge; so is an edge with one face
-    left mod p."""
-    cx = vietoris_rips(validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]]), 1)
-    edges = cx.dims[1]
-    for data, p in (([1, 1], 3), ([3, 1], 3), ([2, -1], 2)):
-        broken = edges._replace(data=np.r_[edges.data[:2], data, edges.data[4:]].astype(np.int8))
-        with pytest.raises(InputError, match=f"edge 1 of dimension 1 .* over F_{p}"):
-            reduce(FilteredComplex((cx.dims[0], broken), cx.complete, cx.source), p)
-    summed = edges._replace(data=np.ones_like(edges.data))
-    assert reduce(FilteredComplex((cx.dims[0], summed), cx.complete, cx.source), 2) == reduce(cx, 2)
-
-
-def _with_entry(dim, row, col, value):
-    """dim with the boundary entry `value` stored at (row, col), a face that
-    column col does not have yet."""
-    lo, hi = dim.indptr[col], dim.indptr[col + 1]
-    at = lo + np.searchsorted(dim.indices[lo:hi], row)
-    indptr = dim.indptr + (np.arange(len(dim.indptr)) > col).astype(dim.indptr.dtype)
-    return dim._replace(indptr=indptr, indices=np.insert(dim.indices, at, row),
-                        data=np.insert(dim.data, at, value))
-
-
-def test_coefficients_vanishing_mod_p_change_no_bar():
-    """Boundary coefficients count only mod p: shifting every one by a multiple
-    of p, and storing an entry equal to p, leaves the barcode over F_p as it is."""
-    space = validate([[0, 1, 5, 4, 7], [1, 0, 2, 6, 8], [5, 2, 0, 3, 9],
-                      [4, 6, 3, 0, 10], [7, 8, 9, 10, 0]])
-    cx = vietoris_rips(space, 2)
-    rng = np.random.default_rng(7)
-    for p in (2, 3):
-        dims = [cx.dims[0]]
-        for dim in cx.dims[1:]:
-            data = dim.data + (p * rng.integers(-1, 3, len(dim.data))).astype(np.int8)
-            dims.append(dim._replace(data=data))
-        # vertex 4, whose edges all enter at 7 or later, gets the entry p in
-        # edge (0, 3), which enters at 4: that edge must not kill vertex 4
-        dims[1] = _with_entry(dims[1], 4, 3, p)
-        shifted = FilteredComplex(tuple(dims), cx.complete, cx.source)
-        code = reduce(shifted, p)
-        assert code == reduce(cx, p)
-        assert {n: code[n] for n in code.dims()} == oracle.standard_barcode(shifted, p)
+def test_face_matrices_must_have_one_column_per_vertex():
+    """A stored dimension d >= 1 is a face matrix of d + 1 columns; a
+    triangle with two is refused, naming its dimension."""
+    cx = vietoris_rips(hamming_cube(2), 2)
+    triangles = cx.dims[2]._replace(faces=cx.dims[2].faces[:, :2])
+    with pytest.raises(InputError, match="dimension 2 stores a face matrix of shape"):
+        reduce(FilteredComplex(cx.dims[:2] + (triangles,), cx.complete, cx.source))
 
 
 @pytest.mark.parametrize("n_rows", [300, 2**16, 2**16 + 1, 100_000])
 def test_transpose_lists_each_rows_columns_in_order(n_rows, monkeypatch):
     """Both sorts the transpose picks by the row count, 16-bit keys up to
-    2^16 rows and full indices above, give every row its columns ascending,
-    whether the columns fit one chunk or many, and whether a column is longer
-    than a chunk or not; rows without entries get none."""
+    2^16 rows and full indices above, give every row its entries ascending,
+    so its cofaces too, whether the cells fit one chunk or many, and
+    whether a cell has more entries than a chunk or not; rows without
+    entries get none.  Face rows take int16 up to 2^15 rows, as built."""
     rng = np.random.default_rng(n_rows)
     empty = np.r_[0, np.arange(n_rows // 2, n_rows // 2 + 10)]
     live = np.setdiff1d(np.arange(n_rows), empty)
     for chunk in (persistence.CHUNK, 7, 1):
         monkeypatch.setattr(persistence, "CHUNK", chunk)
-        counts = rng.integers(0, 6, 500)
-        counts[200] = min(len(live), chunk + 1)  # longer than a chunk where the rows allow it
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64 if chunk == 7 else np.int32)
-        indices = np.concatenate([np.sort(rng.choice(live, c, replace=False)) for c in counts])
-        indices[0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
-        data = rng.integers(-3, 4, len(indices)).astype(np.int8)
-        ptr, cols, coeffs = _transpose(indptr, indices.astype(np.int32), data, n_rows)
-        assert (ptr.dtype, cols.dtype, coeffs.dtype) == (indptr.dtype, np.int32, np.int8)
+        width = int(rng.integers(2, 6))
+        faces = rng.choice(live, (500, width))
+        faces[0, 0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
+        faces = faces.astype(np.int16 if n_rows <= 2**15 else np.int32)
+        ptr, entries = _transpose(faces, n_rows)
+        assert (ptr.dtype, entries.dtype) == (np.int32, np.int32)
         assert not np.diff(ptr)[empty].any()
-        col_of = np.repeat(np.arange(len(counts)), counts)
-        want = sorted(zip(indices.tolist(), col_of.tolist(), data.tolist()))
+        want = sorted(zip(faces.ravel().tolist(), range(faces.size)))
         rows = np.repeat(np.arange(n_rows), np.diff(ptr))
-        assert list(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) == want
+        assert list(zip(rows.tolist(), entries.tolist())) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -255,12 +216,12 @@ def test_transpose_holds_little_beyond_its_output():
     argsort of all the entries needs about 11 MB."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     cx = corpus.stored_top(vietoris_rips(space, 4, barcode_only=True), space)
-    top = cx.dims[4]
-    assert len(top.indices) == 717_080
+    faces = cx.dims[4].faces
+    assert faces.size == 717_080
     n_rows = len(cx.dims[3].filtration)
     tracemalloc.start()
     try:
-        out = _transpose(top.indptr, top.indices, top.data, n_rows)
+        out = _transpose(faces, n_rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,10 +249,10 @@ def test_build_and_reduce_free_their_temporaries(monkeypatch):
     Under tracemalloc its build peaks at most 28 B per cell above what the
     complex retains, and reducing it holds at most 64 B per cell beyond the
     complex.  Freeing each large temporary before the next is allocated
-    gives about 18 and 48 B; keeping them alive took 38 and 80 B.  Built
+    gives about 14 and 43 B; keeping them alive took 38 and 80 B.  Built
     with that dimension left to `reduce` (`enumerate_every_top`), it stores
     5,023 cells; per one of the 34,563, the build peaks at most 4 B above
-    what it retains and the reduction holds at most 20 B (about 2.3 and
+    what it retains and the reduction holds at most 20 B (about 3.0 and
     15 B)."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     cx, retained, build_peak, reduce_peak = _traced_build_and_reduce(
@@ -328,7 +289,7 @@ def test_reduce_agrees_with_rank_nullity_oracle():
 
 def test_reduce_matches_standard_reduction():
     """Coboundary reduction with clearing against the plain homology algorithm,
-    bar for bar, on Rips and tensor complexes and on barcode-only Rips
+    bar for bar, on Rips complexes, ordered products and barcode-only Rips
     complexes."""
     complexes = [(cx, cx) for cx in corpus.random_complexes(count=15, seed=404)]
     for x, y in corpus.small_pairs()[:6]:
@@ -408,8 +369,8 @@ def test_essential_columns_without_cofaces():
     """The square's six edges with an empty dimension 2 above them: three are
     cleared by the points and three stay essential."""
     edges = vietoris_rips(hamming_cube(2), 1)
-    no_triangles = Dimension(np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32),
-                             np.empty(0, np.int8), vertices=np.empty((0, 3), np.int32))
+    no_triangles = Dimension(np.empty(0), np.empty((0, 3), np.int32),
+                             vertices=np.empty((0, 3), np.int32))
     cx = FilteredComplex(edges.dims + (no_triangles,), complete=False, source=edges.source)
     stats = {}
     code = reduce(cx, stats=stats)
@@ -615,8 +576,8 @@ def test_barcode_only_builds_keep_no_top_cell():
     and none of the 143,416 of its top dimension, 177,979 cells in all.
     Under tracemalloc its build peaks at most 3 B per one of those cells
     above what the complex retains, and reducing it holds at most 20 B per
-    cell beyond the complex (about 1.8 and 15 B).  The two peak at about
-    3.7 MB; with the top dimension stored they took 10.9 MB."""
+    cell beyond the complex (about 2.8 and 15 B).  The two peak at about
+    3.4 MB; with the top dimension stored they took 10.9 MB."""
     space = product_sum(hamming_cube(4), hamming_cube(1))
     cx, retained, build_peak, reduce_peak = _traced_build_and_reduce(
         lambda: vietoris_rips(space, 4, barcode_only=True))
