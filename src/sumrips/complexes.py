@@ -250,19 +250,27 @@ def _extend(subsets: np.ndarray, maxima: list[np.ndarray], near: np.ndarray,
     return rows, maxima
 
 
-def _rips_boundary(binom: np.ndarray, verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """The face matrix of the k-subset rows `verts` in the (k-1)-subset rows
-    `faces`: column pos holds the row of the face without vertex pos.  Rows
-    are int16 up to 2^15 faces, else `_index_dtype`."""
-    k = verts.shape[1]
+def _row_of_rank(binom: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The colex rank -> row table of the k-subset rows `faces`, C(m, k)
+    entries read by `_rips_boundary`.  Rows are int16 up to 2^15 faces,
+    else `_index_dtype`; entries of cut faces stay -1, and no kept subset
+    has a cut face."""
+    k = faces.shape[1]
     dtype = np.int16 if len(faces) <= 2**15 else _index_dtype(len(faces))
-    # Entries of cut faces stay -1: no kept subset has a cut face.
-    row_of_rank = np.full(binom[-1, k - 1], -1, dtype=dtype)
-    row_of_rank[sum(binom[faces[:, i], i + 1] for i in range(k - 1))] = np.arange(len(faces))
+    row_of_rank = np.full(binom[-1, k], -1, dtype=dtype)
+    row_of_rank[sum(binom[faces[:, i], i + 1] for i in range(k))] = np.arange(len(faces))
+    return row_of_rank
+
+
+def _rips_boundary(binom: np.ndarray, verts: np.ndarray, row_of_rank: np.ndarray) -> np.ndarray:
+    """The face matrix of the k-subset rows `verts` in the (k-1)-subset rows
+    that `row_of_rank` (`_row_of_rank`) lists: column pos holds the row of
+    the face without vertex pos, in the table's dtype."""
+    k = verts.shape[1]
     # The face without vertex pos has the colex rank that sums C(c_i, i + 1)
     # over the points before pos and C(c_i, i) over those after it, which
     # move one place down.
-    rows = np.empty(verts.shape, dtype=dtype)
+    rows = np.empty(verts.shape, dtype=row_of_rank.dtype)
     before = sum(binom[verts[:, i], i + 1] for i in range(k - 1))
     after = 0
     for pos in reversed(range(k)):
@@ -420,8 +428,8 @@ def _flag_dims(near: np.ndarray, dists: list[np.ndarray], vertices: np.ndarray,
                 # Nothing extends the last dimension: its lexicographic rows
                 # and unsorted maxima go before its boundary is built.
                 del subsets, maxima
-            faces = (_rips_boundary(binom, verts, dims[-1].vertices) if d
-                     else np.empty((len(verts), 0), np.int32))
+            faces = (_rips_boundary(binom, verts, _row_of_rank(binom, dims[-1].vertices))
+                     if d else np.empty((len(verts), 0), np.int32))
             dims.append(Dimension(filt, faces, verts))
         if last:
             break
@@ -572,7 +580,7 @@ def ordered_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,
     space = product_sum(x, y)
     m, nx, ny = len(space), len(x), len(y)
     top = min(maxdim, nx + ny - 2)
-    # `_rips_boundary` looks faces up in a table of C(m, d) entries of at most
+    # `_row_of_rank` builds a face table of C(m, d) entries of at most
     # four bytes per dimension d.  A Rips complex has more cells than that,
     # but chains can have far fewer (C(72, 8) entries, 48 GB, for the 19.8
     # million chains of 9 x 8 points at maxdim 8), so the largest table is

@@ -5,24 +5,27 @@ cells does not store it (`complexes.Cofaces`).  Its last stored dimension is
 paired against cofaces enumerated from the graph and the ranks of the
 distances (`reduce_top`), in the order and with the signs the stored
 dimension would have, so the pairs, bars and stats are those of the stored
-reduction (`persistence._reduce_dimension`).  Memory beyond the complex is
-one dense pass of CHUNK ranks at a time, a key and a cell per apparent pair,
-eight bytes per cell saying where its coboundary is kept, and the
-coboundaries of the looped cells and of the owners they read, at nine bytes
-per entry (an int64 key and an int8 sign).  On the 5-cube as a product at
-maxdim 4, 24,690 of its 29,540 cells of dimension 3 are apparent and 790
-looped, which read 1,431 owners; building and reducing it peaks at 3.7 MB
-under tracemalloc, against 10.9 MB with the top dimension stored.  A
-complete complex's top dimension holds at most the cell of all its points,
-whose complex is then a simplex: that cell is paired, and the top degree
-has no bar.
+reduction (`persistence._reduce_dimension`), whose apparent-pair rule it
+applies too.  Memory beyond the complex is the colex face table of the last
+stored dimension (`complexes._row_of_rank`), C(m, top) entries of two or
+four bytes, one dense pass of CHUNK ranks at a time, a key and a cell per
+apparent pair, eight bytes per cell saying where its coboundary is kept,
+and the coboundaries of the looped cells and of the owners they read, at
+nine bytes per entry (an int64 key and an int8 sign).  On the 5-cube as a
+product at maxdim 4, 24,690 of its 29,540 cells of dimension 3 are
+apparent and 790 looped, which read 1,431 owners; building and reducing it
+peaks at 3.5 MB under tracemalloc, 72 KB of it the table, against 8.9 MB
+with the top dimension stored.  A complete complex's top dimension holds
+at most the cell of all its points, whose complex is then a simplex: that
+cell is paired, and the top degree has no bar.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import CHUNK, Cofaces, FilteredComplex, _binomials, _index_dtype
+from .complexes import (CHUNK, Cofaces, FilteredComplex, _binomials, _rips_boundary,
+                        _row_of_rank)
 from .persistence import _column_loop
 
 
@@ -38,34 +41,6 @@ def _coface_ranks(cof: Cofaces, verts: np.ndarray, franks: np.ndarray) -> np.nda
     near[np.arange(len(verts))[:, None], verts] = False
     ranks[~near] = len(cof.values)
     return ranks
-
-
-def _is_apparent(cof: Cofaces, verts: np.ndarray, franks: np.ndarray, w: np.ndarray,
-                 ranks: np.ndarray) -> np.ndarray:
-    """Whether each row of `verts`, k >= 2 points entering at the rank
-    `franks`, is the latest face of the coface c = row + {w} entering at
-    `ranks`.
-
-    The faces of c are the row and, for each of its points v, c - v, which
-    comes after the row in lexicographic order exactly when v < w.  Faces
-    are ordered by (rank, lexicographic), and none enters after c.  So the
-    row is the latest face when it enters with c and no face c - v with
-    v < w does: every pair of points of c entering with c, the diagonal
-    included, holds v.  When c enters after the row, one of its pairs
-    (u, w) does, and every face c - v with v != u holds it.
-    """
-    n, k = verts.shape
-    m = len(cof.near)
-    points = np.empty((n, k + 1), dtype=_index_dtype(m * m))
-    points[:, :k], points[:, k] = verts, w
-    pairs = cof.ranks.ravel()[points[:, :, None] * m + points[:, None, :]]
-    pairs = (pairs == ranks[:, None, None]).view(np.int8)
-    # late[:, v]: some ordered pair entering with c misses the point v, so
-    # c - v enters with c.  The pairs through v are its row and its column,
-    # which are equal, less the diagonal entry counted in both.
-    through = pairs.sum(axis=2, dtype=np.int16)
-    late = through.sum(axis=1)[:, None] > 2 * through - np.diagonal(pairs, 0, 1, 2)
-    return (ranks == franks) & ~(late[:, :k] & (verts < w[:, None])).any(axis=1)
 
 
 def _coface_keys(binom: np.ndarray, verts: np.ndarray, at: np.ndarray, w: np.ndarray,
@@ -84,12 +59,7 @@ def _coface_keys(binom: np.ndarray, verts: np.ndarray, at: np.ndarray, w: np.nda
     """
     m, k = len(binom) - 1, verts.shape[1]
     n, width = int(binom[m, k + 1]), binom.shape[1]
-    # pos counts the row's points below w: a running sum over the points.
-    pos = np.zeros((len(verts), m), dtype=np.int8)
-    pos[np.arange(len(verts))[:, None], verts] = 1
-    flat = at * m
-    flat += w
-    pos = pos.cumsum(axis=1, dtype=np.int8).ravel()[flat]
+    pos = (verts[at] < w[:, None]).sum(axis=1, dtype=np.int8)
     col, rev = np.arange(k), m - 1 - verts
     before, after = binom[rev, k + 1 - col], binom[rev, k - col]
     prefix = np.zeros((len(verts), k + 1), dtype=np.int64)
@@ -144,11 +114,13 @@ def reduce_top(cx: FilteredComplex, p: int,
     coface j + {w} of cell j is keyed by its rank and lexicographic rank
     (`_coface_keys`), an order in which the cofaces of one cell run by
     (rank, w).  So one dense pass per chunk of cells over every point w
-    (`_coface_ranks`) finds each cell's earliest coface, and whether the
-    cell is its latest face, apparent (`_is_apparent`).  Only the looped
-    cells and the owners their additions read get a whole coboundary: the
-    looped ones in the same pass, the owners they read first (`_first_read`)
-    in one batch after it, and any other owner when it is read.
+    (`_coface_ranks`) finds each cell's earliest coface c.  The cell is
+    apparent when it is c's latest face, the largest of c's face rows, read
+    (`complexes._rips_boundary`) from the face table built once here.  Only
+    the looped cells and the owners their additions read get a whole
+    coboundary: the looped ones in the same pass, the owners they read first
+    (`_first_read`) in one batch after it, and any other owner when it is
+    read.
     """
     live = np.flatnonzero(~cleared)
     if not len(live):  # all cleared, as in most small complexes
@@ -157,6 +129,7 @@ def reduce_top(cx: FilteredComplex, p: int,
     verts = dim.vertices
     m, k = len(cof.near), verts.shape[1]
     binom = _binomials(m, k + 1)
+    row_of_rank = _row_of_rank(binom, verts)
     franks = cof.values.searchsorted(dim.filtration).astype(cof.ranks.dtype)
     none = len(cof.values)
     step = max(1, CHUNK // m)
@@ -199,7 +172,13 @@ def reduce_top(cx: FilteredComplex, p: int,
         # first w of the smallest rank.
         w = ranks.argmin(axis=1)
         first = ranks[np.arange(len(cells)), w]
-        app = (first != none) & _is_apparent(cof, verts[cells], franks[cells], w, first)
+        # A cell with a coface is apparent when it is the largest face row of
+        # its earliest coface, the row with w added.
+        app = first != none
+        points = np.empty((np.count_nonzero(app), k + 1), dtype=verts.dtype)
+        points[:, :k], points[:, k] = verts[cells[app]], w[app]
+        points.sort(axis=1)
+        app[app] = _rips_boundary(binom, points, row_of_rank).max(axis=1) == cells[app]
         ranks[app] = none
         ranks[app, w[app]] = first[app]
         at, row_keys, coeffs = cofaces(cells, ranks)

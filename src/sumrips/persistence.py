@@ -15,12 +15,14 @@ dimension below has a coboundary that reduces to zero, and is skipped.
 Apparent pairs (Ripser, section 3.5) are found first, for a whole dimension
 at once with array lookups: (j, c) is apparent when c is j's earliest coface,
 the first entry of j's row, and j is c's latest face, the largest row of
-c's face matrix.  Every boundary entry is +-1, so none vanishes mod p.  The
-pairing of a fixed total order is unique, and the columns reduced before j
-combine coboundaries of cells later than j, none of which has c as a coface;
-so j's column would reach pivot c without an addition, and the pair is
-recorded without reducing it.  Only the columns that are neither cleared nor
-apparent go through the column loop.
+c's face matrix.  An enumerated top dimension (`implicit.reduce_top`)
+applies the same test, reading c's face rows from the colex table that the
+stored dimensions are built with.  Every boundary entry is +-1, so none
+vanishes mod p.  The pairing of a fixed total order is unique, and the
+columns reduced before j combine coboundaries of cells later than j, none
+of which has c as a coface; so j's column would reach pivot c without an
+addition, and the pair is recorded without reducing it.  Only the columns
+that are neither cleared nor apparent go through the column loop.
 
 Dimension 0 goes through neither: as in Ripser, its cells are paired by a
 union-find over the edges in filtration order, which needs no transpose and

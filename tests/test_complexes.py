@@ -29,6 +29,7 @@ from sumrips.complexes import (
     Dimension,
     _collapse,
     _rips_boundary,
+    _row_of_rank,
     ordered_cell_count,
     rips_cell_count,
 )
@@ -134,7 +135,7 @@ def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
         triangles += [[a, b, c] for c in range(m) if c not in (a, b)][::37]
     verts = np.sort(np.array(triangles, dtype=point), axis=1)
     binom = np.array([[math.comb(a, k) for k in range(3)] for a in range(m + 1)], dtype=np.int32)
-    faces = _rips_boundary(binom, verts, edges)
+    faces = _rips_boundary(binom, verts, _row_of_rank(binom, edges))
     assert (faces.dtype, faces.shape) == (dtype, verts.shape)
     row_of = {v: r for r, v in enumerate(map(tuple, edges.tolist()))}
     rows_seen = set()

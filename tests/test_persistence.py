@@ -461,14 +461,17 @@ def test_top_enumerated_as_stored_on_the_corpus():
 @pytest.mark.usefixtures("enumerate_every_top")
 def test_top_enumerated_as_stored_on_cubes_and_cycles():
     """The cube splits cube(k - 1) x cube(1) for k = 3 to 5, C_8 x C_4 and
-    C_10 x {0, 1} at maxdim 4; on the 5-cube split the top dimension holds
-    143,416 cells, of which 25,480 are paired, 24,690 apparently."""
+    C_10 x {0, 1} at maxdim 4, and the 6-cube at maxdim 3; on the 5-cube
+    split the top dimension holds 143,416 cells, of which 25,480 are paired,
+    24,690 apparently.  The 6-cube's 39,742 cells of dimension 2, more than
+    2^15, are looked up in an int32 face table; the others' in int16."""
     interval = hamming_cube(1)
     spaces = [product_sum(hamming_cube(k - 1), interval) for k in (3, 4, 5)]
     spaces += [product_sum(corpus.cycle_graph(8), corpus.cycle_graph(4)),
                product_sum(corpus.cycle_graph(10), interval)]
     for space in spaces:
         _assert_top_enumerated_as_stored(space, 4)
+    _assert_top_enumerated_as_stored(hamming_cube(6), 3)
     stats = {}
     reduce(vietoris_rips(spaces[2], 4, barcode_only=True), stats=stats)
     assert (stats[3]["pairs"], stats[3]["apparent"]) == (25_480, 24_690)
