@@ -23,9 +23,9 @@ matrix with one column per vertex and no coefficients, as Ripser does
 The dump streams its lines a chunk of global ids at a time, so the cap's price
 per cell, `BYTES_PER_CELL`, covers building, reducing and dumping alike.  A
 barcode-only Rips build whose top dimension can hold more than `CHUNK` cells
-does not store it: it keeps the graph and the ranks of the distances
-(`Cofaces`), from which `reduce` enumerates that dimension as the cofaces of
-the one below.
+does not store it: it keeps the ranks of the distances, with a sentinel
+where its graph has no edge (`Cofaces`), from which `reduce` enumerates that
+dimension as the cofaces of the one below.
 """
 
 from __future__ import annotations
@@ -97,18 +97,19 @@ class Dimension(NamedTuple):
 
 
 class Cofaces(NamedTuple):
-    """What enumerating a top dimension that is not stored takes: the flag
-    complex's graph `near` (m x m booleans) and each distance's rank among
-    `values`, the sorted distinct distances (0.0 and -0.0 are one value), in
-    the narrowest unsigned dtype that also holds len(values).
+    """What enumerating a top dimension that is not stored takes: each
+    distance's rank among `values`, the sorted distinct distances (0.0 and
+    -0.0 are one value), or len(values) where the flag complex's graph has
+    no edge, in an m x m matrix of the narrowest unsigned dtype that also
+    holds len(values).
 
     The cells of the top dimension are the subsets of top_dim + 1 points
-    pairwise in `near`, each entering at its largest rank, diagonal included;
-    a cell j + {w} of the stored rows j has the sign (-1)^pos as a coface of
-    j, pos the place of w in its vertex row, as in a stored face matrix.
+    whose pairwise ranks, diagonal included, are all below len(values), each
+    entering at its largest rank; a cell j + {w} of the stored rows j has
+    the sign (-1)^pos as a coface of j, pos the place of w in its vertex
+    row, as in a stored face matrix.
     """
 
-    near: np.ndarray
     ranks: np.ndarray
     values: np.ndarray
 
@@ -126,8 +127,9 @@ class FilteredComplex:
 
     `dims` stores dimensions 0 to top_dim, or, when `cofaces` is given, 0 to
     top_dim - 1: the top dimension is then only enumerated, by `reduce`, as
-    the cofaces of the last stored one.  Counts, the global order, `cells`
-    and the dump cover the stored dimensions.
+    the cofaces of the last stored one, from the one matrix of distance
+    ranks that `cofaces` keeps.  Counts, the global order, `cells` and the
+    dump cover the stored dimensions.
     """
 
     dims: tuple[Dimension, ...]
@@ -481,8 +483,9 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     cofaces, and it held most of the cells (143,416 of the 177,979 of the
     5-cube as a product at maxdim 4, where the bound reads 165,424).  The
     complex then stores dimensions 0 to top_dim - 1 and keeps in `cofaces`
-    what `reduce` enumerates the top dimension from: the cut and collapsed
-    graph, and each distance's rank among the sorted distinct distances.
+    what `reduce` enumerates the top dimension from: each distance's rank
+    among the sorted distinct distances, and in place of the rank the
+    sentinel len(values) wherever the cut and collapsed graph has no edge.
     Its length, counts, `cells` and dump cover the stored dimensions.  A
     smaller top dimension is stored, as enumerating it costs more numpy
     calls than the cells it saves: building and reducing the barcode-only
@@ -491,8 +494,8 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
     dimensions stored, 212 and 87 ms enumerated, and the 5-cube split 95
     and 86 ms.  A build whose top_dim is below 2 stores every dimension, as
     the union-find pairing of the vertices walks the stored edges, and so
-    does one whose top cells' keys (`implicit._coface_keys`) would not
-    fit in an int64.
+    does one whose top cells' keys (`implicit._keys`) would not fit in an
+    int64.
     """
     if maxdim < 0:
         raise InputError(f"maxdim must be >= 0, got {maxdim}")
@@ -502,14 +505,14 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
 
     radius = enclosing_radius(space) if barcode_only else math.inf
     dist = space.dist
-    diag = np.diagonal(dist)
-    # near[u, v]: the edge uv and the point v both enter at or below the radius.
-    near = (dist <= radius) & (diag <= radius)
+    inside = np.diagonal(dist) <= radius
+    # near[u, v]: the edge uv and both its points enter at or below the radius.
+    near = (dist <= radius) & inside & inside[:, None]
     if barcode_only and top >= 2 and not np.signbit(dist).any():
         _collapse(near, dist)
     # Point indices take the narrowest unsigned dtype that holds m - 1, as
     # `Dimension.vertices` says; `_extend` keeps it.
-    vertices = np.flatnonzero(diag <= radius).astype(np.min_scalar_type(m - 1))
+    vertices = np.flatnonzero(inside).astype(np.min_scalar_type(m - 1))
     skip_top_above = math.inf
     if barcode_only and top >= 2:
         # `reduce` keys each top cell by its distance rank times C(m, top + 1)
@@ -524,8 +527,9 @@ def vietoris_rips(space: FiniteMetricSpace, maxdim: int, cell_cap: int = DEFAULT
         return FilteredComplex(dims, maxdim >= m - 1, source=space.labels)
     values = _distinct(dist)
     ranks = values.searchsorted(dist).astype(np.min_scalar_type(len(values)))
+    ranks[~near] = len(values)
     return FilteredComplex(dims, maxdim >= m - 1, source=space.labels,
-                           cofaces=Cofaces(near, ranks, values))
+                           cofaces=Cofaces(ranks, values))
 
 
 def _distinct(dist: np.ndarray) -> np.ndarray:

@@ -50,11 +50,16 @@ def kunneth_predict(bx: GradedBarcode, by: GradedBarcode, n: int) -> Barcode:
     """Degree-n prediction for the product from two factor barcodes."""
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
+    # Only pairs of stored degrees contribute.  i ascends as in the sums, so
+    # bars that sort alike, such as births at 0.0 and -0.0, keep their order.
+    ys = set(by.dims())
     bars = []
-    for i in range(n + 1):
-        bars.extend(tensor_barcodes(bx[i], by[n - i]))
-    for i in range(n):
-        bars.extend(tor1_barcodes(bx[i], by[n - 1 - i]))
+    for i in bx.dims():
+        if n - i in ys:
+            bars.extend(tensor_barcodes(bx[i], by[n - i]))
+    for i in bx.dims():
+        if n - 1 - i in ys:
+            bars.extend(tor1_barcodes(bx[i], by[n - 1 - i]))
     return Barcode(bars)
 
 

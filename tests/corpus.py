@@ -141,13 +141,15 @@ def random_complexes(count: int = 30, seed: int = COMPLEX_CORPUS_SEED,
 def stored_top(cx: FilteredComplex, space: FiniteMetricSpace) -> FilteredComplex:
     """The barcode-only Rips complex `cx` of `space` with its top dimension
     stored: the library's per-dimension pipeline run up to top_dim on the
-    graph that cx keeps to enumerate that dimension.  Its other dimensions
+    graph that cx keeps to enumerate that dimension, the pairs whose
+    distance rank is not the sentinel len(values).  Its other dimensions
     are cx's, bit for bit.  A complex that stores its top dimension is
     returned as it is."""
     if cx.cofaces is None:
         return cx
     vertices = np.sort(cx.dims[0].vertices[:, 0])
-    dims = _flag_dims(cx.cofaces.near, [space.dist], vertices, cx.top_dim)
+    dims = _flag_dims(cx.cofaces.ranks < len(cx.cofaces.values), [space.dist], vertices,
+                      cx.top_dim)
     return FilteredComplex(dims, cx.complete, cx.source)
 
 

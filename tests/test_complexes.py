@@ -22,6 +22,7 @@ from sumrips import (
     validate,
     vietoris_rips,
 )
+from sumrips import complexes
 from sumrips.complexes import (
     BYTES_PER_CELL,
     DEFAULT_CELL_CAP,
@@ -392,6 +393,45 @@ def test_collapse_keeps_the_reference_edges_on_generalized_float_metrics():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_collapse_keeps_the_reference_edges_on_cubes(k):
     _assert_collapse_matches_reference(hamming_cube(k))
+
+
+def _assert_coface_ranks_mark_the_graph(space, maxdim):
+    """A barcode-only build that leaves its top dimension to `reduce` keeps
+    in `cofaces.ranks` the rank of each distance among `cofaces.values`
+    exactly where its graph has an edge, a stored vertex with itself
+    included, and the sentinel len(values) everywhere else."""
+    cx = vietoris_rips(space, maxdim, barcode_only=True)
+    assert cx.cofaces is not None
+    ranks, values = cx.cofaces
+    graph = np.zeros(ranks.shape, dtype=bool)
+    points = cx.dims[0].vertices[:, 0]
+    graph[points, points] = True
+    u, v = cx.dims[1].vertices.T
+    graph[u, v] = graph[v, u] = True
+    assert ((ranks == len(values)) == ~graph).all(), space.dist.tolist()
+    assert (values[ranks[graph]] == space.dist[graph]).all()
+    return cx
+
+
+def test_coface_ranks_mark_every_pair_outside_the_graph(monkeypatch):
+    """The 5-cube split at maxdim 4; a corpus product whose collapse drops
+    most of its edges; and float metrics with two points whose positive
+    diagonals put them beyond the enclosing radius, which the graph leaves
+    out, both ways."""
+    _assert_coface_ranks_mark_the_graph(product_sum(hamming_cube(4), INTERVAL), 4)
+    monkeypatch.setattr(complexes, "CHUNK", -1)
+    x, y = corpus.product_corpus()[0]
+    space = product_sum(x, y)
+    cx = _assert_coface_ranks_mark_the_graph(space, 3)
+    radius = enclosing_radius(space)
+    assert 2 * len(cx.dims[1].filtration) < np.triu(space.dist <= radius, 1).sum()
+    rng = random.Random(3671)
+    for _ in range(10):
+        dist = corpus.random_float_space(rng, 5, 9, signed_zero_rate=0.0).dist.copy()
+        dist[0, 0] = dist[1, 1] = dist.max() + 1
+        space = validate(dist)
+        cx = _assert_coface_ranks_mark_the_graph(space, 3)
+        assert len(cx.dims[0].filtration) == len(space) - 2
 
 
 def test_rips_rows_match_every_subset_bit_for_bit():
