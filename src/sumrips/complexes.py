@@ -42,14 +42,14 @@ from .errors import CapExceeded, InputError
 from .metric import FiniteMetricSpace, enclosing_radius, product_sum
 
 # The resident set grows, per cell of the uncut complex (ru_maxrss in a fresh
-# process, CPython 3.11, numpy 2.4, x86-64), by 60-62 B to build and reduce a
-# whole Rips complex (62 on the 5-cube at maxdim 4, 60 on 60 random points
-# in the unit cube and on 80 points on a circle at maxdim 3), by 59 B to
+# process, CPython 3.11, numpy 2.4, x86-64), by 53-60 B to build and reduce a
+# whole Rips complex (58 on the 5-cube at maxdim 4, 53 on 60 random points
+# in the unit cube and 60 on 80 points on a circle at maxdim 3), by 59 B to
 # build, reduce and dump the whole 6-cube at maxdim 4, and by 68 B to build
 # and reduce the ordered product cube(5) x cube(1) at maxdim 4 (1,569,192
-# cells), with or without its dump.  Barcode-only builds take 2-24 B: 12 on
-# the 6-cube, 24 on the 5-cube (both at maxdim 4) and 9 on the circle, whose
-# top dimensions are enumerated, not stored, and 2 on the random points.
+# cells), with or without its dump.  Barcode-only builds take 2-22 B: 11 on
+# the 6-cube, 21-22 on the 5-cube (both at maxdim 4) and 8 on the circle,
+# whose top dimensions are enumerated, not stored, and 2 on the random points.
 # The price leaves 1.9 times headroom on the largest.
 BYTES_PER_CELL = 128
 # The default cap keeps a build, its reduction and its dump within about 4 GB.
@@ -82,13 +82,13 @@ class Dimension(NamedTuple):
     d - 1 is the (cells x (d + 1)) matrix `faces`, whose column i holds the
     row of the face without vertex i, with the sign (-1)^i.  Dimension 0 has
     no faces, a (cells x 0) matrix.  Built cells carry `vertices`, one
-    ascending row of point indices per cell, in the narrowest unsigned dtype
-    that holds the largest point index: uint8 up to 256 points, uint16 up to
-    65,536.
+    ascending row of point indices per cell.
 
-    A built dimension's `faces` are int16 when dimension d - 1 has at most
-    2^15 cells, else int32, or int64 from 2^31 cells on; dimension 0 and
-    empty dimensions have int32 `faces`.
+    Vertex rows, and the face rows of a built dimension, take the narrowest
+    unsigned dtype that holds every point index, or every row of dimension
+    d - 1: uint8 up to 256 points or cells, uint16 up to 65,536 and uint32
+    above.  Dimension 0 and empty dimensions hold no face rows, and their
+    `faces` stay int32.
     """
 
     filtration: np.ndarray
@@ -254,12 +254,11 @@ def _extend(subsets: np.ndarray, maxima: list[np.ndarray], near: np.ndarray,
 
 def _row_of_rank(binom: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """The colex rank -> row table of the k-subset rows `faces`, C(m, k)
-    entries read by `_rips_boundary`.  Rows are int16 up to 2^15 faces,
-    else `_index_dtype`; entries of cut faces stay -1, and no kept subset
+    entries read by `_rips_boundary`, in the narrowest unsigned dtype that
+    holds the last row.  Entries of cut faces stay 0, and no kept subset
     has a cut face."""
     k = faces.shape[1]
-    dtype = np.int16 if len(faces) <= 2**15 else _index_dtype(len(faces))
-    row_of_rank = np.full(binom[-1, k], -1, dtype=dtype)
+    row_of_rank = np.zeros(binom[-1, k], dtype=np.min_scalar_type(len(faces) - 1))
     row_of_rank[sum(binom[faces[:, i], i + 1] for i in range(k))] = np.arange(len(faces))
     return row_of_rank
 
@@ -584,11 +583,12 @@ def ordered_product(x: FiniteMetricSpace, y: FiniteMetricSpace, maxdim: int,
     space = product_sum(x, y)
     m, nx, ny = len(space), len(x), len(y)
     top = min(maxdim, nx + ny - 2)
-    # `_row_of_rank` builds a face table of C(m, d) entries of at most
-    # four bytes per dimension d.  A Rips complex has more cells than that,
-    # but chains can have far fewer (C(72, 8) entries, 48 GB, for the 19.8
-    # million chains of 9 x 8 points at maxdim 8), so the largest table is
-    # priced as cells too, at four bytes per entry.
+    # `_row_of_rank` builds a face table of C(m, d) entries per dimension d,
+    # of one, two or four bytes by the count of its rows.  A Rips complex has
+    # more cells than that, but chains can have far fewer (C(72, 8) entries,
+    # 48 GB, for the 19.8 million chains of 9 x 8 points at maxdim 8), so the
+    # largest table is priced as cells too, at four bytes per entry, an
+    # upper bound.
     table = 4 * max(math.comb(m, d) for d in range(top + 1)) // BYTES_PER_CELL
     _check_cap("ordered product", ordered_cell_count(nx, ny, maxdim) + table, cell_cap)
     i, j = np.divmod(np.arange(m), ny)

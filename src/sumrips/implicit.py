@@ -8,14 +8,14 @@ the order and with the signs the stored dimension would have, so the pairs,
 bars and stats are those of the stored reduction
 (`persistence._reduce_dimension`), whose apparent-pair rule it applies too.
 Memory beyond the complex is the colex face table of the last stored
-dimension (`complexes._row_of_rank`), C(m, top) entries of two or four
-bytes, one dense pass of CHUNK ranks at a time, a key and a cell per
+dimension (`complexes._row_of_rank`), C(m, top) entries of one, two or
+four bytes, one dense pass of CHUNK ranks at a time, a key and a cell per
 apparent pair, eight bytes per cell saying where its coboundary is kept,
 and the coboundaries of the looped cells and of the owners they read, at
 nine bytes per entry (an int64 key and an int8 sign).  On the 5-cube as a
 product at maxdim 4, 24,690 of its 29,540 cells of dimension 3 are
 apparent and 790 looped, with 1,431 column additions; building and
-reducing it peaks at 3.3 MB under tracemalloc, 72 KB of it the table,
+reducing it peaks at 3.4 MB under tracemalloc, 72 KB of it the table,
 against 8.9 MB with the top dimension stored.  A complete complex's top
 dimension holds at most the cell of all its points, whose complex is then
 a simplex: that cell is paired, and the top degree has no bar.

@@ -104,15 +104,6 @@ def _check_field(p: int) -> int:
     return q
 
 
-def _by_row(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """The stable order that sorts `rows`, row numbers below n_rows."""
-    # numpy radix-sorts 16-bit keys: int16 rows as they are, and wider rows
-    # cast to uint16 while the dimension has at most 65,536 cells.
-    if rows.itemsize > 2 and n_rows <= 2**16:
-        rows = rows.astype(np.uint16)
-    return np.argsort(rows, kind="stable")
-
-
 def _transpose(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a face matrix as (row offsets, entries): row r lists the flat
     indices e into `faces` of the entries that hold r, ascending, in
@@ -122,12 +113,13 @@ def _transpose(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     The cells are taken CHUNK // w at a time (at least one).  Each row's
     entries are counted chunk by chunk with `np.add.at`, since counting all
     entries at once would first cast them to 8-byte integers.  Then each
-    chunk's entries, stably sorted by row, go to their rows' next free
-    slots, chunk after chunk, so each row lists its entries in order.  A
-    chunk touches only the rows it holds, so the work is O(entries +
-    n_rows); the counts and free slots are int64, into which `np.add.at` is
-    many times faster than into int32.  Beyond the output, this holds
-    O(CHUNK + n_rows) bytes.  A matrix of one chunk is the sorted chunk
+    chunk's entries, stably sorted by row as stored (numpy radix-sorts the
+    8- and 16-bit rows of a dimension of at most 65,536 cells), go to their
+    rows' next free slots, chunk after chunk, so each row lists its entries
+    in order.  A chunk touches only the rows it holds, so the work is
+    O(entries + n_rows); the counts and free slots are int64, into which
+    `np.add.at` is many times faster than into int32.  Beyond the output,
+    this holds O(CHUNK + n_rows) bytes.  A matrix of one chunk is the sorted chunk
     itself, counted with `np.bincount`.
     """
     flat = faces.ravel()
@@ -136,7 +128,7 @@ def _transpose(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     ptr = np.zeros(n_rows + 1, dtype=dtype)
     if flat.size <= step:
         np.cumsum(np.bincount(flat, minlength=n_rows), out=ptr[1:])
-        return ptr, _by_row(flat, n_rows).astype(dtype)
+        return ptr, np.argsort(flat, kind="stable").astype(dtype)
     count = np.zeros(n_rows, dtype=np.int64)
     for lo in range(0, flat.size, step):
         np.add.at(count, flat[lo:lo + step], 1)
@@ -146,7 +138,7 @@ def _transpose(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     free = ptr[:-1].astype(np.int64)
     for lo in range(0, flat.size, step):
         rows = flat[lo:lo + step]
-        by_row = _by_row(rows, n_rows)
+        by_row = np.argsort(rows, kind="stable")
         rows = rows[by_row]
         # The chunk lists its rows ascending, in runs of equal rows; the entry
         # k places after the start of its row's run goes to slot free[row] + k.

@@ -113,43 +113,54 @@ def test_rips_boundaries_drop_one_point_with_alternating_signs():
                                     for pos in range(len(verts))]
 
 
-@pytest.mark.parametrize("m, dtype", [(256, np.int16), (257, np.int32)])
-def test_rips_boundary_face_rows_narrow_up_to_2_15_faces(m, dtype):
-    """The edges of 256 points, 32,640 faces, get int16 rows; the 32,896 of
-    257 points get int32 rows.  Either way each triangle's faces are its
-    vertex sets with one point removed, the one without the point at
-    position pos in column pos: the edges listed in a shuffled order, and
-    triangles through
-    the first and last rows included.  The same point count sets the vertex
-    rows a build gives: uint8 for 256 points, uint16 for 257, where point 256
-    needs the ninth bit; the boundary is taken from rows of that dtype."""
+@pytest.mark.parametrize("n_faces, dtype", [(256, np.uint8), (257, np.uint16),
+                                             (65_536, np.uint16), (65_537, np.uint32)])
+def test_rips_boundary_face_rows_take_the_narrowest_unsigned_dtype(n_faces, dtype):
+    """Face rows take the narrowest unsigned dtype that holds the last row:
+    uint8 up to 256 faces, uint16 up to 65,536 and uint32 above.  The faces
+    are n_faces edges of m points, listed in a shuffled order: 24 of the 256
+    or 257 points, or all 363, whose 65,703 edges are the first path's to
+    exceed 65,536.  Either way each triangle whose edges are all listed has
+    its vertex sets with one point removed as faces, the one without the
+    point at position pos in column pos, triangles through the first and
+    last rows included.  The point count sets the vertex rows a build gives
+    and the face rows of its edges: uint8 for 256 points, uint16 for 257,
+    where point 256 needs the ninth bit, and for 363; the boundary is taken
+    from rows of that dtype."""
+    m = min(n_faces, 363)
     point = np.uint8 if m == 256 else np.uint16
     path = validate([[abs(i - j) for j in range(m)] for i in range(m)], point_cap=None)
     cx = vietoris_rips(path, 1)
     assert [dim.vertices.dtype for dim in cx.dims] == [point, point]
+    assert cx.dims[1].faces.dtype == point
     assert (cx.dims[1].vertices.max(), cx.dims[1].vertices.shape) == (m - 1, (m * (m - 1) // 2, 2))
-    rng = np.random.default_rng(m)
-    edges = np.array(list(itertools.combinations(range(m), 2)), dtype=point)
-    edges = edges[rng.permutation(len(edges))]
-    triangles = [rng.choice(m, 3, replace=False) for _ in range(2000)]
+    rng = np.random.default_rng(n_faces)
+    used = np.arange(m)
+    if m < 363:  # 24 points, the first and the last among them: 276 edges
+        used = np.r_[0, np.sort(rng.choice(used[1:-1], 22, replace=False)), m - 1]
+    edges = np.array(list(itertools.combinations(used.tolist(), 2)), dtype=point)
+    edges = edges[rng.permutation(len(edges))[:n_faces]]
+    row_of = {v: r for r, v in enumerate(map(tuple, edges.tolist()))}
+    triangles = [np.sort(rng.choice(used, 3, replace=False)).tolist() for _ in range(2000)]
     for a, b in (edges[0], edges[-1], edges[len(edges) // 2]):
-        triangles += [[a, b, c] for c in range(m) if c not in (a, b)][::37]
-    verts = np.sort(np.array(triangles, dtype=point), axis=1)
+        triangles += [sorted([a, b, c]) for c in used.tolist() if c not in (a, b)]
+    triangles = [tri for tri in triangles
+                 if all(tuple(tri[:pos] + tri[pos + 1:]) in row_of for pos in range(3))]
+    verts = np.array(triangles, dtype=point)
     binom = np.array([[math.comb(a, k) for k in range(3)] for a in range(m + 1)], dtype=np.int32)
     faces = _rips_boundary(binom, verts, _row_of_rank(binom, edges))
     assert (faces.dtype, faces.shape) == (dtype, verts.shape)
-    row_of = {v: r for r, v in enumerate(map(tuple, edges.tolist()))}
     rows_seen = set()
     for tri, rows in zip(verts.tolist(), faces.tolist()):
         rows_seen.update(rows)
         assert rows == [row_of[tuple(tri[:pos] + tri[pos + 1:])] for pos in range(3)]
-    assert {0, len(edges) - 1} <= rows_seen
+    assert {0, n_faces - 1} <= rows_seen
 
 
 def test_five_cube_split_retains_at_most_48_bytes_per_cell():
     """The 5-cube as a product at maxdim 4, built barcode-only with its top
     dimension stored, keeps 177,979 cells, 143,416 in the top dimension,
-    whose 29,540 faces get int16 rows, and uint8 vertex rows.  Under
+    whose 29,540 faces get uint16 rows, and uint8 vertex rows.  Under
     tracemalloc the complex retains about 22.4 B per cell; with sorted face
     rows, row offsets and int8 coefficients it retained 31.1, with int32
     vertex rows too 45.5, and with int32 face rows too 55.0."""

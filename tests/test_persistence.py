@@ -173,11 +173,10 @@ def test_face_matrices_must_have_one_column_per_vertex():
 
 @pytest.mark.parametrize("n_rows", [300, 2**16, 2**16 + 1, 100_000])
 def test_transpose_lists_each_rows_columns_in_order(n_rows, monkeypatch):
-    """Both sorts the transpose picks by the row count, 16-bit keys up to
-    2^16 rows and full indices above, give every row its entries ascending,
-    so its cofaces too, whether the cells fit one chunk or many, and
-    whether a cell has more entries than a chunk or not; rows without
-    entries get none.  Face rows take int16 up to 2^15 rows, as built."""
+    """Face rows as a build types them, uint16 up to 2^16 rows (radix-sorted)
+    and uint32 above, give every row its entries ascending, so its cofaces
+    too, whether the cells fit one chunk or many, and whether a cell has
+    more entries than a chunk or not; rows without entries get none."""
     rng = np.random.default_rng(n_rows)
     empty = np.r_[0, np.arange(n_rows // 2, n_rows // 2 + 10)]
     live = np.setdiff1d(np.arange(n_rows), empty)
@@ -186,7 +185,7 @@ def test_transpose_lists_each_rows_columns_in_order(n_rows, monkeypatch):
         width = int(rng.integers(2, 6))
         faces = rng.choice(live, (500, width))
         faces[0, 0] = n_rows - 1  # the last row: a 16-bit key holds it only up to 2^16 rows
-        faces = faces.astype(np.int16 if n_rows <= 2**15 else np.int32)
+        faces = faces.astype(np.min_scalar_type(n_rows - 1))
         ptr, entries = _transpose(faces, n_rows)
         assert (ptr.dtype, entries.dtype) == (np.int32, np.int32)
         assert not np.diff(ptr)[empty].any()
@@ -463,8 +462,10 @@ def test_top_enumerated_as_stored_on_cubes_and_cycles():
     """The cube splits cube(k - 1) x cube(1) for k = 3 to 5, C_8 x C_4 and
     C_10 x {0, 1} at maxdim 4, and the 6-cube at maxdim 3; on the 5-cube
     split the top dimension holds 143,416 cells, of which 25,480 are paired,
-    24,690 apparently.  The 6-cube's 39,742 cells of dimension 2, more than
-    2^15, are looked up in an int32 face table; the others' in int16."""
+    24,690 apparently.  The face tables read are uint8 (the 28 cells of
+    dimension 3 of the 3-cube split) and uint16, up to the 6-cube's 39,742
+    cells of dimension 2; the 6-cube at maxdim 4, whose table is uint32, is
+    criterion 1's slow test."""
     interval = hamming_cube(1)
     spaces = [product_sum(hamming_cube(k - 1), interval) for k in (3, 4, 5)]
     spaces += [product_sum(corpus.cycle_graph(8), corpus.cycle_graph(4)),
